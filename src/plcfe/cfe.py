@@ -29,7 +29,7 @@ from .numcore import (
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
-    sgd_update,
+    vector_to_params,
 )
 
 CHECKPOINT_MAGIC = b"PLCF"
@@ -87,9 +87,7 @@ class EncoderPair:
     history: MlpParams
 
     def __post_init__(self):
-        if self.main.activation != self.history.activation or [
-            (w.shape, b.shape) for w, b in self.main.layers
-        ] != [(w.shape, b.shape) for w, b in self.history.layers]:
+        if (self.main.activation, self.main.shapes) != (self.history.activation, self.history.shapes):
             raise StateError("main and history encoders must share an architecture")
 
     @classmethod
@@ -112,6 +110,7 @@ class NegativeQueue:
         return len(self._entries)
 
     def push(self, embeddings: np.ndarray) -> None:
+        """Append rows in order, evicting the oldest entries past capacity."""
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         if self._entries and embeddings.shape[1] != self._entries[0].shape[0]:
             raise ShapeError("queue entries must share one embedding dimension")
@@ -122,12 +121,6 @@ class NegativeQueue:
         if not self._entries:
             return np.zeros((0, 0))
         return np.stack(list(self._entries))
-
-
-def queue_push(queue: NegativeQueue, embeddings: np.ndarray) -> NegativeQueue:
-    """Append rows in order, evicting the oldest entries past capacity."""
-    queue.push(embeddings)
-    return queue
 
 
 @dataclass
@@ -246,11 +239,8 @@ def momentum_update(pair: EncoderPair, momentum: float) -> EncoderPair:
     history <- momentum * history + (1 - momentum) * main."""
     if not (0 <= momentum < 1):
         raise ParameterError("momentum must be in [0, 1)")
-    layers = [
-        (momentum * hw + (1.0 - momentum) * mw, momentum * hb + (1.0 - momentum) * mb)
-        for (mw, mb), (hw, hb) in zip(pair.main.layers, pair.history.layers)
-    ]
-    return EncoderPair(main=pair.main, history=MlpParams(layers, pair.history.activation))
+    history = momentum * pair.history.vector + (1.0 - momentum) * pair.main.vector
+    return EncoderPair(main=pair.main, history=vector_to_params(history, pair.history))
 
 
 def history_queue_vectors(pair: EncoderPair, batch: PositiveBatch, normalize: bool = True) -> np.ndarray:
@@ -307,10 +297,10 @@ def train_cfe(
                 grad_raw = l2_normalize_backward(batch.main_raw, grad_embed)
             else:
                 grad_raw = grad_embed
-            grads = mlp_backward(pair.main, batch.main_cache, grad_raw)
-            pair = EncoderPair(main=sgd_update(pair.main, grads, lr), history=pair.history)
-            pair = momentum_update(pair, config.momentum)
-            queue_push(queue, history_queue_vectors(pair, batch, normalize=config.normalize))
+            grad = mlp_backward(pair.main, batch.main_cache, grad_raw)
+            main = vector_to_params(pair.main.vector - lr * grad, pair.main)
+            pair = momentum_update(EncoderPair(main=main, history=pair.history), config.momentum)
+            queue.push(history_queue_vectors(pair, batch, normalize=config.normalize))
             epoch_losses[step] = loss
         trace.append(float(epoch_losses.mean()))
     return pair, trace
@@ -326,15 +316,9 @@ def encode(params: MlpParams | EncoderPair, features: np.ndarray, normalize: boo
 def _write_mlp_descriptor(writer: ByteWriter, mlp: MlpParams) -> None:
     writer.write_u16(_ACTIVATION_CODES[mlp.activation])
     writer.write_u16(len(mlp.layers))
-    for w, _ in mlp.layers:
-        writer.write_u32(w.shape[0])
-        writer.write_u32(w.shape[1])
-
-
-def _write_mlp_payload(writer: ByteWriter, mlp: MlpParams) -> None:
-    for w, b in mlp.layers:
-        writer.write_f64_array(w)
-        writer.write_f64_array(b)
+    for rows, cols in mlp.shapes:
+        writer.write_u32(rows)
+        writer.write_u32(cols)
 
 
 def _read_mlp_descriptor(reader: ByteReader) -> tuple[str, list[tuple[int, int]]]:
@@ -367,8 +351,8 @@ def save_checkpoint(pair: EncoderPair, path) -> None:
     writer.write_u16(CHECKPOINT_VERSION)
     writer.write_u16(KIND_ENCODER_PAIR)
     _write_mlp_descriptor(writer, pair.main)
-    _write_mlp_payload(writer, pair.main)
-    _write_mlp_payload(writer, pair.history)
+    writer.write_f64_array(pair.main.vector)
+    writer.write_f64_array(pair.history.vector)
     with open(path, "wb") as fh:
         fh.write(writer.getvalue())
 

@@ -245,15 +245,10 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
     return out
 
 
-def _load_dataset_embeddings(config: PipelineConfig, ws: _Workspace, stage: str):
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", stage))
-    embeddings = data_mod.read_embeddings(_require(ws, "embeddings.plem", stage))
-    train_idx, test_idx = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
-    return ds, embeddings, train_idx, test_idx
-
-
 def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds, embeddings, train_idx, _ = _load_dataset_embeddings(config, ws, "cluster")
+    ds = data_mod.read_dataset(_require(ws, "dataset.plds", "cluster"))
+    embeddings = data_mod.read_embeddings(_require(ws, "embeddings.plem", "cluster"))
+    train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
     k = config.cluster.k if config.cluster.k is not None else 4 * ds.meta.classes
     model = cluster_mod.kmeans(
         embeddings[train_idx],
@@ -279,20 +274,21 @@ def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
     return out
 
 
-def _load_cluster_model(config: PipelineConfig, ws: _Workspace, stage: str):
+def _pseudo_labeled_train_split(config: PipelineConfig, ws: _Workspace, stage: str):
+    """The training split's cluster model and pseudo-labeled dataset."""
+    ds = data_mod.read_dataset(_require(ws, "dataset.plds", stage))
+    train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
     model = cluster_mod.read_cluster_csv(
         _require(ws, "clusters_assignment.csv", stage),
         _require(ws, "clusters_centers.csv", stage),
     )
-    return model
+    return model, cluster_mod.assign_pseudo_labels(model, ds.features[train_idx])
 
 
 def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds, _, train_idx, _ = _load_dataset_embeddings(config, ws, "meta-train")
-    model = _load_cluster_model(config, ws, "meta-train")
-    pld = cluster_mod.assign_pseudo_labels(model, ds.features[train_idx])
+    model, pld = _pseudo_labeled_train_split(config, ws, "meta-train")
     fs_model, history = meta_mod.meta_train(
-        ds.features[train_idx],
+        pld.features,
         pld,
         model,
         config.episodes,
@@ -305,8 +301,10 @@ def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
     with open(ws.path("meta_history.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "query_loss", "progressive_fraction"])
-        for epoch, loss in enumerate(history["epoch_query_loss"]):
-            writer.writerow([epoch, f"{loss:.10g}", f"{history['progressive_fraction']:.6f}"])
+        for epoch, (loss, fraction) in enumerate(
+            zip(history["epoch_query_loss"], history["epoch_progressive_fraction"])
+        ):
+            writer.writerow([epoch, f"{loss:.10g}", f"{fraction:.6f}"])
     return ["meta_model.plcf", "meta_history.csv"]
 
 
@@ -356,23 +354,19 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_build_tasks(config: PipelineConfig, ws: _Workspace, count: int = 100) -> list[str]:
-    ds, _, train_idx, _ = _load_dataset_embeddings(config, ws, "build-tasks")
-    model = _load_cluster_model(config, ws, "build-tasks")
-    pld = cluster_mod.assign_pseudo_labels(model, ds.features[train_idx])
+    model, pld = _pseudo_labeled_train_split(config, ws, "build-tasks")
     rng = derive_rng(config.seed, KEY_TASKS)
+    eval_model = None
     if config.episode_mode == "progressive":
         fs_model = meta_mod.load_model(_require(ws, "meta_model.plcf", "build-tasks"))
         eval_model = meta_mod.snapshot_eval_model(
             fs_model, epoch=-1, method=config.method, inner_lr=config.maml.inner_lr
         )
-        tasks = [
-            episodes_mod.sample_progressive_task(pld, model, eval_model, config.episodes, rng)
-            for _ in range(count)
-        ]
-    else:
-        tasks = [
-            episodes_mod.sample_standard_task(pld, config.episodes, rng) for _ in range(count)
-        ]
+    tasks = [
+        task
+        for _ in range(count)
+        for task in episodes_mod.sample_task_batch(pld, model, eval_model, config.episodes, rng, 1)
+    ]
     episodes_mod.write_tasks_csv(tasks, ws.path("tasks.csv"))
     return ["tasks.csv"]
 
@@ -473,8 +467,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, json.JSONDecodeError, OSError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    ws = _Workspace(config.out_dir)
     try:
+        ws = _Workspace(config.out_dir)
         if args.command == "pipeline":
             manifest = run_pipeline(config, ws)
             print(f"pipeline done: {len(manifest['artifacts'])} artifacts in {ws.root}")
@@ -489,6 +483,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except PlcfeError as exc:
         print(f"stage {args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"{args.command}: file system error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

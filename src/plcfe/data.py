@@ -9,7 +9,6 @@ feature matrix.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,18 +204,3 @@ def read_embeddings(path) -> np.ndarray:
     features, _, _ = _read_container(data, EMBEDDING_MAGIC)
     return features
 
-
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Human-readable export for inspection; the binary format is the one
-    that round-trips exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{j}" for j in range(dataset.dim)]
-        if dataset.eval_labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [f"{v:.17g}" for v in dataset.features[i]]
-            if dataset.eval_labels is not None:
-                row.append(str(int(dataset.eval_labels[i])))
-            writer.writerow(row)

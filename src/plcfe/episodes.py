@@ -1,11 +1,11 @@
 """Few-shot episode construction from pseudo-labels.
 
 Two samplers: a plain one that draws every way's support and query set
-from a single cluster, and a progressive one that, for a small fraction of
-tasks, finetunes an evaluation model on the sampled support set, picks
-each way's query source among the base cluster's nearest neighbors by
-predicted-label entropy, and filters the chosen cluster's noisiest members
-before drawing queries.
+from a single cluster, and a progressive one that, for the small fraction
+of task batches that pass a random gate, finetunes an evaluation model on
+the sampled support set, picks each way's query source among the base
+cluster's nearest neighbors by predicted-label entropy, and filters the
+chosen cluster's noisiest members before drawing queries.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .cluster import ClusterModel, PseudoLabeledDataset, nearest_clusters
 from .errors import ConstructionError, InsufficientSamplesError, ParameterError
+from .numcore import softmax
 
 
 @dataclass
@@ -173,12 +174,6 @@ def select_final_cluster(
     return int(candidate_ids[int(np.argmax(entropies))])
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def filter_noisy(
     features: np.ndarray,
     member_indices: np.ndarray,
@@ -201,7 +196,7 @@ def filter_noisy(
     if member_indices.size == 0:
         raise ParameterError("cluster has no members")
     scores = np.asarray(eval_model.predict_scores(features[member_indices]))
-    probs = _softmax(scores)[:, way_index]
+    probs = softmax(scores)[:, way_index]
     order = np.argsort(-probs, kind="stable")
     kept = member_indices[order][: int(np.floor(keep_rate * member_indices.size))]
     if min_required is not None and kept.size < min_required:
@@ -301,24 +296,25 @@ def progressive_task(
     return FewShotTask(support=support, query=query, provenance=provenance, progressive=True)
 
 
-def sample_progressive_task(
+def sample_task_batch(
     pld: PseudoLabeledDataset,
     cluster_model: ClusterModel,
     eval_model,
     config: EpisodeConfig,
     rng: np.random.Generator,
-) -> FewShotTask:
-    """Gated episode sampler: a uniform draw at or below gate_threshold
-    yields a plain task, anything above runs the progressive mechanism, so
-    roughly (1 - gate_threshold) of tasks are progressive."""
-    if eval_model is None:
-        raise ParameterError("progressive sampling requires an evaluation model")
-    if cluster_model.k <= config.candidate_neighbors:
-        raise ParameterError("need more clusters than candidate_neighbors")
-    gate = rng.uniform()
-    if gate <= config.gate_threshold:
-        return sample_standard_task(pld, config, rng)
-    return progressive_task(pld, cluster_model, eval_model, config, rng)
+    count: int,
+) -> list[FewShotTask]:
+    """Gated sampler for a batch of count episodes.
+
+    Without an evaluation model no gate is drawn and every task is
+    standard. Otherwise one uniform draw decides for the whole batch: at or
+    below gate_threshold the tasks are standard, above it they run the
+    progressive mechanism, so roughly (1 - gate_threshold) of batches are
+    progressive.
+    """
+    if eval_model is not None and rng.uniform() > config.gate_threshold:
+        return [progressive_task(pld, cluster_model, eval_model, config, rng) for _ in range(count)]
+    return [sample_standard_task(pld, config, rng) for _ in range(count)]
 
 
 def write_tasks_csv(tasks: list[FewShotTask], path) -> None:

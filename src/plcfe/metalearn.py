@@ -1,14 +1,13 @@
 """Gradient-based meta-learning over few-shot episodes.
 
-A small encoder plus linear N-way head is meta-trained with MAML (first-
-order by default, exact second-order behind a flag), or episodically with
-a prototype head as a second supervised method. Epoch-end snapshots become
-the evaluation models that the progressive episode sampler consumes.
+A small encoder plus linear N-way head is meta-trained with first-order
+MAML, or episodically with a prototype head as a second supervised method.
+Epoch-end snapshots become the evaluation models that the progressive
+episode sampler consumes.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass, replace
 
@@ -23,18 +22,18 @@ from .cfe import (
     _read_mlp_descriptor,
     _read_mlp_payload,
     _write_mlp_descriptor,
-    _write_mlp_payload,
 )
 from .cluster import ClusterModel, PseudoLabeledDataset
 from .errors import FormatError, NumericError, ParameterError, ShapeError, StateError
 from .numcore import (
     MlpParams,
-    grads_to_vector,
     init_mlp,
+    layer_views,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
     params_to_vector,
+    softmax,
     vector_to_params,
 )
 
@@ -50,7 +49,6 @@ class MamlConfig:
     meta_batch_size: int = 4
     epochs: int = 10
     steps_per_epoch: int = 50
-    first_order: bool = True
     seed: int = 0
     encoder_hidden: tuple[int, ...] = (32,)
     encoder_dim: int = 16
@@ -66,26 +64,36 @@ class MamlConfig:
             raise ParameterError("maml batch/epoch sizes must be positive")
 
 
-@dataclass
 class FewShotModel:
-    """Encoder plus linear N-way classification head."""
+    """Encoder plus linear N-way classification head, held in one flat
+    float64 vector: the encoder's parameters, then head_w (ways,
+    encoder_dim) row-major, then head_b (ways,). encoder, head_w and
+    head_b are views into it."""
 
-    encoder: MlpParams
-    head_w: np.ndarray  # (ways, encoder_dim)
-    head_b: np.ndarray  # (ways,)
-
-    def __post_init__(self):
-        if self.head_w.shape[1] != self.encoder.output_dim:
+    def __init__(self, encoder: MlpParams, head_w: np.ndarray, head_b: np.ndarray):
+        head_w = np.asarray(head_w, dtype=np.float64)
+        head_b = np.asarray(head_b, dtype=np.float64)
+        if head_w.ndim != 2 or head_w.shape[1] != encoder.output_dim:
             raise ShapeError("head input dim must equal encoder output dim")
-        if self.head_b.shape != (self.head_w.shape[0],):
+        if head_b.shape != (head_w.shape[0],):
             raise ShapeError("head bias must have one entry per way")
+        vector = np.concatenate([params_to_vector(encoder), head_w.ravel(), head_b])
+        self._bind(vector, encoder, head_w.shape[0])
+
+    def _bind(self, vector: np.ndarray, encoder: MlpParams, ways: int) -> None:
+        n_encoder = encoder.vector.size
+        self.vector = vector
+        self.encoder = vector_to_params(vector[:n_encoder], encoder)
+        ((self.head_w, self.head_b),) = layer_views(
+            vector[n_encoder:], [(ways, encoder.output_dim)]
+        )
 
     @property
     def ways(self) -> int:
         return self.head_w.shape[0]
 
     def clone(self) -> "FewShotModel":
-        return FewShotModel(self.encoder.clone(), self.head_w.copy(), self.head_b.copy())
+        return model_with_vector(self, self.vector.copy())
 
 
 def init_fewshot_model(
@@ -105,12 +113,6 @@ def model_scores(model: FewShotModel, features: np.ndarray) -> np.ndarray:
     return hidden @ model.head_w.T + model.head_b
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the scores."""
     n = scores.shape[0]
@@ -122,19 +124,12 @@ def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, grad / n
 
 
-def model_params_vector(model: FewShotModel) -> np.ndarray:
-    return np.concatenate(
-        [params_to_vector(model.encoder), model.head_w.ravel(), model.head_b.ravel()]
-    )
-
-
 def model_with_vector(model: FewShotModel, vector: np.ndarray) -> FewShotModel:
-    enc_size = params_to_vector(model.encoder).size
-    encoder = vector_to_params(vector[:enc_size], model.encoder)
-    w_size = model.head_w.size
-    head_w = vector[enc_size : enc_size + w_size].reshape(model.head_w.shape).copy()
-    head_b = vector[enc_size + w_size :].copy()
-    return FewShotModel(encoder, head_w, head_b)
+    """Wrap a vector in FewShotModel's flat layout, without copying, as a
+    model shaped like model."""
+    wrapped = object.__new__(FewShotModel)
+    wrapped._bind(np.asarray(vector, dtype=np.float64), model.encoder, model.ways)
+    return wrapped
 
 
 def model_loss_and_grad(
@@ -150,26 +145,20 @@ def model_loss_and_grad(
     g_head_w = d_logits.T @ hidden
     g_head_b = d_logits.sum(axis=0)
     d_hidden = d_logits @ model.head_w
-    enc_grads = mlp_backward(model.encoder, cache, d_hidden)
-    flat = np.concatenate([grads_to_vector(enc_grads), g_head_w.ravel(), g_head_b.ravel()])
-    return loss, flat
+    g_encoder = mlp_backward(model.encoder, cache, d_hidden)
+    return loss, np.concatenate([g_encoder, g_head_w.ravel(), g_head_b])
 
 
-def sgd_steps(loss_and_grad, theta: np.ndarray, alpha: float, steps: int):
-    """Generic inner-loop engine: `steps` gradient-descent updates.
-
-    loss_and_grad maps a flat parameter vector to (loss, gradient).
-    Returns (final theta, trajectory of visited thetas including the
-    start, losses)."""
-    trajectory = [np.asarray(theta, dtype=np.float64).copy()]
-    losses = []
+def sgd_steps(loss_and_grad, theta: np.ndarray, alpha: float, steps: int) -> np.ndarray:
+    """Generic inner-loop engine: `steps` gradient-descent updates of a flat
+    parameter vector; loss_and_grad maps a vector to (loss, gradient).
+    theta itself is not written."""
     for _ in range(steps):
-        loss, grad = loss_and_grad(trajectory[-1])
+        loss, grad = loss_and_grad(theta)
         if not np.isfinite(loss):
             raise NumericError("non-finite loss during adaptation")
-        losses.append(loss)
-        trajectory.append(trajectory[-1] - alpha * grad)
-    return trajectory[-1], trajectory, losses
+        theta = theta - alpha * grad
+    return theta
 
 
 def maml_inner_adapt(
@@ -179,28 +168,15 @@ def maml_inner_adapt(
     alpha: float,
     steps: int,
 ) -> FewShotModel:
-    """Adapt a copy of the model to a support set with plain gradient
-    descent on cross-entropy; the input model is untouched."""
+    """Adapt the model to a support set with plain gradient descent on
+    cross-entropy; returns a new model and leaves the input untouched."""
     if support_x.shape[0] == 0:
         raise ParameterError("support set is empty")
 
     def fn(vec):
         return model_loss_and_grad(model_with_vector(model, vec), support_x, support_y)
 
-    theta, _, _ = sgd_steps(fn, model_params_vector(model), alpha, steps)
-    return model_with_vector(model, theta)
-
-
-def _hessian_vector_product(loss_and_grad, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # central difference of the analytic gradient along v; exact for
-    # quadratics, ~1e-8 relative otherwise
-    v_norm = float(np.linalg.norm(v))
-    if v_norm == 0.0:
-        return np.zeros_like(v)
-    r = 1e-5 * (1.0 + float(np.linalg.norm(theta))) / v_norm
-    _, g_plus = loss_and_grad(theta + r * v)
-    _, g_minus = loss_and_grad(theta - r * v)
-    return (g_plus - g_minus) / (2.0 * r)
+    return model_with_vector(model, sgd_steps(fn, model.vector, alpha, steps))
 
 
 def maml_meta_gradient(
@@ -209,39 +185,22 @@ def maml_meta_gradient(
     tasks: list[episodes_mod.FewShotTask],
     config: MamlConfig,
 ) -> tuple[np.ndarray, float]:
-    """Meta-gradient of the mean post-adaptation query loss over a task
-    batch.
-
-    first_order=True uses the query gradient at the adapted parameters;
-    otherwise the gradient is pulled back through every inner step with
-    Hessian-vector products.
-    """
-    theta0 = model_params_vector(model)
-    total = np.zeros_like(theta0)
+    """First-order meta-gradient of the mean post-adaptation query loss over
+    a task batch: each task contributes its query gradient at the adapted
+    parameters."""
+    total = np.zeros_like(model.vector)
     total_loss = 0.0
     for task_id, task in enumerate(tasks):
         s_idx, s_way = task.support_pairs()
         q_idx, q_way = task.query_pairs()
-
-        def support_fn(vec):
-            return model_loss_and_grad(model_with_vector(model, vec), features[s_idx], s_way)
-
         try:
-            theta, trajectory, _ = sgd_steps(support_fn, theta0, config.inner_lr, config.inner_steps)
-            q_loss, q_grad = model_loss_and_grad(
-                model_with_vector(model, theta), features[q_idx], q_way
+            adapted = maml_inner_adapt(
+                model, features[s_idx], s_way, config.inner_lr, config.inner_steps
             )
+            q_loss, q_grad = model_loss_and_grad(adapted, features[q_idx], q_way)
         except NumericError as exc:
             raise NumericError(f"task {task_id}: {exc}") from exc
-        if config.first_order:
-            meta = q_grad
-        else:
-            meta = q_grad
-            for step_theta in reversed(trajectory[:-1]):
-                meta = meta - config.inner_lr * _hessian_vector_product(
-                    support_fn, step_theta, meta
-                )
-        total += meta
+        total += q_grad
         total_loss += q_loss
     return total / len(tasks), total_loss / len(tasks)
 
@@ -256,8 +215,26 @@ def maml_meta_step(
     if not tasks:
         return model, float("nan")
     meta_grad, mean_loss = maml_meta_gradient(model, features, tasks, config)
-    vec = model_params_vector(model) - config.outer_lr * meta_grad
-    return model_with_vector(model, vec), mean_loss
+    return model_with_vector(model, model.vector - config.outer_lr * meta_grad), mean_loss
+
+
+def way_prototypes(embeddings: np.ndarray, way_labels: np.ndarray) -> np.ndarray:
+    """Per-way mean embedding, one row per way 0..max(way_labels)."""
+    way_labels = np.asarray(way_labels)
+    ways = int(way_labels.max()) + 1
+    prototypes = np.empty((ways, embeddings.shape[1]))
+    for c in range(ways):
+        rows = embeddings[way_labels == c]
+        if rows.shape[0] == 0:
+            raise ParameterError(f"way {c} has no support embeddings")
+        prototypes[c] = rows.mean(axis=0)
+    return prototypes
+
+
+def prototype_scores(embeddings: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Negative squared distance of each embedding to each prototype."""
+    diff = embeddings[:, None, :] - prototypes[None, :, :]
+    return -np.sum(diff * diff, axis=2)
 
 
 def proto_classify(
@@ -267,16 +244,7 @@ def proto_classify(
 ) -> np.ndarray:
     """Negative squared distance of each query embedding to each way's
     support prototype (per-way mean)."""
-    support_labels = np.asarray(support_labels)
-    ways = int(support_labels.max()) + 1
-    prototypes = np.empty((ways, support_embeddings.shape[1]))
-    for c in range(ways):
-        rows = support_embeddings[support_labels == c]
-        if rows.shape[0] == 0:
-            raise ParameterError(f"way {c} has no support embeddings")
-        prototypes[c] = rows.mean(axis=0)
-    diff = query_embeddings[:, None, :] - prototypes[None, :, :]
-    return -np.sum(diff * diff, axis=2)
+    return prototype_scores(query_embeddings, way_prototypes(support_embeddings, support_labels))
 
 
 def proto_loss_and_grad(
@@ -285,24 +253,21 @@ def proto_loss_and_grad(
     support_y: np.ndarray,
     query_x: np.ndarray,
     query_y: np.ndarray,
-) -> tuple[float, list]:
+) -> tuple[float, np.ndarray]:
     """Episodic prototype loss: cross-entropy of queries against softmaxed
-    negative distances, with gradients for the encoder only."""
+    negative distances, with the flat gradient for the encoder only."""
     n_s = support_x.shape[0]
     stacked = np.vstack([support_x, query_x])
     hidden, cache = mlp_forward_cached(model.encoder, stacked)
     e_s, e_q = hidden[:n_s], hidden[n_s:]
-    ways = int(np.asarray(support_y).max()) + 1
-    counts = np.bincount(support_y, minlength=ways).astype(np.float64)
-    scores = proto_classify(e_s, support_y, e_q)
-    loss, d_scores = cross_entropy(scores, query_y)
-    prototypes = np.stack([e_s[support_y == c].mean(axis=0) for c in range(ways)])
+    prototypes = way_prototypes(e_s, support_y)
+    counts = np.bincount(support_y, minlength=prototypes.shape[0]).astype(np.float64)
+    loss, d_scores = cross_entropy(prototype_scores(e_q, prototypes), query_y)
     diff = e_q[:, None, :] - prototypes[None, :, :]  # (nq, ways, d)
     grad_q = -2.0 * np.sum(d_scores[:, :, None] * diff, axis=1)
     grad_proto = 2.0 * np.sum(d_scores[:, :, None] * diff, axis=0)
     grad_s = grad_proto[support_y] / counts[support_y][:, None]
-    enc_grads = mlp_backward(model.encoder, cache, np.vstack([grad_s, grad_q]))
-    return loss, enc_grads
+    return loss, mlp_backward(model.encoder, cache, np.vstack([grad_s, grad_q]))
 
 
 def proto_meta_step(
@@ -315,26 +280,16 @@ def proto_meta_step(
     encoder step; the linear head is untouched."""
     if not tasks:
         return model, float("nan")
-    acc = None
+    total = np.zeros_like(model.vector)
+    n_encoder = model.encoder.vector.size
     total_loss = 0.0
     for task in tasks:
         s_idx, s_way = task.support_pairs()
         q_idx, q_way = task.query_pairs()
-        loss, grads = proto_loss_and_grad(
-            model, features[s_idx], s_way, features[q_idx], q_way
-        )
+        loss, grad = proto_loss_and_grad(model, features[s_idx], s_way, features[q_idx], q_way)
+        total[:n_encoder] += grad
         total_loss += loss
-        if acc is None:
-            acc = [(gw.copy(), gb.copy()) for gw, gb in grads]
-        else:
-            acc = [(aw + gw, ab + gb) for (aw, ab), (gw, gb) in zip(acc, grads)]
-    scale = lr / len(tasks)
-    layers = [
-        (w - scale * gw, b - scale * gb)
-        for (w, b), (gw, gb) in zip(model.encoder.layers, acc)
-    ]
-    new_encoder = MlpParams(layers, model.encoder.activation)
-    return FewShotModel(new_encoder, model.head_w.copy(), model.head_b.copy()), total_loss / len(tasks)
+    return model_with_vector(model, model.vector - (lr / len(tasks)) * total), total_loss / len(tasks)
 
 
 @dataclass
@@ -387,56 +342,37 @@ def evaluate_fewshot(
 
 @dataclass
 class SnapshotEvaluationModel:
-    """Epoch-end copy of a MAML-style model, used to score candidate
-    clusters; finetuning runs the same inner adaptation the meta-learner
-    uses."""
+    """Epoch-end copy of the meta-learned model, used to score candidate
+    clusters.
+
+    For maml, scores are the head's logits and finetuning runs the same
+    inner adaptation the meta-learner uses. For proto, scores are negative
+    squared distances to the support prototypes that finetuning computes,
+    so scoring before finetuning is a StateError.
+    """
 
     model: FewShotModel
     epoch: int
-    inner_lr: float
+    method: str = "maml"
+    inner_lr: float = 0.05
     finetune_steps: int = 5
+    prototypes: np.ndarray | None = None
 
     def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        return model_scores(self.model, features)
+        if self.method == "maml":
+            return model_scores(self.model, features)
+        if self.prototypes is None:
+            raise StateError("prototype evaluation model must be finetuned on a support set first")
+        return prototype_scores(mlp_forward(self.model.encoder, features), self.prototypes)
 
     def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> "SnapshotEvaluationModel":
-        adapted = maml_inner_adapt(
-            self.model, support_x, support_y, self.inner_lr, self.finetune_steps
-        )
-        return replace(self, model=adapted)
-
-
-@dataclass
-class _ProtoScorer:
-    encoder: MlpParams
-    prototypes: np.ndarray
-
-    def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        embeddings = mlp_forward(self.encoder, features)
-        diff = embeddings[:, None, :] - self.prototypes[None, :, :]
-        return -np.sum(diff * diff, axis=2)
-
-    def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> "_ProtoScorer":
-        e_s = mlp_forward(self.encoder, support_x)
-        ways = int(np.asarray(support_y).max()) + 1
-        protos = np.stack([e_s[support_y == c].mean(axis=0) for c in range(ways)])
-        return _ProtoScorer(self.encoder, protos)
-
-
-@dataclass
-class ProtoEvaluationModel:
-    """Prototype-head snapshot; scoring requires finetuning first because
-    prototypes come from the support set."""
-
-    model: FewShotModel
-    epoch: int
-
-    def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        raise StateError("prototype evaluation model must be finetuned on a support set first")
-
-    def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> _ProtoScorer:
-        base = _ProtoScorer(self.model.encoder, np.zeros((1, self.model.encoder.output_dim)))
-        return base.finetuned(support_x, support_y)
+        if self.method == "maml":
+            adapted = maml_inner_adapt(
+                self.model, support_x, support_y, self.inner_lr, self.finetune_steps
+            )
+            return replace(self, model=adapted)
+        embeddings = mlp_forward(self.model.encoder, support_x)
+        return replace(self, prototypes=way_prototypes(embeddings, support_y))
 
 
 def snapshot_eval_model(
@@ -445,15 +381,12 @@ def snapshot_eval_model(
     method: str = "maml",
     inner_lr: float = 0.05,
     finetune_steps: int = 5,
-):
-    """Deep-copied epoch-end snapshot registered as the current evaluation
+) -> SnapshotEvaluationModel:
+    """Copied epoch-end snapshot registered as the current evaluation
     model; later training never mutates it."""
-    snap = copy.deepcopy(model)
-    if method == "maml":
-        return SnapshotEvaluationModel(snap, epoch, inner_lr, finetune_steps)
-    if method == "proto":
-        return ProtoEvaluationModel(snap, epoch)
-    raise ParameterError(f"unknown method {method!r}")
+    if method not in ("maml", "proto"):
+        raise ParameterError(f"unknown method {method!r}")
+    return SnapshotEvaluationModel(model.clone(), epoch, method, inner_lr, finetune_steps)
 
 
 def meta_train(
@@ -468,10 +401,10 @@ def meta_train(
 ) -> tuple[FewShotModel, dict]:
     """Meta-train on pseudo-labeled episodes.
 
-    episode_mode "progressive" switches to the entropy-guided sampler once
-    the first epoch-end snapshot exists; before that, tasks are standard.
-    Returns the model and a history dict with per-epoch mean query loss
-    and the fraction of progressive tasks.
+    episode_mode "progressive" switches to the gated entropy-guided sampler
+    once the first epoch-end snapshot exists; before that, tasks are
+    standard. Returns the model and a history dict with, per epoch, the
+    mean query loss and the fraction of progressive tasks.
     """
     if method not in ("maml", "proto"):
         raise ParameterError(f"unknown method {method!r}")
@@ -482,41 +415,31 @@ def meta_train(
     model = init_fewshot_model(features.shape[1], episode_config.ways, config, rng)
     eval_model = None
     epoch_losses: list[float] = []
-    progressive_tasks = 0
-    total_tasks = 0
+    epoch_fractions: list[float] = []
     for epoch in range(config.epochs):
         losses = np.empty(config.steps_per_epoch)
+        progressive_tasks = 0
         for step in range(config.steps_per_epoch):
-            # one gate draw per mini-batch of tasks
-            use_progressive = (
-                episode_mode == "progressive"
-                and eval_model is not None
-                and rng.uniform() > episode_config.gate_threshold
+            tasks = episodes_mod.sample_task_batch(
+                pld,
+                cluster_model,
+                eval_model if episode_mode == "progressive" else None,
+                episode_config,
+                rng,
+                config.meta_batch_size,
             )
-            tasks = []
-            for _ in range(config.meta_batch_size):
-                if use_progressive:
-                    task = episodes_mod.progressive_task(
-                        pld, cluster_model, eval_model, episode_config, rng
-                    )
-                else:
-                    task = episodes_mod.sample_standard_task(pld, episode_config, rng)
-                progressive_tasks += int(task.progressive)
-                total_tasks += 1
-                tasks.append(task)
+            progressive_tasks += sum(task.progressive for task in tasks)
             if method == "maml":
                 model, loss = maml_meta_step(model, features, tasks, config)
             else:
                 model, loss = proto_meta_step(model, features, tasks, config.outer_lr)
             losses[step] = loss
         epoch_losses.append(float(losses.mean()))
+        epoch_fractions.append(progressive_tasks / (config.steps_per_epoch * config.meta_batch_size))
         eval_model = snapshot_eval_model(
             model, epoch, method=method, inner_lr=config.inner_lr
         )
-    history = {
-        "epoch_query_loss": epoch_losses,
-        "progressive_fraction": progressive_tasks / total_tasks if total_tasks else 0.0,
-    }
+    history = {"epoch_query_loss": epoch_losses, "epoch_progressive_fraction": epoch_fractions}
     return model, history
 
 
@@ -529,9 +452,7 @@ def save_model(model: FewShotModel, path) -> None:
     _write_mlp_descriptor(writer, model.encoder)
     writer.write_u32(model.head_w.shape[0])
     writer.write_u32(model.head_w.shape[1])
-    _write_mlp_payload(writer, model.encoder)
-    writer.write_f64_array(model.head_w)
-    writer.write_f64_array(model.head_b)
+    writer.write_f64_array(model.vector)  # encoder payload, then head_w, then head_b
     with open(path, "wb") as fh:
         fh.write(writer.getvalue())
 

@@ -16,9 +16,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateDataError, ParameterError, ShapeError
 
-MAX_ACCURACY_CLASSES = 64
-
-
 @dataclass
 class LabeledEmbeddings:
     """Embedding rows plus integer class ids in [0, num_classes)."""
@@ -154,21 +151,16 @@ def pca_project_2d(
 
 def clustering_accuracy(pseudo_labels, true_labels) -> float:
     """Best one-to-one matching accuracy between cluster ids and class ids,
-    via optimal assignment on the contingency table."""
+    via optimal assignment on the (clusters x classes) contingency table;
+    with unequal counts the surplus clusters or classes stay unmatched."""
     pseudo = np.asarray(pseudo_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     if pseudo.size == 0:
         raise ParameterError("empty label lists")
     if pseudo.shape != true.shape:
         raise ShapeError("label lists must have equal length")
-    n_pseudo = int(pseudo.max()) + 1
-    n_true = int(true.max()) + 1
-    if n_pseudo > MAX_ACCURACY_CLASSES or n_true > MAX_ACCURACY_CLASSES:
-        raise ParameterError(f"more than {MAX_ACCURACY_CLASSES} clusters or classes")
-    side = max(n_pseudo, n_true)
-    table = np.zeros((side, side), dtype=np.int64)
-    for p, t in zip(pseudo, true):
-        table[p, t] += 1
+    table = np.zeros((int(pseudo.max()) + 1, int(true.max()) + 1), dtype=np.int64)
+    np.add.at(table, (pseudo, true), 1)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum()) / pseudo.size
 

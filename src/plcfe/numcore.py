@@ -35,42 +35,63 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key))))
 
 
-@dataclass
-class MlpParams:
-    """Parameters of a fully connected network.
+def layer_views(vector: np.ndarray, shapes: Sequence[tuple[int, int]]) -> tuple:
+    """(weight, bias) views into a flat vector that holds, for each weight
+    shape (fan_out, fan_in), the row-major weight and then its bias."""
+    need = sum(rows * cols + rows for rows, cols in shapes)
+    if vector.shape != (need,):
+        raise ShapeError(f"vector has shape {vector.shape}, layout needs ({need},)")
+    layers, pos = [], 0
+    for rows, cols in shapes:
+        end = pos + rows * cols
+        layers.append((vector[pos:end].reshape(rows, cols), vector[end : end + rows]))
+        pos = end + rows
+    return tuple(layers)
 
-    layers holds (weight, bias) pairs; weight has shape (fan_out, fan_in)
-    and bias shape (fan_out,). The activation is applied after every layer,
-    including the last one.
+
+class MlpParams:
+    """Parameters of a fully connected network, held in one flat float64
+    vector.
+
+    The vector holds every layer's weight, shape (fan_out, fan_in) and
+    row-major, then its bias, shape (fan_out,); layers holds (weight, bias)
+    views into it. The activation is applied after every layer, including
+    the last one.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
-        if not self.layers:
+    def __init__(self, layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str = "relu"):
+        if activation not in ACTIVATIONS:
+            raise ParameterError(f"unknown activation {activation!r}")
+        if not layers:
             raise ParameterError("MlpParams needs at least one layer")
-        for i, (w, b) in enumerate(self.layers):
+        layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in layers]
+        for i, (w, b) in enumerate(layers):
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
                 raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != self.layers[i - 1][0].shape[0]:
+            if i > 0 and w.shape[1] != layers[i - 1][0].shape[0]:
                 raise ShapeError(
                     f"layer {i} expects {w.shape[1]} inputs but layer {i - 1} "
-                    f"outputs {self.layers[i - 1][0].shape[0]}"
+                    f"outputs {layers[i - 1][0].shape[0]}"
                 )
+        vector = np.concatenate([part for w, b in layers for part in (w.ravel(), b)])
+        self._bind(vector, tuple(w.shape for w, _ in layers), activation)
+
+    def _bind(self, vector: np.ndarray, shapes: tuple[tuple[int, int], ...], activation: str) -> None:
+        self.vector = vector
+        self.shapes = shapes
+        self.activation = activation
+        self.layers = layer_views(vector, shapes)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.shapes[0][1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
+        return self.shapes[-1][0]
 
     def clone(self) -> "MlpParams":
-        return MlpParams([(w.copy(), b.copy()) for w, b in self.layers], self.activation)
+        return vector_to_params(self.vector.copy(), self)
 
 
 def init_mlp(layer_dims: Sequence[int], activation: str, rng: np.random.Generator) -> MlpParams:
@@ -131,13 +152,11 @@ def mlp_forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray
     return x, cache
 
 
-def mlp_backward(
-    params: MlpParams, cache: ForwardCache | None, grad_output: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact gradients of a scalar loss w.r.t. every weight and bias.
+def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.ndarray) -> np.ndarray:
+    """Exact gradient of a scalar loss w.r.t. every weight and bias.
 
-    grad_output is dloss/doutput for the cached forward pass. Returns
-    (dW, db) per layer, in layer order.
+    grad_output is dloss/doutput for the cached forward pass. Returns the
+    flat gradient in params.vector's layout.
     """
     if cache is None or not cache.pre_activations:
         raise StateError("mlp_backward requires the cache from mlp_forward_cached")
@@ -147,7 +166,8 @@ def mlp_backward(
             f"grad_output shape {grad_output.shape} does not match forward "
             f"output {cache.post_activations[-1].shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)  # type: ignore[list-item]
+    grad = np.empty_like(params.vector)
+    grad_layers = layer_views(grad, params.shapes)
     g = grad_output
     for i in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[i]
@@ -155,10 +175,12 @@ def mlp_backward(
         post = cache.post_activations[i]
         layer_in = cache.inputs if i == 0 else cache.post_activations[i - 1]
         g_pre = g * _activate_grad(pre, post, params.activation)
-        grads[i] = (g_pre.T @ layer_in, g_pre.sum(axis=0))
+        gw, gb = grad_layers[i]
+        gw[...] = g_pre.T @ layer_in
+        gb[...] = g_pre.sum(axis=0)
         if i > 0:
             g = g_pre @ w
-    return grads
+    return grad
 
 
 def l2_normalize(vectors: np.ndarray, return_degenerate: bool = False):
@@ -193,45 +215,24 @@ def l2_normalize_backward(vectors: np.ndarray, grad_output: np.ndarray) -> np.nd
 
 
 def params_to_vector(params: MlpParams) -> np.ndarray:
-    """Flatten all weights and biases into one vector (layer order, weight
-    before bias)."""
-    parts = []
-    for w, b in params.layers:
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    """The network's flat parameter vector itself (layer order, weight
+    before bias); writes to it write the network."""
+    return params.vector
 
 
 def vector_to_params(vector: np.ndarray, template: MlpParams) -> MlpParams:
-    """Inverse of params_to_vector, using template for shapes."""
-    vector = np.asarray(vector, dtype=np.float64)
-    layers = []
-    pos = 0
-    for w, b in template.layers:
-        wn = w.size
-        layers.append(
-            (vector[pos : pos + wn].reshape(w.shape).copy(), vector[pos + wn : pos + wn + b.size].copy())
-        )
-        pos += wn + b.size
-    if pos != vector.size:
-        raise ShapeError(f"vector has {vector.size} entries, template needs {pos}")
-    return MlpParams(layers, template.activation)
+    """Wrap a vector in params_to_vector's layout, without copying, as a
+    network shaped like template."""
+    params = object.__new__(MlpParams)
+    params._bind(np.asarray(vector, dtype=np.float64), template.shapes, template.activation)
+    return params
 
 
-def grads_to_vector(grads: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    parts = []
-    for gw, gb in grads:
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts)
-
-
-def sgd_update(
-    params: MlpParams, grads: list[tuple[np.ndarray, np.ndarray]], lr: float
-) -> MlpParams:
-    """One plain gradient-descent step; returns new params."""
-    layers = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(params.layers, grads)]
-    return MlpParams(layers, params.activation)
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's max for stability."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def finite_diff_check(

@@ -21,7 +21,6 @@ from plcfe.cfe import (
     cfe_loss,
     encode,
     momentum_update,
-    queue_push,
     train_cfe,
 )
 from plcfe.cluster import PseudoLabeledDataset, assign_pseudo_labels, kmeans
@@ -31,8 +30,8 @@ from plcfe.episodes import (
     filter_noisy,
     cluster_entropy,
     progressive_task,
-    sample_progressive_task,
     sample_standard_task,
+    sample_task_batch,
     select_final_cluster,
 )
 from plcfe.metalearn import MamlConfig, evaluate_fewshot, meta_train
@@ -85,7 +84,7 @@ def test_criterion_1_gradient_fidelity():
         z = l2_normalize(rng.normal(size=(n_pos, 2, 8)))
         queue = NegativeQueue(max(1, n_neg))
         if n_neg:
-            queue_push(queue, l2_normalize(rng.normal(size=(n_neg, 8))))
+            queue.push(l2_normalize(rng.normal(size=(n_neg, 8))))
 
         def fn(vec):
             full = z.copy()
@@ -254,7 +253,7 @@ def test_criterion_6_progressive_mechanics():
     rng_gate = make_rng(22)
     draws = 10_000
     progressive_count = sum(
-        sample_progressive_task(gate_pld, gate_model, gate_scorer, config, rng_gate).progressive
+        sample_task_batch(gate_pld, gate_model, gate_scorer, config, rng_gate, 1)[0].progressive
         for _ in range(draws)
     )
     sigma = math.sqrt(draws * 0.1 * 0.9)
@@ -292,7 +291,7 @@ def test_criterion_7_structural_invariants():
     fifo_ok = True
     for _ in range(1000):
         block = rng_q.normal(size=(int(rng_q.integers(1, 9)), 4))
-        queue_push(queue, block)
+        queue.push(block)
         mirror.extend(block.tolist())
         fifo_ok = fifo_ok and len(queue) <= 64
         fifo_ok = fifo_ok and np.array_equal(queue.as_matrix(), np.array(mirror[-64:]))

@@ -18,7 +18,6 @@ from plcfe.cfe import (
     history_queue_vectors,
     load_checkpoint,
     momentum_update,
-    queue_push,
     save_checkpoint,
     train_cfe,
     write_loss_trace,
@@ -119,10 +118,7 @@ class TestAsynchronousEmbed:
         config = small_config(augments_per_point=1)
         pair = EncoderPair.initialize(3, config, rng)
         # desynchronize encoders: history becomes garbage
-        pair.history.layers[0] = (
-            pair.history.layers[0][0] * 0 + 99.0,
-            pair.history.layers[0][1],
-        )
+        pair.history.layers[0][0][...] = 99.0
         batch = build_positive_batch(rng.normal(size=(10, 3)), config, rng)
         asynchronous_embed(pair, batch)
         expected = l2_normalize(mlp_forward(pair.main, batch.augmented[:, 0, :]))
@@ -172,7 +168,7 @@ class TestCfeLoss:
         config = small_config(batch_positives=3, augments_per_point=2)
         z = l2_normalize(rng.normal(size=(3, 2, 6)))
         queue = NegativeQueue(8)
-        queue_push(queue, l2_normalize(rng.normal(size=(4, 6))))
+        queue.push(l2_normalize(rng.normal(size=(4, 6))))
         loss, _ = cfe_loss(batch_from_embeddings(z), queue, config)
 
         tau = config.temperature
@@ -194,7 +190,7 @@ class TestCfeLoss:
         config = small_config(batch_positives=3, augments_per_point=2)
         z = l2_normalize(rng.normal(size=(3, 2, 6)))
         queue = NegativeQueue(8)
-        queue_push(queue, l2_normalize(rng.normal(size=(4, 6))))
+        queue.push(l2_normalize(rng.normal(size=(4, 6))))
 
         def fn(vec):
             full = z.copy()
@@ -217,7 +213,7 @@ class TestCfeLoss:
         for _ in range(10):
             z = l2_normalize(rng.normal(size=(4, 2, 5)))
             queue = NegativeQueue(8)
-            queue_push(queue, l2_normalize(rng.normal(size=(3, 5))))
+            queue.push(l2_normalize(rng.normal(size=(3, 5))))
             loss, _ = cfe_loss(batch_from_embeddings(z), queue, config)
             assert loss >= math.log(1.0 / (4 + 3 - 1))
             assert np.isfinite(loss)
@@ -291,13 +287,13 @@ class TestNegativeQueue:
     def test_fifo_eviction(self):
         queue = NegativeQueue(2)
         a, b, c = np.array([1.0]), np.array([2.0]), np.array([3.0])
-        queue_push(queue, np.stack([a, b]))
-        queue_push(queue, c[None, :])
+        queue.push(np.stack([a, b]))
+        queue.push(c[None, :])
         assert np.array_equal(queue.as_matrix(), np.stack([b, c]))
 
     def test_partial_fill_preserves_order(self):
         queue = NegativeQueue(8)
-        queue_push(queue, np.arange(3, dtype=float)[:, None])
+        queue.push(np.arange(3, dtype=float)[:, None])
         assert len(queue) == 3
         assert np.array_equal(queue.as_matrix().ravel(), [0.0, 1.0, 2.0])
 
@@ -307,7 +303,7 @@ class TestNegativeQueue:
         for step in range(10):
             block = np.full((4, 2), float(step))
             block[:, 1] = np.arange(4)
-            queue_push(queue, block)
+            queue.push(block)
             replay.extend(block.tolist())
         assert np.array_equal(queue.as_matrix(), np.array(replay[-16:]))
 

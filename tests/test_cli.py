@@ -4,6 +4,7 @@ import pytest
 
 from plcfe.cli import (
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     build_config,
     main,
@@ -77,6 +78,20 @@ class TestCliValidation:
         code = main(["train-cfe", "--config", str(path), "--out", str(tmp_path / "empty")])
         assert code == EXIT_VALIDATION
 
+    def test_removed_first_order_key_exits_2(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path, maml={"first_order": True})
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "unknown config key: maml.first_order" in capsys.readouterr().err
+
+    def test_out_dir_under_regular_file_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = main(["gen-data", "--out", str(blocker / "run")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestPipeline:
     def test_smoke_and_manifest(self, tmp_path, capsys):
@@ -122,6 +137,27 @@ class TestPipeline:
         manifest = json.loads((whole / "manifest.json").read_text())
         for name in manifest["artifacts"]:
             assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
+
+    def test_meta_train_does_not_need_embeddings(self, tmp_path):
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        before = (out / "meta_model.plcf").read_bytes()
+        (out / "embeddings.plem").unlink()
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert (out / "meta_model.plcf").read_bytes() == before
+        assert main(["build-tasks", "--config", str(path), "--out", str(out),
+                     "--tasks", "2"]) == EXIT_OK
+
+    def test_progressive_fraction_is_per_epoch(self, tmp_path):
+        # gate 0 makes every batch progressive once a snapshot exists,
+        # which is from epoch 1 on
+        path = write_tiny_config(tmp_path, episodes={**TINY["episodes"], "gate_threshold": 0.0})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out),
+                     "--episodes", "progressive"]) == EXIT_OK
+        rows = (out / "meta_history.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0.000000", "1.000000"]
 
     def test_build_tasks_stage(self, tmp_path):
         path = write_tiny_config(tmp_path)

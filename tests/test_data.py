@@ -12,7 +12,6 @@ from plcfe.data import (
     read_dataset,
     read_embeddings,
     write_dataset,
-    write_dataset_csv,
     write_embeddings,
 )
 from plcfe.errors import FormatError, ParameterError
@@ -188,14 +187,6 @@ class TestDatasetIo:
         write_dataset(ds, path)
         with pytest.raises(FormatError):
             read_embeddings(path)
-
-    def test_csv_export(self, tmp_path):
-        ds = gen_blobs(2, 2, 3, 5.0, make_rng(6))
-        path = tmp_path / "ds.csv"
-        write_dataset_csv(ds, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x0,x1,x2,label"
-        assert len(lines) == 1 + ds.n
 
 
 def test_unsupervised_paths_never_touch_true_labels():

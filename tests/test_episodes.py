@@ -11,8 +11,8 @@ from plcfe.episodes import (
     cluster_entropy,
     filter_noisy,
     progressive_task,
-    sample_progressive_task,
     sample_standard_task,
+    sample_task_batch,
     select_final_cluster,
     write_tasks_csv,
 )
@@ -256,7 +256,7 @@ class TestProgressiveTask:
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2, gate_threshold=1.0)
         rng = make_rng(0)
         for _ in range(50):
-            task = sample_progressive_task(pld, model, scorer, config, rng)
+            (task,) = sample_task_batch(pld, model, scorer, config, rng, 1)
             assert not task.progressive
 
     def test_gate_zero_always_progressive(self):
@@ -264,7 +264,7 @@ class TestProgressiveTask:
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2, gate_threshold=0.0)
         rng = make_rng(1)
         for _ in range(20):
-            task = sample_progressive_task(pld, model, scorer, config, rng)
+            (task,) = sample_task_batch(pld, model, scorer, config, rng, 1)
             assert task.progressive
             task.validate_structure(pld.features.shape[0])
 
@@ -280,7 +280,7 @@ class TestProgressiveTask:
         )
         rng = make_rng(2)
         for _ in range(20):
-            task = sample_progressive_task(pld, model, scorer, config, rng)
+            (task,) = sample_task_batch(pld, model, scorer, config, rng, 1)
             for prov in task.provenance:
                 expected = int(nearest_clusters(model, prov.base_cluster, 1)[0])
                 if prov.fallback:
@@ -291,8 +291,8 @@ class TestProgressiveTask:
     def test_seeded_replay_identical(self):
         pld, model, scorer = self.make_setup()
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2, gate_threshold=0.5)
-        t1 = [sample_progressive_task(pld, model, scorer, config, make_rng(3)) for _ in range(1)][0]
-        t2 = [sample_progressive_task(pld, model, scorer, config, make_rng(3)) for _ in range(1)][0]
+        (t1,) = sample_task_batch(pld, model, scorer, config, make_rng(3), 1)
+        (t2,) = sample_task_batch(pld, model, scorer, config, make_rng(3), 1)
         assert np.array_equal(t1.support, t2.support)
         assert np.array_equal(t1.query, t2.query)
         assert t1.provenance == t2.provenance
@@ -336,13 +336,13 @@ class TestProgressiveTask:
         pld, model, _ = self.make_setup()
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
         with pytest.raises(ParameterError):
-            sample_progressive_task(pld, model, None, config, make_rng(0))
+            progressive_task(pld, model, None, config, make_rng(0))
 
     def test_needs_more_clusters_than_candidates(self):
         pld, model, scorer = self.make_setup(sizes=(10, 10))
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
         with pytest.raises(ParameterError):
-            sample_progressive_task(pld, model, scorer, config, make_rng(0))
+            progressive_task(pld, model, scorer, config, make_rng(0))
 
     def test_gate_fraction_concentrates(self):
         pld, model, scorer = self.make_setup()
@@ -352,12 +352,35 @@ class TestProgressiveTask:
         rng = make_rng(6)
         draws = 4000
         progressive = sum(
-            sample_progressive_task(pld, model, scorer, config, rng).progressive
+            sample_task_batch(pld, model, scorer, config, rng, 1)[0].progressive
             for _ in range(draws)
         )
         p = 0.3
         sigma = math.sqrt(draws * p * (1 - p))
         assert abs(progressive - draws * p) < 3 * sigma
+
+    def test_one_gate_draw_per_batch(self):
+        pld, model, scorer = self.make_setup()
+        config = EpisodeConfig(ways=2, shots=1, queries=1, candidate_neighbors=2, gate_threshold=0.5)
+        rng = make_rng(7)
+        kinds = set()
+        for _ in range(40):
+            batch = sample_task_batch(pld, model, scorer, config, rng, 4)
+            assert len(batch) == 4
+            assert len({task.progressive for task in batch}) == 1
+            kinds.add(batch[0].progressive)
+        assert kinds == {False, True}
+
+    def test_no_eval_model_draws_no_gate(self):
+        pld, model, _ = self.make_setup()
+        config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2, gate_threshold=0.0)
+        batch = sample_task_batch(pld, model, None, config, make_rng(8), 3)
+        rng = make_rng(8)
+        plain = [sample_standard_task(pld, config, rng) for _ in range(3)]
+        for got, want in zip(batch, plain):
+            assert not got.progressive
+            assert np.array_equal(got.support, want.support)
+            assert np.array_equal(got.query, want.query)
 
 
 class TestTaskCsv:

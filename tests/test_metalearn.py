@@ -13,7 +13,6 @@ from plcfe.metalearn import (
     maml_meta_gradient,
     maml_meta_step,
     model_loss_and_grad,
-    model_params_vector,
     model_scores,
     model_with_vector,
     proto_classify,
@@ -26,9 +25,10 @@ from plcfe.metalearn import (
 from plcfe.numcore import (
     MlpParams,
     finite_diff_check,
-    grads_to_vector,
     make_rng,
+    mlp_forward,
     params_to_vector,
+    vector_to_params,
 )
 
 
@@ -47,29 +47,22 @@ def toy_model(seed=0, input_dim=2, ways=2):
 
 class TestSgdSteps:
     def test_quadratic_one_step(self):
-        theta, _, _ = sgd_steps(lambda t: (float(t[0] ** 2), 2 * t), np.array([1.0]), 0.1, 1)
+        theta = sgd_steps(lambda t: (float(t[0] ** 2), 2 * t), np.array([1.0]), 0.1, 1)
         assert theta[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_quadratic_two_steps(self):
-        theta, _, _ = sgd_steps(lambda t: (float(t[0] ** 2), 2 * t), np.array([1.0]), 0.1, 2)
+        theta = sgd_steps(lambda t: (float(t[0] ** 2), 2 * t), np.array([1.0]), 0.1, 2)
         assert theta[0] == pytest.approx(0.64, abs=1e-15)
-
-    def test_trajectory_records_start(self):
-        _, trajectory, losses = sgd_steps(
-            lambda t: (float(t[0] ** 2), 2 * t), np.array([1.0]), 0.1, 3
-        )
-        assert len(trajectory) == 4 and trajectory[0][0] == 1.0
-        assert losses == [1.0, pytest.approx(0.64), pytest.approx(0.4096)]
 
 
 class TestInnerAdapt:
     def test_original_model_untouched(self):
         model = toy_model()
-        before = model_params_vector(model).copy()
+        before = model.vector.copy()
         x = make_rng(1).normal(size=(4, 2))
         y = np.array([0, 1, 0, 1])
         maml_inner_adapt(model, x, y, 0.1, 3)
-        assert np.array_equal(model_params_vector(model), before)
+        assert np.array_equal(model.vector, before)
 
     def test_single_step_equals_minus_alpha_gradient(self):
         model = toy_model(seed=2)
@@ -77,8 +70,8 @@ class TestInnerAdapt:
         y = np.array([0, 1, 1, 0])
         _, grad = model_loss_and_grad(model, x, y)
         adapted = maml_inner_adapt(model, x, y, 0.05, 1)
-        expected = model_params_vector(model) - 0.05 * grad
-        assert np.allclose(model_params_vector(adapted), expected, atol=0)
+        expected = model.vector - 0.05 * grad
+        assert np.allclose(adapted.vector, expected, atol=0)
 
     def test_loss_gradient_matches_finite_differences(self):
         model = init_fewshot_model(
@@ -90,7 +83,7 @@ class TestInnerAdapt:
         def fn(vec):
             return model_loss_and_grad(model_with_vector(model, vec), x, y)
 
-        assert finite_diff_check(fn, model_params_vector(model), eps=1e-6) < 1e-6
+        assert finite_diff_check(fn, model.vector, eps=1e-6) < 1e-6
 
     def test_adaptation_decreases_support_loss_on_convex_toy(self):
         # single linear layer in its linear regime: convex logistic problem
@@ -123,7 +116,7 @@ class TestMetaStep:
             make_task([[0], [1]], [[2, 3], [4, 5]]),
             make_task([[6], [7]], [[8, 9], [10, 11]]),
         ]
-        config = MamlConfig(inner_lr=0.0, inner_steps=3, first_order=True)
+        config = MamlConfig(inner_lr=0.0, inner_steps=3)
         meta_grad, _ = maml_meta_gradient(model, features, tasks, config)
         expected = np.zeros_like(meta_grad)
         for task in tasks:
@@ -170,7 +163,7 @@ class TestMetaStep:
                 model_with_vector(model, vec), features[[0]], np.array([ys])
             )
 
-        theta, _, _ = sgd_steps(support_fn, model_params_vector(model), alpha, 1)
+        theta = sgd_steps(support_fn, model.vector, alpha, 1)
         _, meta = model_loss_and_grad(
             model_with_vector(model, theta), features[[1]], np.array([yq])
         )
@@ -186,44 +179,11 @@ class TestMetaStep:
             query=np.array([[1]]),
             provenance=[WayProvenance(0, 0, False)],
         )
-        config = MamlConfig(inner_lr=alpha, inner_steps=1, first_order=True)
+        config = MamlConfig(inner_lr=alpha, inner_steps=1)
         meta_grad, _ = maml_meta_gradient(model, features, [task], config)
         hand_meta0 = hand_grads(w1, b1, u1, v1, xq, 0)
         expected0 = np.concatenate([np.atleast_1d(g).ravel() for g in hand_meta0])
         assert np.allclose(meta_grad, expected0, atol=1e-8)
-
-    def test_second_order_matches_meta_objective_finite_differences(self):
-        model = init_fewshot_model(
-            2, 2, MamlConfig(encoder_hidden=(3,), encoder_dim=2, activation="tanh"), make_rng(8)
-        )
-        rng = make_rng(9)
-        features = rng.normal(size=(12, 2))
-        tasks = [make_task([[0], [1]], [[2, 3], [4, 5]])]
-        config = MamlConfig(
-            inner_lr=0.1, inner_steps=2, first_order=False, activation="tanh",
-            encoder_hidden=(3,), encoder_dim=2,
-        )
-        meta_grad, _ = maml_meta_gradient(model, features, tasks, config)
-
-        def meta_objective(vec):
-            m = model_with_vector(model, vec)
-            task = tasks[0]
-            s_idx, s_way = task.support_pairs()
-            adapted = maml_inner_adapt(m, features[s_idx], s_way, 0.1, 2)
-            q_idx, q_way = task.query_pairs()
-            loss, _ = model_loss_and_grad(adapted, features[q_idx], q_way)
-            return loss, meta_grad
-
-        theta0 = model_params_vector(model)
-        eps = 1e-5
-        for i in range(0, theta0.size, 5):  # spot-check coordinates
-            bumped = theta0.copy()
-            bumped[i] += eps
-            hi, _ = meta_objective(bumped)
-            bumped[i] -= 2 * eps
-            lo, _ = meta_objective(bumped)
-            fd = (hi - lo) / (2 * eps)
-            assert abs(fd - meta_grad[i]) < 1e-5
 
     def test_meta_step_applies_outer_lr(self):
         model = toy_model(seed=10)
@@ -233,7 +193,7 @@ class TestMetaStep:
         grad, _ = maml_meta_gradient(model, features, tasks, config)
         stepped, _ = maml_meta_step(model, features, tasks, config)
         assert np.allclose(
-            model_params_vector(stepped), model_params_vector(model) - 0.5 * grad, atol=0
+            stepped.vector, model.vector - 0.5 * grad, atol=0
         )
 
 
@@ -282,12 +242,8 @@ class TestProtoTraining:
         ys, yq = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1, 0, 1])
 
         def fn(vec):
-            enc = model.encoder
-            from plcfe.numcore import vector_to_params
-
-            m = FewShotModel(vector_to_params(vec, enc), model.head_w, model.head_b)
-            loss, grads = proto_loss_and_grad(m, xs, ys, xq, yq)
-            return loss, grads_to_vector(grads)
+            m = FewShotModel(vector_to_params(vec, model.encoder), model.head_w, model.head_b)
+            return proto_loss_and_grad(m, xs, ys, xq, yq)
 
         assert finite_diff_check(fn, params_to_vector(model.encoder), eps=1e-6) < 1e-6
 
@@ -380,9 +336,9 @@ class TestSnapshots:
     def test_snapshot_survives_later_training(self):
         model = toy_model(seed=11)
         snap = snapshot_eval_model(model, epoch=3, method="maml", inner_lr=0.05)
-        frozen = model_params_vector(snap.model).copy()
+        frozen = snap.model.vector.copy()
         model.head_w += 1.0  # mutate the live model
-        assert np.array_equal(model_params_vector(snap.model), frozen)
+        assert np.array_equal(snap.model.vector, frozen)
         assert snap.epoch == 3
 
     def test_maml_snapshot_scores_and_finetunes(self):
@@ -403,6 +359,20 @@ class TestSnapshots:
         tuned = snap.finetuned(x, np.array([0, 0, 1, 1]))
         assert tuned.predict_scores(x).shape == (4, 2)
 
+    def test_proto_snapshot_scores_match_proto_classify(self):
+        model = toy_model(seed=17)
+        snap = snapshot_eval_model(model, epoch=0, method="proto")
+        rng = make_rng(18)
+        support, queries = rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
+        labels = np.array([0, 1, 0, 1])
+        expected = proto_classify(
+            mlp_forward(model.encoder, support), labels, mlp_forward(model.encoder, queries)
+        )
+        tuned = snap.finetuned(support, labels)
+        assert np.array_equal(tuned.predict_scores(queries), expected)
+        with pytest.raises(StateError):
+            snap.predict_scores(queries)  # finetuning left the snapshot unscored
+
     def test_serialize_round_trip_bit_identical(self, tmp_path):
         model = toy_model(seed=16)
         snap = snapshot_eval_model(model, epoch=1, method="maml", inner_lr=0.05)
@@ -411,4 +381,4 @@ class TestSnapshots:
         back = load_model(p1)
         save_model(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert np.array_equal(model_params_vector(back), model_params_vector(snap.model))
+        assert np.array_equal(back.vector, snap.model.vector)

@@ -192,6 +192,21 @@ class TestClusteringAccuracy:
         with pytest.raises(ParameterError):
             clustering_accuracy([], [])
 
+    def test_many_clusters_rectangular_table(self):
+        # k = 4 x classes at 20 classes: 80 clusters, each pure but a
+        # quarter of its class, so the one-to-one match covers 20 of 80
+        true = np.repeat(np.arange(20), 12)
+        pseudo = np.repeat(np.arange(80), 3)
+        assert clustering_accuracy(pseudo, true) == 0.25
+        rng = make_rng(9)
+        noisy = rng.integers(0, 80, size=true.size)
+        table = np.zeros((80, 20))
+        for p, t in zip(noisy, true):
+            table[p, t] += 1
+        best = max(table[:, t].max() for t in range(20))
+        acc = clustering_accuracy(noisy, true)
+        assert best / true.size <= acc <= 1.0
+
 
 class TestCsvExports:
     def test_similarity_csv(self, tmp_path):

@@ -8,7 +8,6 @@ from plcfe.errors import NumericError, ParameterError, ShapeError, StateError
 from plcfe.numcore import (
     MlpParams,
     finite_diff_check,
-    grads_to_vector,
     init_mlp,
     l2_normalize,
     l2_normalize_backward,
@@ -38,7 +37,7 @@ class TestMlpForward:
             [(np.zeros_like(w), b.copy()) for w, b in params.layers], "tanh"
         )
         # with zero weights the last layer sees activation(b) regardless of input
-        zeroed.layers[-1] = (np.zeros_like(zeroed.layers[-1][0]), np.array([0.3, -0.7]))
+        zeroed.layers[-1][1][:] = [0.3, -0.7]
         out = mlp_forward(zeroed, rng.normal(size=(5, 3)))
         expected = np.tanh(np.array([0.3, -0.7]))
         assert np.allclose(out, np.tile(expected, (5, 1)), atol=0)
@@ -82,17 +81,18 @@ class TestMlpBackward:
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         params = single_layer([[1.0, 1.0]], [10.0])
         _, cache = mlp_forward_cached(params, x)
-        grads = mlp_backward(params, cache, np.ones((3, 1)))
-        assert np.array_equal(grads[0][0], x.sum(axis=0, keepdims=True))
-        assert np.array_equal(grads[0][1], [3.0])
+        grad = mlp_backward(params, cache, np.ones((3, 1)))
+        # flat layout: the weight row, then the bias
+        assert np.array_equal(grad, [*x.sum(axis=0), 3.0])
 
     def test_zero_grad_output(self):
         rng = make_rng(1)
         params = init_mlp((3, 4, 2), "relu", rng)
         x = rng.normal(size=(5, 3))
         _, cache = mlp_forward_cached(params, x)
-        grads = mlp_backward(params, cache, np.zeros((5, 2)))
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        grad = mlp_backward(params, cache, np.zeros((5, 2)))
+        assert grad.shape == params_to_vector(params).shape
+        assert np.all(grad == 0)
 
     def test_missing_cache_is_state_error(self):
         params = single_layer(np.eye(2), [0.0, 0.0])
@@ -109,8 +109,7 @@ class TestMlpBackward:
             p = vector_to_params(vec, params)
             out, cache = mlp_forward_cached(p, x)
             loss = 0.5 * np.sum((out - target) ** 2)
-            grads = mlp_backward(p, cache, out - target)
-            return loss, grads_to_vector(grads)
+            return loss, mlp_backward(p, cache, out - target)
 
         assert finite_diff_check(fn, params_to_vector(params), eps=1e-6) < 1e-6
 
@@ -132,8 +131,7 @@ class TestMlpBackward:
         def fn(vec):
             p = vector_to_params(vec, params)
             out, cache = mlp_forward_cached(p, x)
-            grads = mlp_backward(p, cache, np.ones_like(out))
-            return float(out.sum()), grads_to_vector(grads)
+            return float(out.sum()), mlp_backward(p, cache, np.ones_like(out))
 
         assert finite_diff_check(fn, params_to_vector(params), eps=1e-6) < 1e-4
 
@@ -205,7 +203,7 @@ class TestFiniteDiffCheck:
         pair = cfe.EncoderPair.initialize(4, config, rng)
         batch = cfe.build_positive_batch(rng.normal(size=(10, 4)), config, rng)
         queue = cfe.NegativeQueue(8)
-        cfe.queue_push(queue, l2_normalize(rng.normal(size=(4, config.embed_dim))))
+        queue.push(l2_normalize(rng.normal(size=(4, config.embed_dim))))
 
         def fn(vec):
             p = vector_to_params(vec, pair.main)
@@ -214,8 +212,7 @@ class TestFiniteDiffCheck:
             cfe.asynchronous_embed(test_pair, b)
             loss, grad_embed = cfe.cfe_loss(b, queue, config)
             grad_raw = l2_normalize_backward(b.main_raw, grad_embed)
-            grads = mlp_backward(p, b.main_cache, grad_raw)
-            return loss, grads_to_vector(grads)
+            return loss, mlp_backward(p, b.main_cache, grad_raw)
 
         assert finite_diff_check(fn, params_to_vector(pair.main), eps=1e-6) < 1e-4
 
@@ -229,3 +226,16 @@ def test_params_vector_round_trip():
         assert np.array_equal(b1, b2)
     with pytest.raises(ShapeError):
         vector_to_params(np.append(vec, 1.0), params)
+
+
+def test_vector_and_layers_share_memory():
+    params = init_mlp((3, 5, 2), "relu", make_rng(3))
+    vec = params_to_vector(params)
+    assert vec is params.vector
+    wrapped = vector_to_params(vec, params)
+    wrapped.layers[1][1][0] = 7.0  # bias 0 of the last layer, written through a view
+    assert vec[3 * 5 + 5 + 2 * 5] == 7.0
+    assert params.layers[1][1][0] == 7.0
+    clone = params.clone()
+    clone.vector[:] = 0.0
+    assert params.layers[1][1][0] == 7.0
