@@ -57,7 +57,6 @@ class CfeConfig:
     momentum: float = 0.99
     epochs: int = 30
     learning_rate: float = 0.05
-    seed: int = 0
     normalize: bool = True
     hidden_dims: tuple[int, ...] = (32,)
     embed_dim: int = 16

@@ -145,10 +145,10 @@ def nearest_clusters(model: ClusterModel, base: int, count: int) -> np.ndarray:
     if count >= model.k:
         raise ParameterError(f"count={count} must be < k={model.k}")
     sims = model.centers @ model.centers[base]
-    others = np.array([c for c in range(model.k) if c != base])
-    # sort by descending similarity, then ascending id
-    order = sorted(others, key=lambda c: (-sims[c], c))
-    return np.array(order[:count], dtype=np.int64)
+    others = np.delete(np.arange(model.k, dtype=np.int64), base)
+    # sort by descending similarity, then ascending id (lexsort's last key is primary)
+    order = others[np.lexsort((others, -sims[others]))]
+    return order[:count]
 
 
 def write_cluster_csv(

@@ -29,7 +29,6 @@ class EpisodeConfig:
     candidate_neighbors: int = 5
     keep_rate: float = 0.75
     gate_threshold: float = 0.9
-    seed: int = 0
 
     def __post_init__(self):
         if self.ways < 2:

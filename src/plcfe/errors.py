@@ -18,7 +18,18 @@ class StateError(PlcfeError, RuntimeError):
 
 
 class NumericError(PlcfeError, ArithmeticError):
-    """A computation produced a non-finite intermediate or result."""
+    """A computation produced a non-finite intermediate or result.
+
+    When the computation ran a stack of tasks, carries the index of the
+    first task that failed.
+    """
+
+    def __init__(self, message: str, task: int | None = None):
+        self.reason = message
+        self.task = task
+        if task is not None:
+            message = f"task {task}: {message}"
+        super().__init__(message)
 
 
 class FormatError(PlcfeError, ValueError):

@@ -2,8 +2,10 @@
 
 A small encoder plus linear N-way head is meta-trained with first-order
 MAML, or episodically with a prototype head as a second supervised method.
-Epoch-end snapshots become the evaluation models that the progressive
-episode sampler consumes.
+MAML adapts a batch of tasks at once: the model is broadcast to a (T, P)
+stack of parameter vectors and every inner step is one batched pass over
+all T support sets. Epoch-end snapshots become the evaluation models that
+the progressive episode sampler consumes.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class MamlConfig:
     meta_batch_size: int = 4
     epochs: int = 10
     steps_per_epoch: int = 50
-    seed: int = 0
     encoder_hidden: tuple[int, ...] = (32,)
     encoder_dim: int = 16
     activation: str = "relu"
@@ -68,7 +69,9 @@ class FewShotModel:
     """Encoder plus linear N-way classification head, held in one flat
     float64 vector: the encoder's parameters, then head_w (ways,
     encoder_dim) row-major, then head_b (ways,). encoder, head_w and
-    head_b are views into it."""
+    head_b are views into it. A model wrapped around a (T, P) stack of
+    such vectors (model_with_vector) is T models, one per task, and every
+    view carries the leading task axis."""
 
     def __init__(self, encoder: MlpParams, head_w: np.ndarray, head_b: np.ndarray):
         head_w = np.asarray(head_w, dtype=np.float64)
@@ -81,16 +84,16 @@ class FewShotModel:
         self._bind(vector, encoder, head_w.shape[0])
 
     def _bind(self, vector: np.ndarray, encoder: MlpParams, ways: int) -> None:
-        n_encoder = encoder.vector.size
+        n_encoder = encoder.vector.shape[-1]
         self.vector = vector
-        self.encoder = vector_to_params(vector[:n_encoder], encoder)
+        self.encoder = vector_to_params(vector[..., :n_encoder], encoder)
         ((self.head_w, self.head_b),) = layer_views(
-            vector[n_encoder:], [(ways, encoder.output_dim)]
+            vector[..., n_encoder:], [(ways, encoder.output_dim)]
         )
 
     @property
     def ways(self) -> int:
-        return self.head_w.shape[0]
+        return self.head_w.shape[-2]
 
     def clone(self) -> "FewShotModel":
         return model_with_vector(self, self.vector.copy())
@@ -107,21 +110,32 @@ def init_fewshot_model(
     return FewShotModel(encoder, head_w, head_b)
 
 
+def _head_scores(model: FewShotModel, hidden: np.ndarray) -> np.ndarray:
+    return hidden @ model.head_w.mT + model.head_b[..., None, :]
+
+
 def model_scores(model: FewShotModel, features: np.ndarray) -> np.ndarray:
-    """N-way logits for a batch of raw feature rows."""
-    hidden = mlp_forward(model.encoder, features)
-    return hidden @ model.head_w.T + model.head_b
+    """N-way logits for a batch of raw feature rows; a model stack scores a
+    (T, n, d) batch, each task with its own model."""
+    return _head_scores(model, mlp_forward(model.encoder, features))
 
 
-def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the scores."""
-    n = scores.shape[0]
+def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy and its gradient w.r.t. the scores. (T, n, ways)
+    scores with (T, n) labels give one mean per task, shape (T,)."""
     probs = softmax(scores)
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    one_hot = labels[..., None] == np.arange(scores.shape[-1])
+    picked = probs[one_hot].reshape(labels.shape)
+    loss = -np.mean(np.log(np.maximum(picked, 1e-300)), axis=-1)
+    return loss, (probs - one_hot) / scores.shape[-2]
+
+
+def _require_finite(loss, what: str) -> None:
+    """NumericError for a non-finite loss; a (T,) loss names its first
+    non-finite task."""
+    finite = np.isfinite(loss)
+    if not finite.all():
+        raise NumericError(f"non-finite {what}", task=int(np.argmin(finite)) if finite.ndim else None)
 
 
 def model_with_vector(model: FewShotModel, vector: np.ndarray) -> FewShotModel:
@@ -134,29 +148,29 @@ def model_with_vector(model: FewShotModel, vector: np.ndarray) -> FewShotModel:
 
 def model_loss_and_grad(
     model: FewShotModel, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Cross-entropy over (features, labels) and its flat gradient over all
-    model parameters."""
+    model parameters. A model stack with (T, n, d) features and (T, n)
+    labels gives (T,) losses and (T, P) gradients."""
     hidden, cache = mlp_forward_cached(model.encoder, features)
-    logits = hidden @ model.head_w.T + model.head_b
-    loss, d_logits = cross_entropy(logits, labels)
-    if not np.isfinite(loss):
-        raise NumericError("non-finite cross-entropy loss")
-    g_head_w = d_logits.T @ hidden
-    g_head_b = d_logits.sum(axis=0)
+    loss, d_logits = cross_entropy(_head_scores(model, hidden), labels)
+    _require_finite(loss, "cross-entropy loss")
+    g_head_w = d_logits.mT @ hidden
+    g_head_b = d_logits.sum(axis=-2)
     d_hidden = d_logits @ model.head_w
     g_encoder = mlp_backward(model.encoder, cache, d_hidden)
-    return loss, np.concatenate([g_encoder, g_head_w.ravel(), g_head_b])
+    g_head_w = g_head_w.reshape(g_head_b.shape[:-1] + (-1,))
+    return loss, np.concatenate([g_encoder, g_head_w, g_head_b], axis=-1)
 
 
 def sgd_steps(loss_and_grad, theta: np.ndarray, alpha: float, steps: int) -> np.ndarray:
     """Generic inner-loop engine: `steps` gradient-descent updates of a flat
-    parameter vector; loss_and_grad maps a vector to (loss, gradient).
-    theta itself is not written."""
+    parameter vector, or of every row of a (T, P) stack at once;
+    loss_and_grad maps theta to (loss, gradient), with one loss per row
+    for a stack. theta itself is not written."""
     for _ in range(steps):
         loss, grad = loss_and_grad(theta)
-        if not np.isfinite(loss):
-            raise NumericError("non-finite loss during adaptation")
+        _require_finite(loss, "loss during adaptation")
         theta = theta - alpha * grad
     return theta
 
@@ -169,14 +183,26 @@ def maml_inner_adapt(
     steps: int,
 ) -> FewShotModel:
     """Adapt the model to a support set with plain gradient descent on
-    cross-entropy; returns a new model and leaves the input untouched."""
-    if support_x.shape[0] == 0:
+    cross-entropy; returns a new model and leaves the input untouched. A
+    model stack adapts task t to support_x[t] (T, n, d) and support_y[t]
+    (T, n), all tasks in the same steps."""
+    if support_x.shape[-2] == 0:
         raise ParameterError("support set is empty")
 
     def fn(vec):
         return model_loss_and_grad(model_with_vector(model, vec), support_x, support_y)
 
     return model_with_vector(model, sgd_steps(fn, model.vector, alpha, steps))
+
+
+def _stacked(model: FewShotModel, tasks: list[episodes_mod.FewShotTask]) -> tuple:
+    """The model broadcast to a read-only stack of one copy per task, and
+    the tasks' support and query (index, way) pairs stacked along the same
+    leading axis."""
+    stack = model_with_vector(model, np.broadcast_to(model.vector, (len(tasks), model.vector.size)))
+    support = [np.stack(part) for part in zip(*(task.support_pairs() for task in tasks))]
+    query = [np.stack(part) for part in zip(*(task.query_pairs() for task in tasks))]
+    return stack, support, query
 
 
 def maml_meta_gradient(
@@ -186,22 +212,16 @@ def maml_meta_gradient(
     config: MamlConfig,
 ) -> tuple[np.ndarray, float]:
     """First-order meta-gradient of the mean post-adaptation query loss over
-    a task batch: each task contributes its query gradient at the adapted
-    parameters."""
-    total = np.zeros_like(model.vector)
-    total_loss = 0.0
-    for task_id, task in enumerate(tasks):
-        s_idx, s_way = task.support_pairs()
-        q_idx, q_way = task.query_pairs()
-        try:
-            adapted = maml_inner_adapt(
-                model, features[s_idx], s_way, config.inner_lr, config.inner_steps
-            )
-            q_loss, q_grad = model_loss_and_grad(adapted, features[q_idx], q_way)
-        except NumericError as exc:
-            raise NumericError(f"task {task_id}: {exc}") from exc
-        total += q_grad
-        total_loss += q_loss
+    a task batch of equally shaped tasks: each task contributes its query
+    gradient at its adapted parameters. The whole batch adapts as one
+    model stack."""
+    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, tasks)
+    adapted = maml_inner_adapt(stack, features[s_idx], s_way, config.inner_lr, config.inner_steps)
+    q_loss, q_grad = model_loss_and_grad(adapted, features[q_idx], q_way)
+    # both totals add the tasks in order from zero, as one-by-one
+    # accumulation does; numpy's pairwise 1-D sum could round differently
+    total = q_grad.sum(axis=0, initial=0.0)
+    total_loss = float(np.cumsum(q_loss)[-1])
     return total / len(tasks), total_loss / len(tasks)
 
 
@@ -292,6 +312,14 @@ def proto_meta_step(
     return model_with_vector(model, model.vector - (lr / len(tasks)) * total), total_loss / len(tasks)
 
 
+# evaluate_fewshot adapts maml tasks in stacks of this many. A stack
+# amortizes the Python overhead of the small matmuls over its tasks, but
+# all their activations and gradients are alive at once: on the benchmark's
+# maml-eval pipeline, one stack of all 2,000 tasks peaked at 236 MiB of RSS
+# against 86 MiB for one task at a time, and stacks of 32 at 89 MiB.
+EVAL_BLOCK_TASKS = 32
+
+
 @dataclass
 class EvalResult:
     mean_accuracy: float
@@ -311,30 +339,37 @@ def evaluate_fewshot(
     """Per-task query accuracy, with a 1.96 * std / sqrt(T) half-width.
 
     For maml, each task optionally adapts a copy of the model on its
-    support set before classifying queries with the head. For proto,
+    support set before classifying queries with the head; the tasks, all
+    shaped alike, run as model stacks of EVAL_BLOCK_TASKS. For proto,
     queries are matched to support prototypes in encoder space.
     """
     if not tasks:
         raise ParameterError("need at least one task")
+    if method not in ("maml", "proto"):
+        raise ParameterError(f"unknown method {method!r}")
     accs = np.empty(len(tasks))
-    for t, task in enumerate(tasks):
-        s_idx, s_way = task.support_pairs()
-        q_idx, q_way = task.query_pairs()
-        if method == "maml":
-            used = model
+    if method == "maml":
+        cfg = config if config is not None else MamlConfig()
+        for start in range(0, len(tasks), EVAL_BLOCK_TASKS):
+            block = tasks[start : start + EVAL_BLOCK_TASKS]
+            used, (s_idx, s_way), (q_idx, q_way) = _stacked(model, block)
             if adapt:
-                cfg = config if config is not None else MamlConfig()
-                used = maml_inner_adapt(
-                    model, features[s_idx], s_way, cfg.inner_lr, cfg.inner_steps
-                )
-            preds = np.argmax(model_scores(used, features[q_idx]), axis=1)
-        elif method == "proto":
+                try:
+                    used = maml_inner_adapt(
+                        used, features[s_idx], s_way, cfg.inner_lr, cfg.inner_steps
+                    )
+                except NumericError as exc:
+                    raise NumericError(exc.reason, task=start + exc.task) from exc
+            preds = np.argmax(model_scores(used, features[q_idx]), axis=-1)
+            accs[start : start + len(block)] = np.mean(preds == q_way, axis=-1)
+    else:
+        for t, task in enumerate(tasks):
+            s_idx, s_way = task.support_pairs()
+            q_idx, q_way = task.query_pairs()
             e_s = mlp_forward(model.encoder, features[s_idx])
             e_q = mlp_forward(model.encoder, features[q_idx])
             preds = np.argmax(proto_classify(e_s, s_way, e_q), axis=1)
-        else:
-            raise ParameterError(f"unknown method {method!r}")
-        accs[t] = float(np.mean(preds == q_way))
+            accs[t] = float(np.mean(preds == q_way))
     mean = float(accs.mean())
     ci = float(1.96 * accs.std(ddof=1) / np.sqrt(len(tasks))) if len(tasks) > 1 else 0.0
     return EvalResult(mean_accuracy=mean, ci95=ci, task_count=len(tasks), per_task=accs)

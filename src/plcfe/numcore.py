@@ -2,9 +2,12 @@
 gradients, row normalization, seeded RNG streams, and a finite-difference
 gradient checker.
 
-Matrices are plain 2-D float64 numpy arrays (row-major). Everything here is
-a pure function of its explicit inputs, so results are bit-reproducible for
-a fixed seed.
+Matrices are plain 2-D float64 numpy arrays (row-major). The MLP also runs
+T independent networks at once: a (T, P) stack of parameter vectors with a
+(T, n, d) input, each task's slice computed by the same matmul calls as a
+single network, so a stacked run is bit-identical to T separate ones.
+Everything here is a pure function of its explicit inputs, so results are
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -37,14 +40,19 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 def layer_views(vector: np.ndarray, shapes: Sequence[tuple[int, int]]) -> tuple:
     """(weight, bias) views into a flat vector that holds, for each weight
-    shape (fan_out, fan_in), the row-major weight and then its bias."""
+    shape (fan_out, fan_in), the row-major weight and then its bias.
+
+    vector may also be a (T, P) stack of such vectors, one per task; the
+    views then carry the same leading task axis.
+    """
     need = sum(rows * cols + rows for rows, cols in shapes)
-    if vector.shape != (need,):
-        raise ShapeError(f"vector has shape {vector.shape}, layout needs ({need},)")
+    if vector.ndim not in (1, 2) or vector.shape[-1] != need:
+        raise ShapeError(f"vector has shape {vector.shape}, layout needs ({need},) or (T, {need})")
+    lead = vector.shape[:-1]
     layers, pos = [], 0
     for rows, cols in shapes:
         end = pos + rows * cols
-        layers.append((vector[pos:end].reshape(rows, cols), vector[end : end + rows]))
+        layers.append((vector[..., pos:end].reshape(lead + (rows, cols)), vector[..., end : end + rows]))
         pos = end + rows
     return tuple(layers)
 
@@ -55,8 +63,9 @@ class MlpParams:
 
     The vector holds every layer's weight, shape (fan_out, fan_in) and
     row-major, then its bias, shape (fan_out,); layers holds (weight, bias)
-    views into it. The activation is applied after every layer, including
-    the last one.
+    views into it. A network wrapped around a (T, P) stack of vectors (see
+    vector_to_params) is T networks with a leading task axis on every view.
+    The activation is applied after every layer, including the last one.
     """
 
     def __init__(self, layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str = "relu"):
@@ -130,7 +139,9 @@ class ForwardCache:
 
 
 def mlp_forward(params: MlpParams, batch: np.ndarray) -> np.ndarray:
-    """Run the network on a (n, input_dim) batch; returns (n, output_dim)."""
+    """Run the network on a (n, input_dim) batch; returns (n, output_dim).
+    A (T, P) network stack takes a (T, n, input_dim) batch and returns
+    (T, n, output_dim)."""
     out, _ = mlp_forward_cached(params, batch)
     return out
 
@@ -138,14 +149,16 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> np.ndarray:
 def mlp_forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass that also returns the cache mlp_backward needs."""
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.input_dim:
+    tasks = params.vector.shape[:-1]
+    if batch.ndim != len(tasks) + 2 or batch.shape[:-2] != tasks or batch.shape[-1] != params.input_dim:
         raise ShapeError(
-            f"batch shape {batch.shape} incompatible with encoder input dim {params.input_dim}"
+            f"batch shape {batch.shape} incompatible with encoder input dim "
+            f"{params.input_dim} and parameter shape {params.vector.shape}"
         )
     cache = ForwardCache(inputs=batch)
     x = batch
     for w, b in params.layers:
-        pre = x @ w.T + b
+        pre = x @ w.mT + b[..., None, :]
         x = _activate(pre, params.activation)
         cache.pre_activations.append(pre)
         cache.post_activations.append(x)
@@ -156,7 +169,8 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
     """Exact gradient of a scalar loss w.r.t. every weight and bias.
 
     grad_output is dloss/doutput for the cached forward pass. Returns the
-    flat gradient in params.vector's layout.
+    flat gradient in params.vector's layout; for a (T, P) network stack,
+    row t is the gradient of task t's loss.
     """
     if cache is None or not cache.pre_activations:
         raise StateError("mlp_backward requires the cache from mlp_forward_cached")
@@ -166,7 +180,7 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
             f"grad_output shape {grad_output.shape} does not match forward "
             f"output {cache.post_activations[-1].shape}"
         )
-    grad = np.empty_like(params.vector)
+    grad = np.empty(params.vector.shape)
     grad_layers = layer_views(grad, params.shapes)
     g = grad_output
     for i in range(len(params.layers) - 1, -1, -1):
@@ -176,8 +190,8 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
         layer_in = cache.inputs if i == 0 else cache.post_activations[i - 1]
         g_pre = g * _activate_grad(pre, post, params.activation)
         gw, gb = grad_layers[i]
-        gw[...] = g_pre.T @ layer_in
-        gb[...] = g_pre.sum(axis=0)
+        gw[...] = g_pre.mT @ layer_in
+        gb[...] = g_pre.sum(axis=-2)
         if i > 0:
             g = g_pre @ w
     return grad
@@ -222,17 +236,19 @@ def params_to_vector(params: MlpParams) -> np.ndarray:
 
 def vector_to_params(vector: np.ndarray, template: MlpParams) -> MlpParams:
     """Wrap a vector in params_to_vector's layout, without copying, as a
-    network shaped like template."""
+    network shaped like template; a (T, P) stack of such vectors becomes T
+    networks with a leading task axis."""
     params = object.__new__(MlpParams)
     params._bind(np.asarray(vector, dtype=np.float64), template.shapes, template.activation)
     return params
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by each row's max for stability."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Softmax over the last axis, shifted by each row's max for
+    stability."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def finite_diff_check(

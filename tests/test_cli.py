@@ -83,6 +83,14 @@ class TestCliValidation:
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert "unknown config key: maml.first_order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["cfe", "episodes", "maml"])
+    def test_removed_section_seed_key_exits_2(self, tmp_path, capsys, section):
+        # every stream derives from the top-level seed, so a section seed
+        # would be silently ignored; it is rejected instead
+        path = write_tiny_config(tmp_path, **{section: {"seed": 5}})
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert f"unknown config key: {section}.seed" in capsys.readouterr().err
+
     def test_out_dir_under_regular_file_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")

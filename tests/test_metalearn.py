@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from plcfe.episodes import FewShotTask, WayProvenance
-from plcfe.errors import ParameterError, StateError
+from plcfe.errors import NumericError, ParameterError, StateError
 from plcfe.metalearn import (
+    EVAL_BLOCK_TASKS,
     FewShotModel,
     MamlConfig,
     evaluate_fewshot,
@@ -195,6 +196,90 @@ class TestMetaStep:
         assert np.allclose(
             stepped.vector, model.vector - 0.5 * grad, atol=0
         )
+
+
+def random_tasks(n_tasks, n_samples, ways=5, shots=1, queries=3, seed=0):
+    rng = make_rng(seed)
+    tasks = []
+    for _ in range(n_tasks):
+        picks = rng.choice(n_samples, size=ways * (shots + queries), replace=False)
+        picks = picks.reshape(ways, shots + queries)
+        tasks.append(make_task(picks[:, :shots], picks[:, shots:]))
+    return tasks
+
+
+def with_nan_rows(features, task, role):
+    """features plus fresh all-NaN rows that only task's support or query
+    set points at, so no other task reads them."""
+    rows = getattr(task, role)
+    rows[...] = np.arange(features.shape[0], features.shape[0] + rows.size).reshape(rows.shape)
+    return np.vstack([features, np.full((rows.size, features.shape[1]), np.nan)])
+
+
+def stack_model(seed=20, input_dim=6, ways=5):
+    return init_fewshot_model(
+        input_dim, ways, MamlConfig(encoder_hidden=(8,), encoder_dim=4), make_rng(seed)
+    )
+
+
+class TestStackedTasks:
+    """The task-stacked inner loop against a per-task loop written here."""
+
+    config = MamlConfig(inner_lr=0.1, inner_steps=3)
+
+    def looped_accuracy(self, model, features, task):
+        s_idx, s_way = task.support_pairs()
+        q_idx, q_way = task.query_pairs()
+        adapted = maml_inner_adapt(
+            model, features[s_idx], s_way, self.config.inner_lr, self.config.inner_steps
+        )
+        return np.mean(np.argmax(model_scores(adapted, features[q_idx]), axis=1) == q_way)
+
+    @pytest.mark.parametrize("shots", [1, 5])
+    @pytest.mark.parametrize("n_tasks", [1, 2 * EVAL_BLOCK_TASKS + 5])
+    def test_evaluate_matches_per_task_loop(self, shots, n_tasks):
+        model = stack_model()
+        features = make_rng(21).normal(size=(200, 6))
+        tasks = random_tasks(n_tasks, 200, shots=shots, seed=22)
+        result = evaluate_fewshot(model, features, tasks, method="maml", config=self.config)
+        expected = [self.looped_accuracy(model, features, task) for task in tasks]
+        assert np.array_equal(result.per_task, expected)
+
+    def test_meta_gradient_is_exact_mean_of_task_gradients(self):
+        model = stack_model(seed=23)
+        features = make_rng(24).normal(size=(200, 6))
+        tasks = random_tasks(4, 200, shots=2, seed=25)
+        meta_grad, mean_loss = maml_meta_gradient(model, features, tasks, self.config)
+        total, total_loss = np.zeros_like(model.vector), 0.0
+        for task in tasks:
+            s_idx, s_way = task.support_pairs()
+            q_idx, q_way = task.query_pairs()
+            adapted = maml_inner_adapt(
+                model, features[s_idx], s_way, self.config.inner_lr, self.config.inner_steps
+            )
+            loss, grad = model_loss_and_grad(adapted, features[q_idx], q_way)
+            total += grad
+            total_loss += loss
+        assert np.array_equal(meta_grad, total / 4)
+        assert mean_loss == total_loss / 4
+
+    @pytest.mark.parametrize("role", ["support", "query"])
+    def test_meta_gradient_names_non_finite_task(self, role):
+        features = make_rng(26).normal(size=(200, 6))
+        tasks = random_tasks(4, 200, seed=27)
+        features = with_nan_rows(features, tasks[2], role)
+        with pytest.raises(NumericError, match="^task 2: non-finite") as info:
+            maml_meta_step(stack_model(seed=28), features, tasks, self.config)
+        assert info.value.task == 2
+
+    def test_evaluate_names_non_finite_task_beyond_first_block(self):
+        features = make_rng(29).normal(size=(300, 6))
+        tasks = random_tasks(EVAL_BLOCK_TASKS + 8, 300, seed=30)
+        bad = EVAL_BLOCK_TASKS + 3
+        features = with_nan_rows(features, tasks[bad], "support")
+        with pytest.raises(NumericError, match=f"^task {bad}: non-finite") as info:
+            evaluate_fewshot(stack_model(), features, tasks, method="maml", config=self.config)
+        assert info.value.task == bad
 
 
 class TestProtoClassify:

@@ -239,3 +239,41 @@ def test_vector_and_layers_share_memory():
     clone = params.clone()
     clone.vector[:] = 0.0
     assert params.layers[1][1][0] == 7.0
+
+
+class TestTaskStack:
+    """A (T, P) parameter stack runs T networks as one."""
+
+    def stack(self, tasks=3, activation="tanh"):
+        template = init_mlp((4, 6, 3), activation, make_rng(4))
+        vectors = make_rng(5).normal(size=(tasks, template.vector.size))
+        return template, vectors, make_rng(6).normal(size=(tasks, 7, 4))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_and_backward_equal_each_network(self, activation):
+        template, vectors, x = self.stack(activation=activation)
+        stacked = vector_to_params(vectors, template)
+        out, cache = mlp_forward_cached(stacked, x)
+        g_out = make_rng(7).normal(size=out.shape)
+        grad = mlp_backward(stacked, cache, g_out)
+        assert grad.shape == vectors.shape
+        for t in range(vectors.shape[0]):
+            single = vector_to_params(vectors[t], template)
+            out_t, cache_t = mlp_forward_cached(single, x[t])
+            assert np.array_equal(out[t], out_t)
+            assert np.array_equal(grad[t], mlp_backward(single, cache_t, g_out[t]))
+
+    def test_views_share_memory_with_the_stack(self):
+        template, vectors, _ = self.stack()
+        stacked = vector_to_params(vectors, template)
+        w, b = stacked.layers[1]
+        assert w.shape == (3, 3, 6) and b.shape == (3, 3)
+        b[2, 0] = 7.0
+        assert vectors[2, 4 * 6 + 6 + 3 * 6] == 7.0
+
+    def test_batch_must_match_the_stack(self):
+        template, vectors, x = self.stack()
+        with pytest.raises(ShapeError):
+            mlp_forward(vector_to_params(vectors, template), x[:2])
+        with pytest.raises(ShapeError):
+            mlp_forward(template, x)
