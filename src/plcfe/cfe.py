@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,29 +96,29 @@ class EncoderPair:
 
 
 class NegativeQueue:
-    """Fixed-capacity FIFO of history embeddings used as negatives."""
+    """Fixed-capacity FIFO of history embeddings used as negatives, held as
+    one (n <= capacity, d) array, oldest row first."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ParameterError("queue capacity must be >= 1")
         self.capacity = capacity
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._rows = np.zeros((0, 0))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._rows.shape[0]
 
     def push(self, embeddings: np.ndarray) -> None:
         """Append rows in order, evicting the oldest entries past capacity."""
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        if self._entries and embeddings.shape[1] != self._entries[0].shape[0]:
+        if len(self) and embeddings.shape[1] != self._rows.shape[1]:
             raise ShapeError("queue entries must share one embedding dimension")
-        for row in embeddings:
-            self._entries.append(row.copy())
+        held = self._rows if len(self) else self._rows.reshape(0, embeddings.shape[1])
+        self._rows = np.concatenate([held, embeddings])[-self.capacity :]
 
     def as_matrix(self) -> np.ndarray:
-        if not self._entries:
-            return np.zeros((0, 0))
-        return np.stack(list(self._entries))
+        """The queued rows, oldest first; a push never writes a returned array."""
+        return self._rows
 
 
 @dataclass

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -275,12 +275,14 @@ def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def _pseudo_labeled_train_split(config: PipelineConfig, ws: _Workspace, stage: str):
-    """The training split's cluster model and pseudo-labeled dataset."""
+    """The training split's cluster model, refused unless it covers exactly
+    this split, and its pseudo-labeled dataset."""
     ds = data_mod.read_dataset(_require(ws, "dataset.plds", stage))
     train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
     model = cluster_mod.read_cluster_csv(
         _require(ws, "clusters_assignment.csv", stage),
         _require(ws, "clusters_centers.csv", stage),
+        sample_indices=train_idx,
     )
     return model, cluster_mod.assign_pseudo_labels(model, ds.features[train_idx])
 
@@ -326,14 +328,7 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     pld = _test_pld(ds, test_idx)
     out = []
     for shot_i, shots in enumerate(config.eval.shots):
-        episode_cfg = episodes_mod.EpisodeConfig(
-            ways=config.episodes.ways,
-            shots=shots,
-            queries=config.episodes.queries,
-            candidate_neighbors=config.episodes.candidate_neighbors,
-            keep_rate=config.episodes.keep_rate,
-            gate_threshold=config.episodes.gate_threshold,
-        )
+        episode_cfg = replace(config.episodes, shots=shots)
         rng = derive_rng(config.seed, KEY_EVAL, shot_i)
         tasks = [
             episodes_mod.sample_standard_task(pld, episode_cfg, rng)
@@ -425,7 +420,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_STAGES) + ["pipeline"])
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override the global seed")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--method", choices=["maml", "proto"])
     parser.add_argument("--episodes", choices=["standard", "progressive"], dest="episode_mode")
     parser.add_argument("--ways", type=int)
@@ -436,25 +431,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.method is not None:
-        config.method = args.method
-    if args.episode_mode is not None:
-        config.episode_mode = args.episode_mode
-    episode_kwargs = {}
-    if args.ways is not None:
-        episode_kwargs["ways"] = args.ways
-    if args.shots is not None:
-        episode_kwargs["shots"] = args.shots
-    if args.queries is not None:
-        episode_kwargs["queries"] = args.queries
+    for name in ("seed", "out_dir", "method", "episode_mode"):
+        if getattr(args, name) is not None:
+            setattr(config, name, getattr(args, name))
+    names = ("ways", "shots", "queries")
+    episode_kwargs = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     if episode_kwargs:
-        base = asdict(config.episodes)
-        base.update(episode_kwargs)
-        config.episodes = episodes_mod.EpisodeConfig(**base)
+        config.episodes = replace(config.episodes, **episode_kwargs)
     return config
 
 

@@ -78,18 +78,16 @@ def _lloyd(
     k = centers.shape[0]
     labels, d2 = _assign(x, centers)
     for _ in range(max_iters):
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if np.any(mask):
-                new_centers[j] = x[mask].mean(axis=0)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, x)
+        new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
         # repair empty clusters at the point farthest from its own center
         point_d2 = d2[np.arange(x.shape[0]), labels]
-        for j in range(k):
-            if not np.any(labels == j):
-                far = int(np.argmax(point_d2))
-                new_centers[j] = x[far]
-                point_d2[far] = -1.0  # don't reuse the same point twice
+        for j in np.flatnonzero(counts == 0):
+            far = int(np.argmax(point_d2))
+            new_centers[j] = x[far]
+            point_d2[far] = -1.0  # don't reuse the same point twice
         new_labels, d2 = _assign(x, new_centers)
         centers = new_centers
         if np.array_equal(new_labels, labels):
@@ -171,12 +169,20 @@ def write_cluster_csv(
             writer.writerow([cid] + [f"{v:.17g}" for v in row])
 
 
-def read_cluster_csv(assignment_path, centers_path) -> ClusterModel:
+def read_cluster_csv(assignment_path, centers_path, sample_indices=None) -> ClusterModel:
+    """Inverse of write_cluster_csv; a sample_index column that differs
+    from the given sample_indices is a ParameterError."""
     with open(assignment_path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["sample_index", "cluster_id"]:
         raise FormatError(f"bad assignment header in {assignment_path}")
     assignment = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
+    found = [int(r[0]) for r in rows[1:]]
+    if sample_indices is not None and not np.array_equal(found, sample_indices):
+        raise ParameterError(
+            f"sample_index column of {assignment_path} does not match this run's training "
+            "split; was it clustered with another seed or test fraction?"
+        )
     with open(centers_path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][0] != "cluster_id":

@@ -2,10 +2,10 @@
 
 A small encoder plus linear N-way head is meta-trained with first-order
 MAML, or episodically with a prototype head as a second supervised method.
-MAML adapts a batch of tasks at once: the model is broadcast to a (T, P)
-stack of parameter vectors and every inner step is one batched pass over
-all T support sets. Epoch-end snapshots become the evaluation models that
-the progressive episode sampler consumes.
+Both run a task batch at once: the model is broadcast to a (T, P) stack of
+parameter vectors, and each MAML inner step, prototype loss or evaluation
+block is one batched pass over the T tasks. Epoch-end snapshots become the
+evaluation models that the progressive episode sampler consumes.
 """
 
 from __future__ import annotations
@@ -205,6 +205,15 @@ def _stacked(model: FewShotModel, tasks: list[episodes_mod.FewShotTask]) -> tupl
     return stack, support, query
 
 
+def _task_mean(losses: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean (T, P) gradient and mean (T,) loss of a task batch. Both totals
+    add the tasks in order from zero, as one-by-one accumulation does;
+    numpy's pairwise 1-D sum could round differently."""
+    total = grads.sum(axis=0, initial=0.0)
+    total_loss = float(np.cumsum(losses)[-1])
+    return total / len(losses), total_loss / len(losses)
+
+
 def maml_meta_gradient(
     model: FewShotModel,
     features: np.ndarray,
@@ -218,11 +227,7 @@ def maml_meta_gradient(
     stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, tasks)
     adapted = maml_inner_adapt(stack, features[s_idx], s_way, config.inner_lr, config.inner_steps)
     q_loss, q_grad = model_loss_and_grad(adapted, features[q_idx], q_way)
-    # both totals add the tasks in order from zero, as one-by-one
-    # accumulation does; numpy's pairwise 1-D sum could round differently
-    total = q_grad.sum(axis=0, initial=0.0)
-    total_loss = float(np.cumsum(q_loss)[-1])
-    return total / len(tasks), total_loss / len(tasks)
+    return _task_mean(q_loss, q_grad)
 
 
 def maml_meta_step(
@@ -239,22 +244,29 @@ def maml_meta_step(
 
 
 def way_prototypes(embeddings: np.ndarray, way_labels: np.ndarray) -> np.ndarray:
-    """Per-way mean embedding, one row per way 0..max(way_labels)."""
+    """Per-way mean embedding, one row per way 0..max(way_labels); (T, n, d)
+    embeddings with (T, n) labels give each task's own, (T, ways, d)."""
     way_labels = np.asarray(way_labels)
     ways = int(way_labels.max()) + 1
-    prototypes = np.empty((ways, embeddings.shape[1]))
-    for c in range(ways):
-        rows = embeddings[way_labels == c]
-        if rows.shape[0] == 0:
-            raise ParameterError(f"way {c} has no support embeddings")
-        prototypes[c] = rows.mean(axis=0)
-    return prototypes
+    d = embeddings.shape[-1]
+    rows = way_labels.reshape(-1, way_labels.shape[-1])
+    # one id per (task, way), so one add.at pass sums every task's ways
+    ids = (np.arange(rows.shape[0])[:, None] * ways + rows).ravel()
+    counts = np.bincount(ids, minlength=rows.shape[0] * ways)
+    if not counts.all():
+        task, way = divmod(int(np.argmin(counts)), ways)
+        where = f"task {task}: " if way_labels.ndim > 1 else ""
+        raise ParameterError(f"{where}way {way} has no support embeddings")
+    sums = np.zeros((counts.size, d))
+    np.add.at(sums, ids, embeddings.reshape(-1, d))
+    return (sums / counts[:, None]).reshape(way_labels.shape[:-1] + (ways, d))
 
 
 def prototype_scores(embeddings: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Negative squared distance of each embedding to each prototype."""
-    diff = embeddings[:, None, :] - prototypes[None, :, :]
-    return -np.sum(diff * diff, axis=2)
+    """Negative squared distance of each embedding to each prototype;
+    (T, n, d) embeddings with (T, ways, d) prototypes give (T, n, ways)."""
+    diff = embeddings[..., :, None, :] - prototypes[..., None, :, :]
+    return -np.sum(diff * diff, axis=-1)
 
 
 def proto_classify(
@@ -263,7 +275,7 @@ def proto_classify(
     query_embeddings: np.ndarray,
 ) -> np.ndarray:
     """Negative squared distance of each query embedding to each way's
-    support prototype (per-way mean)."""
+    support prototype (per-way mean), per task for stacked inputs."""
     return prototype_scores(query_embeddings, way_prototypes(support_embeddings, support_labels))
 
 
@@ -273,21 +285,24 @@ def proto_loss_and_grad(
     support_y: np.ndarray,
     query_x: np.ndarray,
     query_y: np.ndarray,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Episodic prototype loss: cross-entropy of queries against softmaxed
-    negative distances, with the flat gradient for the encoder only."""
-    n_s = support_x.shape[0]
-    stacked = np.vstack([support_x, query_x])
-    hidden, cache = mlp_forward_cached(model.encoder, stacked)
-    e_s, e_q = hidden[:n_s], hidden[n_s:]
+    negative distances, with the flat gradient for the encoder only. A
+    model stack with (T, n, d) inputs and (T, n) labels gives (T,) losses
+    and (T, P_encoder) gradients."""
+    n_s = support_x.shape[-2]
+    hidden, cache = mlp_forward_cached(model.encoder, np.concatenate([support_x, query_x], axis=-2))
+    e_s, e_q = hidden[..., :n_s, :], hidden[..., n_s:, :]
     prototypes = way_prototypes(e_s, support_y)
-    counts = np.bincount(support_y, minlength=prototypes.shape[0]).astype(np.float64)
     loss, d_scores = cross_entropy(prototype_scores(e_q, prototypes), query_y)
-    diff = e_q[:, None, :] - prototypes[None, :, :]  # (nq, ways, d)
-    grad_q = -2.0 * np.sum(d_scores[:, :, None] * diff, axis=1)
-    grad_proto = 2.0 * np.sum(d_scores[:, :, None] * diff, axis=0)
-    grad_s = grad_proto[support_y] / counts[support_y][:, None]
-    return loss, mlp_backward(model.encoder, cache, np.vstack([grad_s, grad_q]))
+    diff = e_q[..., :, None, :] - prototypes[..., None, :, :]  # (..., nq, ways, d)
+    weighted = d_scores[..., None] * diff
+    grad_q = -2.0 * np.sum(weighted, axis=-2)
+    grad_proto = 2.0 * np.sum(weighted, axis=-3)
+    # each support row shares its prototype's gradient with its way's shots
+    shots = np.sum(support_y[..., :, None] == support_y[..., None, :], axis=-1)
+    grad_s = np.take_along_axis(grad_proto, support_y[..., None], axis=-2) / shots[..., None]
+    return loss, mlp_backward(model.encoder, cache, np.concatenate([grad_s, grad_q], axis=-2))
 
 
 def proto_meta_step(
@@ -296,23 +311,19 @@ def proto_meta_step(
     tasks: list[episodes_mod.FewShotTask],
     lr: float,
 ) -> tuple[FewShotModel, float]:
-    """Average the episodic prototype gradients over the batch and take one
-    encoder step; the linear head is untouched."""
+    """Average the episodic prototype gradients over the batch, stacked as
+    for maml, and take one encoder step; the linear head is untouched."""
     if not tasks:
         return model, float("nan")
-    total = np.zeros_like(model.vector)
-    n_encoder = model.encoder.vector.size
-    total_loss = 0.0
-    for task in tasks:
-        s_idx, s_way = task.support_pairs()
-        q_idx, q_way = task.query_pairs()
-        loss, grad = proto_loss_and_grad(model, features[s_idx], s_way, features[q_idx], q_way)
-        total[:n_encoder] += grad
-        total_loss += loss
-    return model_with_vector(model, model.vector - (lr / len(tasks)) * total), total_loss / len(tasks)
+    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, tasks)
+    losses, grads = proto_loss_and_grad(stack, features[s_idx], s_way, features[q_idx], q_way)
+    mean_grad, mean_loss = _task_mean(losses, grads)
+    vector = model.vector.copy()
+    vector[: mean_grad.size] -= lr * mean_grad
+    return model_with_vector(model, vector), mean_loss
 
 
-# evaluate_fewshot adapts maml tasks in stacks of this many. A stack
+# evaluate_fewshot runs its tasks in stacks of this many. A stack
 # amortizes the Python overhead of the small matmuls over its tasks, but
 # all their activations and gradients are alive at once: on the benchmark's
 # maml-eval pipeline, one stack of all 2,000 tasks peaked at 236 MiB of RSS
@@ -338,21 +349,24 @@ def evaluate_fewshot(
 ) -> EvalResult:
     """Per-task query accuracy, with a 1.96 * std / sqrt(T) half-width.
 
-    For maml, each task optionally adapts a copy of the model on its
-    support set before classifying queries with the head; the tasks, all
-    shaped alike, run as model stacks of EVAL_BLOCK_TASKS. For proto,
+    The tasks, all shaped alike, run as model stacks of EVAL_BLOCK_TASKS.
+    For maml, each task optionally adapts its copy of the model on its
+    support set before classifying queries with the head. For proto,
     queries are matched to support prototypes in encoder space.
     """
     if not tasks:
         raise ParameterError("need at least one task")
     if method not in ("maml", "proto"):
         raise ParameterError(f"unknown method {method!r}")
+    cfg = config if config is not None else MamlConfig()
     accs = np.empty(len(tasks))
-    if method == "maml":
-        cfg = config if config is not None else MamlConfig()
-        for start in range(0, len(tasks), EVAL_BLOCK_TASKS):
-            block = tasks[start : start + EVAL_BLOCK_TASKS]
-            used, (s_idx, s_way), (q_idx, q_way) = _stacked(model, block)
+    for start in range(0, len(tasks), EVAL_BLOCK_TASKS):
+        block = tasks[start : start + EVAL_BLOCK_TASKS]
+        used, (s_idx, s_way), (q_idx, q_way) = _stacked(model, block)
+        if method == "proto":
+            e_s = mlp_forward(used.encoder, features[s_idx])
+            scores = proto_classify(e_s, s_way, mlp_forward(used.encoder, features[q_idx]))
+        else:
             if adapt:
                 try:
                     used = maml_inner_adapt(
@@ -360,16 +374,8 @@ def evaluate_fewshot(
                     )
                 except NumericError as exc:
                     raise NumericError(exc.reason, task=start + exc.task) from exc
-            preds = np.argmax(model_scores(used, features[q_idx]), axis=-1)
-            accs[start : start + len(block)] = np.mean(preds == q_way, axis=-1)
-    else:
-        for t, task in enumerate(tasks):
-            s_idx, s_way = task.support_pairs()
-            q_idx, q_way = task.query_pairs()
-            e_s = mlp_forward(model.encoder, features[s_idx])
-            e_q = mlp_forward(model.encoder, features[q_idx])
-            preds = np.argmax(proto_classify(e_s, s_way, e_q), axis=1)
-            accs[t] = float(np.mean(preds == q_way))
+            scores = model_scores(used, features[q_idx])
+        accs[start : start + len(block)] = np.mean(np.argmax(scores, axis=-1) == q_way, axis=-1)
     mean = float(accs.mean())
     ci = float(1.96 * accs.std(ddof=1) / np.sqrt(len(tasks))) if len(tasks) > 1 else 0.0
     return EvalResult(mean_accuracy=mean, ci95=ci, task_count=len(tasks), per_task=accs)

@@ -23,7 +23,7 @@ from plcfe.cfe import (
     write_loss_trace,
 )
 from plcfe.data import AugmentConfig, gen_blobs
-from plcfe.errors import FormatError, ParameterError, StateError
+from plcfe.errors import FormatError, ParameterError, ShapeError, StateError
 from plcfe.metrics import LabeledEmbeddings, similarity_ratio
 from plcfe.numcore import (
     MlpParams,
@@ -310,6 +310,20 @@ class TestNegativeQueue:
     def test_capacity_validation(self):
         with pytest.raises(ParameterError):
             NegativeQueue(0)
+
+    def test_push_larger_than_capacity_keeps_newest_rows(self):
+        queue = NegativeQueue(3)
+        queue.push(np.array([[9.0, 9.0]]))
+        queue.push(np.arange(10, dtype=float).reshape(5, 2))
+        assert len(queue) == 3
+        assert np.array_equal(queue.as_matrix(), np.arange(4, 10, dtype=float).reshape(3, 2))
+
+    def test_mismatched_dimension_is_shape_error(self):
+        queue = NegativeQueue(4)
+        queue.push(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            queue.push(np.zeros((1, 2)))
+        assert queue.as_matrix().shape == (2, 3)
 
 
 class TestTrainCfe:

@@ -157,6 +157,17 @@ class TestPipeline:
         assert main(["build-tasks", "--config", str(path), "--out", str(out),
                      "--tasks", "2"]) == EXIT_OK
 
+    def test_clusters_from_another_seed_exit_2(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out),
+                     "--seed", "1234"]) == EXIT_OK
+        for stage in ("meta-train", "build-tasks"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(path), "--out", str(out),
+                         "--seed", "99"]) == EXIT_VALIDATION
+            assert "sample_index column" in capsys.readouterr().err
+
     def test_progressive_fraction_is_per_epoch(self, tmp_path):
         # gate 0 makes every batch progressive once a snapshot exists,
         # which is from epoch 1 on

@@ -85,6 +85,36 @@ class TestKmeans:
         assert all(np.any(labels == j) for j in range(3))
         assert np.isfinite(inertia)
 
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_lloyd_matches_per_cluster_mask_loop(self, seeded):
+        from plcfe.cluster import _assign, _kmeans_pp_seed, _lloyd
+
+        def looped(x, centers, max_iters):
+            labels, d2 = _assign(x, centers)
+            for _ in range(max_iters):
+                new_centers = centers.copy()
+                for j in range(len(centers)):
+                    if np.any(labels == j):
+                        new_centers[j] = x[labels == j].mean(axis=0)
+                point_d2 = d2[np.arange(x.shape[0]), labels]
+                for j in range(len(centers)):
+                    if not np.any(labels == j):
+                        far = int(np.argmax(point_d2))
+                        new_centers[j] = x[far]
+                        point_d2[far] = -1.0
+                new_labels, d2 = _assign(x, new_centers)
+                centers = new_centers
+                if np.array_equal(new_labels, labels):
+                    break
+                labels = new_labels
+            return centers, new_labels, float(np.sum((x - centers[new_labels]) ** 2))
+
+        x = make_rng(8).normal(size=(120, 5))
+        # coincident seeds leave clusters empty, so the repair runs too
+        seeds = _kmeans_pp_seed(x, 9, make_rng(9)) if seeded else np.zeros((9, 5))
+        got, want = _lloyd(x, seeds, 30), looped(x, seeds, 30)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_k_validation(self):
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 4, rng=make_rng(0))

@@ -22,6 +22,7 @@ from plcfe.metalearn import (
     save_model,
     sgd_steps,
     snapshot_eval_model,
+    way_prototypes,
 )
 from plcfe.numcore import (
     MlpParams,
@@ -227,23 +228,35 @@ class TestStackedTasks:
 
     config = MamlConfig(inner_lr=0.1, inner_steps=3)
 
-    def looped_accuracy(self, model, features, task):
+    def looped_accuracy(self, model, features, task, method):
         s_idx, s_way = task.support_pairs()
         q_idx, q_way = task.query_pairs()
+        if method == "proto":
+            e_s = mlp_forward(model.encoder, features[s_idx])
+            scores = proto_classify(e_s, s_way, mlp_forward(model.encoder, features[q_idx]))
+            return np.mean(np.argmax(scores, axis=1) == q_way)
         adapted = maml_inner_adapt(
             model, features[s_idx], s_way, self.config.inner_lr, self.config.inner_steps
         )
         return np.mean(np.argmax(model_scores(adapted, features[q_idx]), axis=1) == q_way)
 
-    @pytest.mark.parametrize("shots", [1, 5])
-    @pytest.mark.parametrize("n_tasks", [1, 2 * EVAL_BLOCK_TASKS + 5])
-    def test_evaluate_matches_per_task_loop(self, shots, n_tasks):
+    def assert_evaluate_matches_loop(self, shots, n_tasks, method):
         model = stack_model()
         features = make_rng(21).normal(size=(200, 6))
         tasks = random_tasks(n_tasks, 200, shots=shots, seed=22)
-        result = evaluate_fewshot(model, features, tasks, method="maml", config=self.config)
-        expected = [self.looped_accuracy(model, features, task) for task in tasks]
+        result = evaluate_fewshot(model, features, tasks, method=method, config=self.config)
+        expected = [self.looped_accuracy(model, features, task, method) for task in tasks]
         assert np.array_equal(result.per_task, expected)
+
+    @pytest.mark.parametrize("shots", [1, 5])
+    @pytest.mark.parametrize("n_tasks", [1, 2 * EVAL_BLOCK_TASKS + 5])
+    def test_evaluate_matches_per_task_loop(self, shots, n_tasks):
+        self.assert_evaluate_matches_loop(shots, n_tasks, "maml")
+
+    @pytest.mark.parametrize("shots", [1, 5])
+    @pytest.mark.parametrize("n_tasks", [1, 2 * EVAL_BLOCK_TASKS + 5])
+    def test_proto_evaluate_matches_per_task_loop(self, shots, n_tasks):
+        self.assert_evaluate_matches_loop(shots, n_tasks, "proto")
 
     def test_meta_gradient_is_exact_mean_of_task_gradients(self):
         model = stack_model(seed=23)
@@ -262,6 +275,37 @@ class TestStackedTasks:
             total_loss += loss
         assert np.array_equal(meta_grad, total / 4)
         assert mean_loss == total_loss / 4
+
+    def test_proto_meta_step_is_exact_mean_of_task_gradients(self):
+        model = stack_model(seed=31)
+        features = make_rng(32).normal(size=(200, 6))
+        tasks = random_tasks(4, 200, shots=2, seed=33)
+        stepped, mean_loss = proto_meta_step(model, features, tasks, lr=0.1)
+        total, total_loss = np.zeros(model.encoder.vector.size), 0.0
+        for task in tasks:
+            s_idx, s_way = task.support_pairs()
+            q_idx, q_way = task.query_pairs()
+            loss, grad = proto_loss_and_grad(model, features[s_idx], s_way, features[q_idx], q_way)
+            total += grad
+            total_loss += loss
+        n_enc = total.size
+        assert np.array_equal(stepped.vector[:n_enc], model.vector[:n_enc] - 0.1 * (total / 4))
+        assert np.array_equal(stepped.vector[n_enc:], model.vector[n_enc:])
+        assert mean_loss == total_loss / 4
+
+    def test_stacked_prototypes_match_per_task_calls(self):
+        rng = make_rng(34)
+        embeddings = rng.normal(size=(3, 6, 4))
+        labels = np.array([[0, 1, 0, 1, 2, 2], [2, 0, 1, 1, 0, 2], [1, 2, 0, 0, 2, 1]])
+        stacked = way_prototypes(embeddings, labels)
+        assert stacked.shape == (3, 3, 4)
+        for t in range(3):
+            assert np.array_equal(stacked[t], way_prototypes(embeddings[t], labels[t]))
+
+    def test_stacked_empty_way_names_task(self):
+        labels = np.array([[0, 1, 0, 1], [0, 0, 0, 1], [1, 1, 1, 1]])
+        with pytest.raises(ParameterError, match="^task 2: way 0 has no support"):
+            way_prototypes(np.zeros((3, 4, 2)), labels)
 
     @pytest.mark.parametrize("role", ["support", "query"])
     def test_meta_gradient_names_non_finite_task(self, role):

@@ -56,7 +56,7 @@ def bench_run(monkeypatch):
     return load_module(PERFBENCH / "run.py", "perfbench_run")
 
 
-@pytest.mark.parametrize("workload", ["maml-eval", "maml-progressive"])
+@pytest.mark.parametrize("workload", ["maml-eval", "maml-progressive", "proto-scaled"])
 def test_exercised_spans_record_calls(bench_run, workload, tmp_path):
     raw = bench_run.merged(bench_run.WORKLOADS[workload], bench_run.TINY)
     raw.update(seed=1, out_dir=str(tmp_path / "work"))
