@@ -323,7 +323,14 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds = data_mod.read_dataset(_require(ws, "dataset.plds", "meta-eval"))
     if ds.eval_labels is None:
         raise ParameterError("meta-eval needs a labeled dataset")
-    _, test_idx = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
+    train_idx, test_idx = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
+    # the encoder and the model were trained on the clustered rows, so a
+    # split drawn with another seed would test on some of them
+    cluster_mod.read_cluster_csv(
+        _require(ws, "clusters_assignment.csv", "meta-eval"),
+        _require(ws, "clusters_centers.csv", "meta-eval"),
+        sample_indices=train_idx,
+    )
     fs_model = meta_mod.load_model(_require(ws, "meta_model.plcf", "meta-eval"))
     pld = _test_pld(ds, test_idx)
     out = []

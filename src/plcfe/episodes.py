@@ -5,7 +5,10 @@ from a single cluster, and a progressive one that, for the small fraction
 of task batches that pass a random gate, finetunes an evaluation model on
 the sampled support set, picks each way's query source among the base
 cluster's nearest neighbors by predicted-label entropy, and filters the
-chosen cluster's noisiest members before drawing queries.
+chosen cluster's noisiest members before drawing queries. The progressive
+sampler scores each task once: one forward pass over every row of the
+split, whose argmax labels fill one (clusters, ways) count table and whose
+softmax feeds the filter.
 """
 
 from __future__ import annotations
@@ -138,45 +141,41 @@ def sample_standard_task(
     return FewShotTask(support=support, query=query, provenance=provenance)
 
 
-def cluster_entropy(member_features: np.ndarray, eval_model, ways: int) -> float:
-    """Entropy of the evaluation model's predicted labels over a cluster.
+def predicted_label_counts(scores: np.ndarray, pld: PseudoLabeledDataset) -> np.ndarray:
+    """(k, ways) table: how many members of each cluster take each way as
+    the argmax label of their (n, ways) score row."""
+    ways = scores.shape[1]
+    flat = pld.pseudo_labels * ways + np.argmax(scores, axis=1)
+    return np.bincount(flat, minlength=pld.num_clusters * ways).reshape(-1, ways)
 
-    Each member gets the argmax label of its score vector; the entropy of
-    the label frequencies (natural log, 0 log 0 = 0) says how much of the
-    cluster the model has not already pinned down.
+
+def cluster_entropy(label_counts: np.ndarray) -> np.ndarray:
+    """Entropy of each row of a (c, ways) predicted-label count table.
+
+    The entropy of a cluster's label frequencies (natural log, 0 log 0 = 0)
+    says how much of the cluster the model has not already pinned down.
     """
-    member_features = np.asarray(member_features, dtype=np.float64)
-    if member_features.ndim != 2 or member_features.shape[0] == 0:
-        raise ParameterError("cluster must be a non-empty (n, d) matrix")
-    scores = np.asarray(eval_model.predict_scores(member_features))
-    if scores.shape != (member_features.shape[0], ways):
-        raise ParameterError(f"evaluation model must emit {ways} scores per sample")
-    labels = np.argmax(scores, axis=1)
-    counts = np.bincount(labels, minlength=ways).astype(np.float64)
-    probs = counts / counts.sum()
-    nonzero = probs > 0
-    return float(-np.sum(probs[nonzero] * np.log(probs[nonzero])))
+    counts = np.asarray(label_counts, dtype=np.float64)
+    sizes = counts.sum(axis=1, keepdims=True)
+    if np.any(sizes == 0):
+        raise ParameterError("every cluster needs at least one member")
+    probs = counts / sizes
+    logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0)
+    return -np.sum(probs * logs, axis=1)
 
 
-def select_final_cluster(
-    candidate_ids, pld: PseudoLabeledDataset, eval_model, ways: int
-) -> int:
+def select_final_cluster(candidate_ids, label_counts: np.ndarray) -> int:
     """Candidate with the highest entropy; ties go to the earlier (nearer)
     candidate."""
-    candidate_ids = list(candidate_ids)
-    if not candidate_ids:
+    candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
+    if candidate_ids.size == 0:
         raise ParameterError("need at least one candidate cluster")
-    entropies = [
-        cluster_entropy(pld.features[pld.members[c]], eval_model, ways)
-        for c in candidate_ids
-    ]
-    return int(candidate_ids[int(np.argmax(entropies))])
+    return int(candidate_ids[np.argmax(cluster_entropy(label_counts[candidate_ids]))])
 
 
 def filter_noisy(
-    features: np.ndarray,
+    probs: np.ndarray,
     member_indices: np.ndarray,
-    eval_model,
     way_index: int,
     keep_rate: float,
     min_required: int | None = None,
@@ -184,19 +183,17 @@ def filter_noisy(
     """Keep the floor(keep_rate * n) members most confidently scored as
     way_index.
 
-    Scores are the softmax probability of way_index; members are sorted by
-    descending score with ties resolved by their position in
-    member_indices. Raises InsufficientSamplesError if fewer than
-    min_required members survive.
+    probs holds every row's softmax probabilities over the ways; members
+    are sorted by descending probability of way_index with ties resolved
+    by their position in member_indices. Raises InsufficientSamplesError if
+    fewer than min_required members survive.
     """
     if not (0 < keep_rate < 1):
         raise ParameterError("keep_rate must be in (0, 1)")
     member_indices = np.asarray(member_indices, dtype=np.int64)
     if member_indices.size == 0:
         raise ParameterError("cluster has no members")
-    scores = np.asarray(eval_model.predict_scores(features[member_indices]))
-    probs = softmax(scores)[:, way_index]
-    order = np.argsort(-probs, kind="stable")
+    order = np.argsort(-probs[member_indices, way_index], kind="stable")
     kept = member_indices[order][: int(np.floor(keep_rate * member_indices.size))]
     if min_required is not None and kept.size < min_required:
         raise InsufficientSamplesError(
@@ -216,14 +213,14 @@ def progressive_task(
     the gate.
 
     Each way's support comes from a base cluster; a copy of the evaluation
-    model is finetuned on the whole support set, and the way's queries are
-    drawn from whichever candidate neighbor cluster has the highest
-    predicted-label entropy, after dropping its lowest-scored members.
-    Ways whose filtered pool cannot supply enough fresh queries fall back
-    to their base cluster (recorded in provenance). Support samples are
-    never reused as queries; query samples are unique within a task except
-    in the last-resort fallback, where a way may share queries with
-    another way's.
+    model is finetuned on the whole support set and scores every row once,
+    and the way's queries are drawn from whichever candidate neighbor
+    cluster has the highest predicted-label entropy, after dropping its
+    lowest-scored members. Ways whose filtered pool cannot supply enough
+    fresh queries fall back to their base cluster (recorded in provenance).
+    Support samples are never reused as queries; query samples are unique
+    within a task except in the last-resort fallback, where a way may share
+    queries with another way's.
     """
     if eval_model is None:
         raise ParameterError("progressive sampling requires an evaluation model")
@@ -243,47 +240,45 @@ def progressive_task(
     support_flat = support.reshape(-1)
     support_ways = np.repeat(np.arange(config.ways), config.shots)
     adapted = eval_model.finetuned(pld.features[support_flat], support_ways)
+    scores = np.asarray(adapted.predict_scores(pld.features))
+    if scores.shape != (pld.features.shape[0], config.ways):
+        raise ParameterError(f"evaluation model must emit {config.ways} scores per sample")
+    label_counts = predicted_label_counts(scores, pld)
+    probs = softmax(scores)
 
-    all_support = set(support_flat.tolist())
-    used = set(support_flat.tolist())
+    is_support = np.zeros(pld.features.shape[0], dtype=bool)
+    is_support[support_flat] = True
+    used = is_support.copy()
     query = np.empty((config.ways, config.queries), dtype=np.int64)
     provenance = []
     for way, base in enumerate(bases):
         candidates = nearest_clusters(cluster_model, int(base), config.candidate_neighbors)
-        final = select_final_cluster(candidates, pld, adapted, config.ways)
+        final = select_final_cluster(candidates, label_counts)
         fallback = False
         try:
             kept = filter_noisy(
-                pld.features,
-                pld.members[final],
-                adapted,
-                way,
-                config.keep_rate,
-                min_required=config.queries,
+                probs, pld.members[final], way, config.keep_rate, min_required=config.queries
             )
-            pool = np.array([i for i in kept if i not in used], dtype=np.int64)
+            pool = kept[~used[kept]]
             if pool.size < config.queries:
                 raise InsufficientSamplesError(
                     f"filtered pool for way {way} has {pool.size} fresh members"
                 )
         except InsufficientSamplesError:
             fallback = True
-            pool = np.array(
-                [i for i in pld.members[base] if i not in used], dtype=np.int64
-            )
+            members = pld.members[base]
+            pool = members[~used[members]]
             if pool.size < config.queries:
                 # other ways drained the base cluster; permit query reuse
                 # across ways rather than fail (supports stay excluded)
-                pool = np.array(
-                    [i for i in pld.members[base] if i not in all_support], dtype=np.int64
-                )
+                pool = members[~is_support[members]]
             if pool.size < config.queries:
                 raise ConstructionError(
                     f"base cluster {base} cannot supply {config.queries} queries"
                 )
         picks = rng.choice(pool, size=config.queries, replace=False)
         query[way] = picks
-        used.update(picks.tolist())
+        used[picks] = True
         provenance.append(
             WayProvenance(
                 base_cluster=int(base),

@@ -29,6 +29,7 @@ from plcfe.episodes import (
     EpisodeConfig,
     filter_noisy,
     cluster_entropy,
+    predicted_label_counts,
     progressive_task,
     sample_standard_task,
     sample_task_batch,
@@ -36,7 +37,7 @@ from plcfe.episodes import (
 )
 from plcfe.metalearn import MamlConfig, evaluate_fewshot, meta_train
 from plcfe.metrics import LabeledEmbeddings, clustering_accuracy, similarity_ratio
-from plcfe.numcore import finite_diff_check, l2_normalize, make_rng
+from plcfe.numcore import finite_diff_check, l2_normalize, make_rng, softmax
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -209,7 +210,8 @@ def test_criterion_5_entropy_oracle():
                 labels = np.repeat(np.arange(ways), counts)
                 features = np.zeros((size, 2))
                 features[:, 0] = np.arange(size)
-                value = cluster_entropy(features, StubScorer(labels, ways), ways)
+                scores = StubScorer(labels, ways).predict_scores(features)
+                value = cluster_entropy(predicted_label_counts(scores, index_pld([size])))[0]
                 oracle = -sum(
                     (c / size) * math.log(c / size) for c in counts if c > 0
                 )
@@ -225,7 +227,7 @@ def test_criterion_6_progressive_mechanics():
     for size in range(2, 41):
         pld = index_pld([size])
         scorer = StubScorer(np.zeros(size, dtype=int), 2)
-        kept = filter_noisy(pld.features, pld.members[0], scorer, 0, 0.75)
+        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         keep_exact = keep_exact and kept.size == math.floor(0.75 * size)
 
     # argmax selection vs brute force on 100 random candidate sets
@@ -236,9 +238,15 @@ def test_criterion_6_progressive_mechanics():
     select_ok = True
     for _ in range(100):
         candidates = rng.choice(12, size=5, replace=False).tolist()
-        chosen = select_final_cluster(candidates, pld, scorer, 3)
+        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
+        chosen = select_final_cluster(candidates, counts)
         entropies = [
-            cluster_entropy(pld.features[pld.members[c]], scorer, 3) for c in candidates
+            cluster_entropy(
+                predicted_label_counts(
+                    scorer.predict_scores(pld.features[pld.members[c]]), index_pld([6])
+                )
+            )[0]
+            for c in candidates
         ]
         select_ok = select_ok and chosen == candidates[int(np.argmax(entropies))]
 

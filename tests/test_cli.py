@@ -123,11 +123,16 @@ class TestPipeline:
             assert (out / name).exists()
         assert manifest["seed"] == 11
 
-    def test_identical_runs_are_byte_identical(self, tmp_path):
-        path = write_tiny_config(tmp_path)
+    @pytest.mark.parametrize("method", ["maml", "proto"])
+    @pytest.mark.parametrize("episodes", ["standard", "progressive"])
+    def test_identical_runs_are_byte_identical(self, tmp_path, episodes, method):
+        # gate 0 makes every progressive batch after the first epoch run the
+        # progressive sampler
+        path = write_tiny_config(tmp_path, episodes={**TINY["episodes"], "gate_threshold": 0.0})
+        flags = ["--config", str(path), "--episodes", episodes, "--method", method]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["pipeline", "--config", str(path), "--out", str(out1)]) == EXIT_OK
-        assert main(["pipeline", "--config", str(path), "--out", str(out2)]) == EXIT_OK
+        assert main(["pipeline", *flags, "--out", str(out1)]) == EXIT_OK
+        assert main(["pipeline", *flags, "--out", str(out2)]) == EXIT_OK
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["artifacts"] == m2["artifacts"]
@@ -167,6 +172,18 @@ class TestPipeline:
             assert main([stage, "--config", str(path), "--out", str(out),
                          "--seed", "99"]) == EXIT_VALIDATION
             assert "sample_index column" in capsys.readouterr().err
+
+    def test_meta_eval_refuses_split_of_another_seed(self, tmp_path, capsys):
+        # with seed 99 the test split overlaps rows the seed-1234 encoder
+        # and model were trained on
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out),
+                     "--seed", "1234"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["meta-eval", "--config", str(path), "--out", str(out),
+                     "--seed", "99"]) == EXIT_VALIDATION
+        assert "sample_index column" in capsys.readouterr().err
 
     def test_progressive_fraction_is_per_epoch(self, tmp_path):
         # gate 0 makes every batch progressive once a snapshot exists,

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plcfe.cluster import ClusterModel, PseudoLabeledDataset
+from plcfe.cluster import ClusterModel, PseudoLabeledDataset, nearest_clusters
 from plcfe.episodes import (
     EpisodeConfig,
     FewShotTask,
     WayProvenance,
     cluster_entropy,
     filter_noisy,
+    predicted_label_counts,
     progressive_task,
     sample_standard_task,
     sample_task_batch,
@@ -17,7 +20,7 @@ from plcfe.episodes import (
     write_tasks_csv,
 )
 from plcfe.errors import ConstructionError, InsufficientSamplesError, ParameterError
-from plcfe.numcore import make_rng
+from plcfe.numcore import make_rng, softmax
 
 
 class TableScorer:
@@ -131,20 +134,23 @@ class TestClusterEntropy:
         scorer = TableScorer(np.zeros(4, dtype=int), 3)
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
-        assert cluster_entropy(features, scorer, 3) == 0.0
+        counts = predicted_label_counts(scorer.predict_scores(features), make_pld([4]))
+        assert cluster_entropy(counts)[0] == 0.0
 
     def test_even_split_ln2(self):
         scorer = TableScorer(np.array([0, 0, 1, 1]), 2)
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
-        assert cluster_entropy(features, scorer, 2) == pytest.approx(math.log(2), abs=1e-12)
+        counts = predicted_label_counts(scorer.predict_scores(features), make_pld([4]))
+        assert cluster_entropy(counts)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_three_one_split(self):
         scorer = TableScorer(np.array([0, 0, 0, 1]), 2)
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
-        assert cluster_entropy(features, scorer, 2) == pytest.approx(expected, abs=1e-12)
+        counts = predicted_label_counts(scorer.predict_scores(features), make_pld([4]))
+        assert cluster_entropy(counts)[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.562335, abs=1e-6)
 
     def test_bounded_by_ln_ways(self):
@@ -154,25 +160,49 @@ class TestClusterEntropy:
             labels = rng.integers(0, ways, size=n)
             features = np.zeros((n, 2))
             features[:, 0] = np.arange(n)
-            h = cluster_entropy(features, TableScorer(labels, ways), ways)
+            scores = TableScorer(labels, ways).predict_scores(features)
+            h = cluster_entropy(predicted_label_counts(scores, make_pld([n])))[0]
             assert 0.0 <= h <= math.log(ways) + 1e-12
 
     def test_maximal_iff_uniform(self):
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
-        h = cluster_entropy(features, TableScorer(np.array([0, 1, 2, 3]), 4), 4)
+        scores = TableScorer(np.array([0, 1, 2, 3]), 4).predict_scores(features)
+        h = cluster_entropy(predicted_label_counts(scores, make_pld([4])))[0]
         assert h == pytest.approx(math.log(4), abs=1e-12)
 
     def test_empty_cluster_is_error(self):
         with pytest.raises(ParameterError):
-            cluster_entropy(np.zeros((0, 2)), TableScorer(np.zeros(1, dtype=int), 2), 2)
+            cluster_entropy(predicted_label_counts(np.zeros((2, 2)), make_pld([0, 2])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda ways: st.lists(
+                st.lists(st.integers(0, 50), min_size=ways, max_size=ways).filter(any),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        st.integers(0, 7),
+    )
+    def test_rows_match_frequency_formula(self, rows, zero_row):
+        table = np.array(rows)
+        oracle = [
+            -sum((c / sum(row)) * math.log(c / sum(row)) for c in row if c > 0) for row in rows
+        ]
+        assert np.allclose(cluster_entropy(table), oracle, rtol=0, atol=1e-12)
+        table[zero_row % len(rows)] = 0
+        with pytest.raises(ParameterError):
+            cluster_entropy(table)
 
 
 class TestSelectFinalCluster:
     def test_single_candidate(self):
         pld = make_pld([3, 3])
         scorer = TableScorer(np.zeros(6, dtype=int), 2)
-        assert select_final_cluster([1], pld, scorer, 2) == 1
+        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
+        assert select_final_cluster([1], counts) == 1
 
     def test_argmax_entropy(self):
         # cluster 0: all one label (H=0); cluster 1: even split (H=ln2);
@@ -180,12 +210,14 @@ class TestSelectFinalCluster:
         pld = make_pld([4, 4, 4])
         labels = np.array([0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1])
         scorer = TableScorer(labels, 2)
-        assert select_final_cluster([0, 1, 2], pld, scorer, 2) == 1
+        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
+        assert select_final_cluster([0, 1, 2], counts) == 1
 
     def test_tie_breaks_by_candidate_order(self):
         pld = make_pld([3, 3, 3])
         scorer = TableScorer(np.zeros(9, dtype=int), 2)  # all entropies zero
-        assert select_final_cluster([2, 0, 1], pld, scorer, 2) == 2
+        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
+        assert select_final_cluster([2, 0, 1], counts) == 2
 
     def test_matches_bruteforce_oracle(self):
         rng = make_rng(1)
@@ -194,9 +226,14 @@ class TestSelectFinalCluster:
         scorer = TableScorer(labels, 3)
         for _ in range(20):
             candidates = rng.choice(6, size=4, replace=False).tolist()
-            chosen = select_final_cluster(candidates, pld, scorer, 3)
+            counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
+            chosen = select_final_cluster(candidates, counts)
             entropies = [
-                cluster_entropy(pld.features[pld.members[c]], scorer, 3)
+                cluster_entropy(
+                    predicted_label_counts(
+                        scorer.predict_scores(pld.features[pld.members[c]]), make_pld([5])
+                    )
+                )[0]
                 for c in candidates
             ]
             assert chosen == candidates[int(np.argmax(entropies))]
@@ -206,13 +243,13 @@ class TestFilterNoisy:
     def test_keep_count_floor(self):
         pld = make_pld([10])
         scorer = RowScorer(np.linspace(0, 1, 10)[:, None] * np.array([1.0, 0.0]))
-        kept = filter_noisy(pld.features, pld.members[0], scorer, 0, 0.75)
+        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         assert kept.size == 7  # floor(0.75 * 10)
 
     def test_equal_scores_keep_lowest_original_indices(self):
         pld = make_pld([8])
         scorer = RowScorer(np.tile([0.5, 0.5], (8, 1)))
-        kept = filter_noisy(pld.features, pld.members[0], scorer, 0, 0.75)
+        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         assert kept.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_hand_sorted_example(self):
@@ -220,21 +257,22 @@ class TestFilterNoisy:
         pld = make_pld([4])
         rows = np.array([[0.9, 0.0], [0.1, 0.0], [0.5, 0.0], [0.7, 0.0]])
         scorer = RowScorer(rows)
-        kept = filter_noisy(pld.features, pld.members[0], scorer, 0, 0.75)
+        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         assert kept.tolist() == [0, 3, 2]
 
     def test_min_required_error(self):
         pld = make_pld([4])
         scorer = RowScorer(np.zeros((4, 2)))
+        probs = softmax(scorer.predict_scores(pld.features))
         with pytest.raises(InsufficientSamplesError):
-            filter_noisy(pld.features, pld.members[0], scorer, 0, 0.75, min_required=4)
+            filter_noisy(probs, pld.members[0], 0, 0.75, min_required=4)
 
     def test_scores_non_increasing_and_subset(self):
         rng = make_rng(2)
         pld = make_pld([12])
         rows = rng.normal(size=(12, 3))
         scorer = RowScorer(rows)
-        kept = filter_noisy(pld.features, pld.members[0], scorer, 1, 0.5)
+        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 1, 0.5)
         assert set(kept.tolist()) <= set(range(12))
         probs = np.exp(rows[kept]) / np.exp(rows[kept]).sum(axis=1, keepdims=True)
         way1 = probs[:, 1]
@@ -311,7 +349,10 @@ class TestProgressiveTask:
                     pool = pld.members[prov.base_cluster]
                 else:
                     pool = filter_noisy(
-                        pld.features, pld.members[prov.query_cluster], scorer, way, 0.75
+                        softmax(scorer.predict_scores(pld.features)),
+                        pld.members[prov.query_cluster],
+                        way,
+                        0.75,
                     )
                 assert set(task.query[way].tolist()) <= set(pool.tolist())
 
@@ -342,6 +383,13 @@ class TestProgressiveTask:
         pld, model, scorer = self.make_setup(sizes=(10, 10))
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
         with pytest.raises(ParameterError):
+            progressive_task(pld, model, scorer, config, make_rng(0))
+
+    def test_wrong_score_width_is_error(self):
+        pld, model, _ = self.make_setup()
+        config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
+        scorer = RowScorer(make_rng(0).normal(size=(pld.features.shape[0], 3)))
+        with pytest.raises(ParameterError, match="2 scores per sample"):
             progressive_task(pld, model, scorer, config, make_rng(0))
 
     def test_gate_fraction_concentrates(self):
@@ -381,6 +429,94 @@ class TestProgressiveTask:
             assert not got.progressive
             assert np.array_equal(got.support, want.support)
             assert np.array_equal(got.query, want.query)
+
+
+def per_candidate_progressive_task(pld, cluster_model, eval_model, config, rng):
+    """Reference sampler: scores each candidate cluster's members with
+    their own forward pass, then the chosen cluster's again for the filter,
+    and tracks used samples in sets."""
+    need = config.shots + config.queries
+    eligible = np.array([c for c, m in enumerate(pld.members) if m.size >= need])
+    bases = rng.choice(eligible, size=config.ways, replace=False)
+    support = np.empty((config.ways, config.shots), dtype=np.int64)
+    for way, cluster_id in enumerate(bases):
+        support[way] = rng.choice(pld.members[cluster_id], size=config.shots, replace=False)
+    support_flat = support.reshape(-1)
+    adapted = eval_model.finetuned(
+        pld.features[support_flat], np.repeat(np.arange(config.ways), config.shots)
+    )
+
+    def entropy(members):
+        labels = np.argmax(adapted.predict_scores(pld.features[members]), axis=1)
+        probs = np.bincount(labels, minlength=config.ways) / members.size
+        return float(-np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
+
+    all_support = set(support_flat.tolist())
+    used = set(support_flat.tolist())
+    query = np.empty((config.ways, config.queries), dtype=np.int64)
+    provenance = []
+    for way, base in enumerate(bases):
+        candidates = nearest_clusters(cluster_model, int(base), config.candidate_neighbors)
+        final = int(candidates[int(np.argmax([entropy(pld.members[c]) for c in candidates]))])
+        members = pld.members[final]
+        way_probs = softmax(adapted.predict_scores(pld.features[members]))[:, way]
+        kept = members[np.argsort(-way_probs, kind="stable")][
+            : int(np.floor(config.keep_rate * members.size))
+        ]
+        pool = np.array([i for i in kept if i not in used], dtype=np.int64)
+        fallback = kept.size < config.queries or pool.size < config.queries
+        if fallback:
+            pool = np.array([i for i in pld.members[base] if i not in used], dtype=np.int64)
+            if pool.size < config.queries:
+                pool = np.array(
+                    [i for i in pld.members[base] if i not in all_support], dtype=np.int64
+                )
+        picks = rng.choice(pool, size=config.queries, replace=False)
+        query[way] = picks
+        used.update(picks.tolist())
+        provenance.append(
+            WayProvenance(int(base), int(base) if fallback else final, True, fallback)
+        )
+    return FewShotTask(support=support, query=query, provenance=provenance, progressive=True)
+
+
+@pytest.mark.parametrize(
+    "sizes, config, path",
+    [
+        ((10,) * 6, EpisodeConfig(ways=3, shots=1, queries=2, candidate_neighbors=3), "filtered"),
+        ((8,) * 5, EpisodeConfig(ways=2, shots=1, queries=5, candidate_neighbors=2), "fallback"),
+        (
+            (4,) * 5,
+            EpisodeConfig(ways=4, shots=1, queries=3, candidate_neighbors=2, keep_rate=0.9),
+            "reuse",
+        ),
+    ],
+)
+def test_matches_per_candidate_reference(sizes, config, path):
+    """Scoring every row once gives the per-candidate sampler's tasks."""
+    reached = 0
+    for seed in range(60):
+        pld = make_pld(list(sizes))
+        rng = make_rng(seed)
+        model = ClusterModel(
+            k=len(sizes),
+            centers=rng.normal(size=(len(sizes), 3)),
+            assignment=pld.pseudo_labels,
+            inertia=0.0,
+        )
+        scorer = RowScorer(rng.normal(size=(pld.features.shape[0], config.ways)))
+        got = progressive_task(pld, model, scorer, config, make_rng(seed))
+        want = per_candidate_progressive_task(pld, model, scorer, config, make_rng(seed))
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.query, want.query)
+        assert got.provenance == want.provenance
+        fallbacks = [p.fallback for p in got.provenance]
+        reached += {
+            "filtered": not all(fallbacks),
+            "fallback": any(fallbacks),
+            "reuse": np.unique(got.query).size < got.query.size,
+        }[path]
+    assert reached > 0, f"no seed reached the {path} path"
 
 
 class TestTaskCsv:
