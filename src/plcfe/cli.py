@@ -335,16 +335,14 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     pld = _test_pld(ds, test_idx)
     out = []
     for shot_i, shots in enumerate(config.eval.shots):
-        episode_cfg = replace(config.episodes, shots=shots)
+        need = shots + config.episodes.queries
         rng = derive_rng(config.seed, KEY_EVAL, shot_i)
-        tasks = [
-            episodes_mod.sample_standard_task(pld, episode_cfg, rng)
-            for _ in range(config.eval.tasks)
-        ]
+        _, picks = episodes_mod.draw_episodes(pld, config.episodes.ways, need, rng, config.eval.tasks)
         result = meta_mod.evaluate_fewshot(
             fs_model,
             pld.features,
-            tasks,
+            picks[..., :shots],
+            picks[..., shots:],
             method=config.method,
             adapt=True,
             config=config.maml,
@@ -438,6 +436,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
+    if args.command == "meta-eval" and args.shots is not None:
+        raise ParameterError("meta-eval takes its shot counts from eval.shots, not --shots")
     for name in ("seed", "out_dir", "method", "episode_mode"):
         if getattr(args, name) is not None:
             setattr(config, name, getattr(args, name))

@@ -29,8 +29,6 @@ class DatasetMeta:
     n: int
     dim: int
     classes: int
-    generator: str = ""
-    seed: int | None = None
 
 
 @dataclass
@@ -116,12 +114,7 @@ def gen_blobs(
     labels = np.repeat(np.arange(classes), per_class)
     noise = rng.normal(size=(classes * per_class, dim))
     features = means[labels] + noise
-    meta = DatasetMeta(
-        n=classes * per_class,
-        dim=dim,
-        classes=classes,
-        generator=f"blobs(classes={classes},per_class={per_class},dim={dim},separation={separation})",
-    )
+    meta = DatasetMeta(n=classes * per_class, dim=dim, classes=classes)
     return Dataset(features, labels, meta, class_means=means)
 
 
@@ -187,7 +180,7 @@ def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         data = fh.read()
     features, labels, classes = _read_container(data, DATASET_MAGIC)
-    meta = DatasetMeta(n=features.shape[0], dim=features.shape[1], classes=classes, generator="file")
+    meta = DatasetMeta(n=features.shape[0], dim=features.shape[1], classes=classes)
     return Dataset(features, labels, meta)
 
 

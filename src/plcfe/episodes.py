@@ -1,14 +1,17 @@
 """Few-shot episode construction from pseudo-labels.
 
-Two samplers: a plain one that draws every way's support and query set
-from a single cluster, and a progressive one that, for the small fraction
-of task batches that pass a random gate, finetunes an evaluation model on
-the sampled support set, picks each way's query source among the base
+Every episode starts from one draw kernel, draw_episodes: for a batch of
+tasks it picks each task's ways distinct clusters and each way's distinct
+members as one (tasks, ways, picks) index array. Two samplers build on it:
+a plain one that splits each way's picks into support and query, and a
+progressive one that, for the small fraction of task batches that pass a
+random gate, takes only the supports from the kernel, finetunes an
+evaluation model on them, picks each way's query source among the base
 cluster's nearest neighbors by predicted-label entropy, and filters the
 chosen cluster's noisiest members before drawing queries. The progressive
 sampler scores each task once: one forward pass over every row of the
 split, whose argmax labels fill one (clusters, ways) count table and whose
-softmax feeds the filter.
+log-softmax ranks members for the filter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from .cluster import ClusterModel, PseudoLabeledDataset, nearest_clusters
 from .errors import ConstructionError, InsufficientSamplesError, ParameterError
-from .numcore import softmax
 
 
 @dataclass
@@ -78,14 +80,6 @@ class FewShotTask:
     def ways(self) -> int:
         return self.support.shape[0]
 
-    def support_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        ways, shots = self.support.shape
-        return self.support.reshape(-1), np.repeat(np.arange(ways), shots)
-
-    def query_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        ways, queries = self.query.shape
-        return self.query.reshape(-1), np.repeat(np.arange(ways), queries)
-
     def validate_structure(self, n_samples: int) -> None:
         """Raise if counts, index ranges, or support/query disjointness are
         violated."""
@@ -109,36 +103,47 @@ class FewShotTask:
             raise ConstructionError("provenance must cover every way")
 
 
-def eligible_clusters(pld: PseudoLabeledDataset, min_size: int) -> np.ndarray:
-    return np.array(
-        [c for c, m in enumerate(pld.members) if m.size >= min_size], dtype=np.int64
-    )
+def way_pairs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., ways, n) sample indices as (..., ways * n) indices and their
+    way labels: the way of a sample is its row."""
+    *lead, ways, n = indices.shape
+    labels = np.repeat(np.arange(ways), n)
+    return indices.reshape(*lead, ways * n), np.broadcast_to(labels, (*lead, ways * n))
+
+
+def draw_episodes(
+    pld: PseudoLabeledDataset, ways: int, picks: int, rng: np.random.Generator, tasks: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tasks, ways) cluster ids and (tasks, ways, picks) sample indices:
+    each task's ways are distinct clusters drawn uniformly among those with
+    at least picks members, and each way's picks are distinct members of
+    its cluster drawn uniformly, both in random order.
+
+    Both draws take the argsort of i.i.d. uniform keys, whose k smallest
+    form a uniform random k-subset in random order (the unweighted case of
+    Efraimidis & Spirakis, 2006). Member slots past a cluster's size get
+    key +inf, so they sort after every real member.
+    """
+    sizes = np.array([m.size for m in pld.members], dtype=np.int64)
+    eligible = np.flatnonzero(sizes >= picks)
+    if eligible.size < ways:
+        raise ConstructionError(f"only {eligible.size} clusters have {picks}+ members, need {ways}")
+    clusters = eligible[np.argsort(rng.random((tasks, eligible.size)), axis=1)[:, :ways]]
+    keys = rng.random((tasks, ways, int(sizes[eligible].max())))
+    keys[np.arange(keys.shape[-1]) >= sizes[clusters][..., None]] = np.inf
+    positions = np.argsort(keys, axis=-1)[..., :picks]
+    starts = np.cumsum(sizes) - sizes
+    return clusters, np.concatenate(pld.members)[starts[clusters][..., None] + positions]
 
 
 def sample_standard_task(
     pld: PseudoLabeledDataset, config: EpisodeConfig, rng: np.random.Generator
 ) -> FewShotTask:
-    """Draw ways distinct clusters (uniform among those with at least
-    shots + queries members) and split shots + queries distinct members of
-    each into support and query."""
-    need = config.shots + config.queries
-    eligible = eligible_clusters(pld, need)
-    if eligible.size < config.ways:
-        raise ConstructionError(
-            f"only {eligible.size} clusters have {need}+ members, need {config.ways}"
-        )
-    chosen = rng.choice(eligible, size=config.ways, replace=False)
-    support = np.empty((config.ways, config.shots), dtype=np.int64)
-    query = np.empty((config.ways, config.queries), dtype=np.int64)
-    provenance = []
-    for way, cluster_id in enumerate(chosen):
-        picks = rng.choice(pld.members[cluster_id], size=need, replace=False)
-        support[way] = picks[: config.shots]
-        query[way] = picks[config.shots :]
-        provenance.append(
-            WayProvenance(int(cluster_id), int(cluster_id), progressive=False)
-        )
-    return FewShotTask(support=support, query=query, provenance=provenance)
+    """One draw_episodes task of shots + queries picks per way (clusters
+    with fewer members are never drawn), split into support and query."""
+    (clusters,), (picks,) = draw_episodes(pld, config.ways, config.shots + config.queries, rng)
+    provenance = [WayProvenance(int(c), int(c), progressive=False) for c in clusters]
+    return FewShotTask(picks[:, : config.shots], picks[:, config.shots :], provenance)
 
 
 def predicted_label_counts(scores: np.ndarray, pld: PseudoLabeledDataset) -> np.ndarray:
@@ -174,7 +179,7 @@ def select_final_cluster(candidate_ids, label_counts: np.ndarray) -> int:
 
 
 def filter_noisy(
-    probs: np.ndarray,
+    log_probs: np.ndarray,
     member_indices: np.ndarray,
     way_index: int,
     keep_rate: float,
@@ -183,17 +188,17 @@ def filter_noisy(
     """Keep the floor(keep_rate * n) members most confidently scored as
     way_index.
 
-    probs holds every row's softmax probabilities over the ways; members
-    are sorted by descending probability of way_index with ties resolved
-    by their position in member_indices. Raises InsufficientSamplesError if
-    fewer than min_required members survive.
+    log_probs holds every row's log-softmax over the ways; members are
+    sorted by descending log-probability of way_index with ties resolved
+    by their position in member_indices. Raises InsufficientSamplesError
+    if fewer than min_required members survive.
     """
     if not (0 < keep_rate < 1):
         raise ParameterError("keep_rate must be in (0, 1)")
     member_indices = np.asarray(member_indices, dtype=np.int64)
     if member_indices.size == 0:
         raise ParameterError("cluster has no members")
-    order = np.argsort(-probs[member_indices, way_index], kind="stable")
+    order = np.argsort(-log_probs[member_indices, way_index], kind="stable")
     kept = member_indices[order][: int(np.floor(keep_rate * member_indices.size))]
     if min_required is not None and kept.size < min_required:
         raise InsufficientSamplesError(
@@ -226,25 +231,20 @@ def progressive_task(
         raise ParameterError("progressive sampling requires an evaluation model")
     if cluster_model.k <= config.candidate_neighbors:
         raise ParameterError("need more clusters than candidate_neighbors")
-    need = config.shots + config.queries  # base must be able to back a fallback
-    eligible = eligible_clusters(pld, need)
-    if eligible.size < config.ways:
-        raise ConstructionError(
-            f"only {eligible.size} clusters have {need}+ members, need {config.ways}"
-        )
-    bases = rng.choice(eligible, size=config.ways, replace=False)
-    support = np.empty((config.ways, config.shots), dtype=np.int64)
-    for way, cluster_id in enumerate(bases):
-        support[way] = rng.choice(pld.members[cluster_id], size=config.shots, replace=False)
+    # a base needs shots + queries members to back a fallback
+    (bases,), (picks,) = draw_episodes(pld, config.ways, config.shots + config.queries, rng)
+    support = picks[:, : config.shots]
 
-    support_flat = support.reshape(-1)
-    support_ways = np.repeat(np.arange(config.ways), config.shots)
+    support_flat, support_ways = way_pairs(support)
     adapted = eval_model.finetuned(pld.features[support_flat], support_ways)
     scores = np.asarray(adapted.predict_scores(pld.features))
     if scores.shape != (pld.features.shape[0], config.ways):
         raise ParameterError(f"evaluation model must emit {config.ways} scores per sample")
     label_counts = predicted_label_counts(scores, pld)
-    probs = softmax(scores)
+    # logsumexp as max + log1p(rest), which keeps near-1 probabilities apart
+    ordered = np.sort(scores, axis=1)
+    top = ordered[:, -1:]
+    log_probs = scores - top - np.log1p(np.exp(ordered[:, :-1] - top).sum(axis=1, keepdims=True))
 
     is_support = np.zeros(pld.features.shape[0], dtype=bool)
     is_support[support_flat] = True
@@ -257,7 +257,7 @@ def progressive_task(
         fallback = False
         try:
             kept = filter_noisy(
-                probs, pld.members[final], way, config.keep_rate, min_required=config.queries
+                log_probs, pld.members[final], way, config.keep_rate, min_required=config.queries
             )
             pool = kept[~used[kept]]
             if pool.size < config.queries:

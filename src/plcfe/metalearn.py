@@ -195,14 +195,12 @@ def maml_inner_adapt(
     return model_with_vector(model, sgd_steps(fn, model.vector, alpha, steps))
 
 
-def _stacked(model: FewShotModel, tasks: list[episodes_mod.FewShotTask]) -> tuple:
+def _stacked(model: FewShotModel, support: np.ndarray, query: np.ndarray) -> tuple:
     """The model broadcast to a read-only stack of one copy per task, and
-    the tasks' support and query (index, way) pairs stacked along the same
-    leading axis."""
-    stack = model_with_vector(model, np.broadcast_to(model.vector, (len(tasks), model.vector.size)))
-    support = [np.stack(part) for part in zip(*(task.support_pairs() for task in tasks))]
-    query = [np.stack(part) for part in zip(*(task.query_pairs() for task in tasks))]
-    return stack, support, query
+    the (T, ways, shots) support and (T, ways, queries) query indices as
+    (index, way) pairs along the same leading axis."""
+    stack = model_with_vector(model, np.broadcast_to(model.vector, (len(support), model.vector.size)))
+    return stack, episodes_mod.way_pairs(support), episodes_mod.way_pairs(query)
 
 
 def _task_mean(losses: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,7 +222,8 @@ def maml_meta_gradient(
     a task batch of equally shaped tasks: each task contributes its query
     gradient at its adapted parameters. The whole batch adapts as one
     model stack."""
-    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, tasks)
+    support, query = np.stack([t.support for t in tasks]), np.stack([t.query for t in tasks])
+    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, support, query)
     adapted = maml_inner_adapt(stack, features[s_idx], s_way, config.inner_lr, config.inner_steps)
     q_loss, q_grad = model_loss_and_grad(adapted, features[q_idx], q_way)
     return _task_mean(q_loss, q_grad)
@@ -315,7 +314,8 @@ def proto_meta_step(
     for maml, and take one encoder step; the linear head is untouched."""
     if not tasks:
         return model, float("nan")
-    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, tasks)
+    support, query = np.stack([t.support for t in tasks]), np.stack([t.query for t in tasks])
+    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, support, query)
     losses, grads = proto_loss_and_grad(stack, features[s_idx], s_way, features[q_idx], q_way)
     mean_grad, mean_loss = _task_mean(losses, grads)
     vector = model.vector.copy()
@@ -342,27 +342,32 @@ class EvalResult:
 def evaluate_fewshot(
     model: FewShotModel,
     features: np.ndarray,
-    tasks: list[episodes_mod.FewShotTask],
+    support: np.ndarray,
+    query: np.ndarray,
     method: str = "maml",
     adapt: bool = True,
     config: MamlConfig | None = None,
 ) -> EvalResult:
-    """Per-task query accuracy, with a 1.96 * std / sqrt(T) half-width.
+    """Per-task query accuracy of (T, ways, shots) support and (T, ways,
+    queries) query index arrays, with a 1.96 * std / sqrt(T) half-width.
 
-    The tasks, all shaped alike, run as model stacks of EVAL_BLOCK_TASKS.
-    For maml, each task optionally adapts its copy of the model on its
-    support set before classifying queries with the head. For proto,
-    queries are matched to support prototypes in encoder space.
+    The tasks run as model stacks of EVAL_BLOCK_TASKS. For maml, each task
+    optionally adapts its copy of the model on its support set before
+    classifying queries with the head, which needs one output per way.
+    For proto, queries are matched to support prototypes in encoder space.
     """
-    if not tasks:
+    tasks, ways = support.shape[:2]
+    if tasks == 0:
         raise ParameterError("need at least one task")
     if method not in ("maml", "proto"):
         raise ParameterError(f"unknown method {method!r}")
+    if method == "maml" and model.ways != ways:
+        raise ParameterError(f"the maml head has {model.ways} ways, the episodes {ways}")
     cfg = config if config is not None else MamlConfig()
-    accs = np.empty(len(tasks))
-    for start in range(0, len(tasks), EVAL_BLOCK_TASKS):
-        block = tasks[start : start + EVAL_BLOCK_TASKS]
-        used, (s_idx, s_way), (q_idx, q_way) = _stacked(model, block)
+    accs = np.empty(tasks)
+    for start in range(0, tasks, EVAL_BLOCK_TASKS):
+        block = slice(start, start + EVAL_BLOCK_TASKS)
+        used, (s_idx, s_way), (q_idx, q_way) = _stacked(model, support[block], query[block])
         if method == "proto":
             e_s = mlp_forward(used.encoder, features[s_idx])
             scores = proto_classify(e_s, s_way, mlp_forward(used.encoder, features[q_idx]))
@@ -375,10 +380,10 @@ def evaluate_fewshot(
                 except NumericError as exc:
                     raise NumericError(exc.reason, task=start + exc.task) from exc
             scores = model_scores(used, features[q_idx])
-        accs[start : start + len(block)] = np.mean(np.argmax(scores, axis=-1) == q_way, axis=-1)
+        accs[block] = np.mean(np.argmax(scores, axis=-1) == q_way, axis=-1)
     mean = float(accs.mean())
-    ci = float(1.96 * accs.std(ddof=1) / np.sqrt(len(tasks))) if len(tasks) > 1 else 0.0
-    return EvalResult(mean_accuracy=mean, ci95=ci, task_count=len(tasks), per_task=accs)
+    ci = float(1.96 * accs.std(ddof=1) / np.sqrt(tasks)) if tasks > 1 else 0.0
+    return EvalResult(mean_accuracy=mean, ci95=ci, task_count=tasks, per_task=accs)
 
 
 @dataclass

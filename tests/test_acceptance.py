@@ -180,7 +180,8 @@ def test_criterion_4_end_to_end_fewshot(blob_run):
             sample_standard_task(test_pld, episode_config, rng_eval) for _ in range(500)
         ]
         result = evaluate_fewshot(
-            fs_model, test_pld.features, tasks, method=method, adapt=True, config=maml_config
+            fs_model, test_pld.features, np.stack([t.support for t in tasks]),
+            np.stack([t.query for t in tasks]), method=method, adapt=True, config=maml_config
         )
         accuracies[method] = result.mean_accuracy
     elapsed = time.monotonic() - start

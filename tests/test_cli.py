@@ -185,6 +185,36 @@ class TestPipeline:
                      "--seed", "99"]) == EXIT_VALIDATION
         assert "sample_index column" in capsys.readouterr().err
 
+    def test_meta_eval_ways_must_match_maml_head(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        # one query per way leaves each of the 4 held-out classes enough rows
+        for ways in ("2", "4"):
+            capsys.readouterr()
+            assert main(["meta-eval", "--config", str(path), "--out", str(out),
+                         "--ways", ways, "--queries", "1"]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert f"maml head has 3 ways, the episodes {ways}" in err
+            assert "Traceback" not in err
+
+    def test_meta_eval_proto_accepts_other_ways(self, tmp_path):
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out),
+                     "--method", "proto"]) == EXIT_OK
+        assert main(["meta-eval", "--config", str(path), "--out", str(out),
+                     "--method", "proto", "--ways", "2"]) == EXIT_OK
+        header, row = (out / "eval_proto_shot1.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["ways"] == "2"
+
+    def test_meta_eval_refuses_shots_flag(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path)
+        code = main(["meta-eval", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--shots", "5"])
+        assert code == EXIT_VALIDATION
+        assert "eval.shots" in capsys.readouterr().err
+
     def test_progressive_fraction_is_per_epoch(self, tmp_path):
         # gate 0 makes every batch progressive once a snapshot exists,
         # which is from epoch 1 on

@@ -11,6 +11,7 @@ from plcfe.episodes import (
     FewShotTask,
     WayProvenance,
     cluster_entropy,
+    draw_episodes,
     filter_noisy,
     predicted_label_counts,
     progressive_task,
@@ -127,6 +128,58 @@ class TestStandardTask:
             cluster = prov.base_cluster
             assert set(task.support[way]) <= set(pld.members[cluster].tolist())
             assert set(task.query[way]) <= set(pld.members[cluster].tolist())
+
+
+class TestDrawEpisodes:
+    def test_cluster_and_member_frequencies_are_uniform(self):
+        from scipy.stats import chisquare
+
+        sizes = np.array([5, 9, 12, 7, 10, 3, 8])
+        pld = make_pld(sizes.tolist())
+        eligible = np.flatnonzero(sizes >= 7)
+        draws, ways, picks = 20_000, 3, 7
+        clusters, samples = draw_episodes(pld, ways, picks, make_rng(0), draws)
+        assert np.isin(clusters, eligible).all()
+        for chosen in (clusters, clusters[:, 0]):
+            counts = np.bincount(chosen.ravel(), minlength=sizes.size)[eligible]
+            assert chisquare(counts).pvalue > 1e-3
+        per_cluster = np.bincount(clusters.ravel(), minlength=sizes.size)
+        in_eligible = np.isin(pld.pseudo_labels, eligible)
+        for picked, per_way in ((samples, picks), (samples[..., 0], 1)):
+            counts = np.bincount(picked.ravel(), minlength=sizes.sum())[in_eligible]
+            expected = (per_cluster * per_way / sizes)[pld.pseudo_labels][in_eligible]
+            # each cluster's total is fixed by its draw count
+            assert chisquare(counts, expected, ddof=eligible.size - 1).pvalue > 1e-3
+
+    def test_batched_structure(self):
+        rng = make_rng(1)
+        for seed in range(30):
+            sizes = rng.integers(1, 15, size=int(rng.integers(4, 10))).tolist()
+            pld = make_pld(sizes)
+            picks = int(rng.integers(1, 6))
+            eligible = [c for c, n in enumerate(sizes) if n >= picks]
+            if len(eligible) < 2:
+                with pytest.raises(ConstructionError):
+                    draw_episodes(pld, 2, picks, make_rng(seed), 5)
+                continue
+            ways = int(rng.integers(2, len(eligible) + 1))
+            clusters, samples = draw_episodes(pld, ways, picks, make_rng(seed), 50)
+            assert clusters.shape == (50, ways)
+            assert samples.shape == (50, ways, picks) and samples.dtype == np.int64
+            assert np.isin(clusters, eligible).all()
+            for task_clusters, task_samples in zip(clusters, samples):
+                assert np.unique(task_clusters).size == ways
+                assert np.unique(task_samples).size == task_samples.size
+            assert np.array_equal(pld.pseudo_labels[samples], np.repeat(clusters[..., None], picks, -1))
+
+    def test_standard_task_is_one_kernel_task(self):
+        pld = make_pld([6, 9, 4, 7, 8])
+        config = EpisodeConfig(ways=3, shots=2, queries=4)
+        task = sample_standard_task(pld, config, make_rng(2))
+        (clusters,), (picks,) = draw_episodes(pld, 3, 6, make_rng(2))
+        assert [p.base_cluster for p in task.provenance] == clusters.tolist()
+        assert np.array_equal(task.support, picks[:, :2])
+        assert np.array_equal(task.query, picks[:, 2:])
 
 
 class TestClusterEntropy:
@@ -356,6 +409,26 @@ class TestProgressiveTask:
                     )
                 assert set(task.query[way].tolist()) <= set(pool.tolist())
 
+    def test_filter_ranks_saturated_probabilities_by_log_probability(self):
+        # every row scores way 0 ahead by 40 + j for j = position % 10, so
+        # each way-0 softmax probability rounds to exactly 1.0; the
+        # log-probabilities still rank j = 5..9 above j = 0..4
+        pld = make_pld([10, 10, 10])
+        model = make_cluster_model(pld)
+        margin = 40.0 + np.arange(30) % 10
+        scorer = RowScorer(np.stack([np.zeros(30), -margin], axis=1))
+        assert (softmax(scorer.rows)[:, 0] == 1.0).all()
+        config = EpisodeConfig(
+            ways=2, shots=1, queries=2, candidate_neighbors=1, keep_rate=0.5
+        )
+        checked = 0
+        for seed in range(10):
+            task = progressive_task(pld, model, scorer, config, make_rng(seed))
+            if not task.provenance[0].fallback:
+                assert (task.query[0] % 10 >= 5).all()
+                checked += 1
+        assert checked > 0
+
     def test_fallback_on_overfiltering(self):
         # all members of every candidate score to way 1, so way 0's pool
         # empties once the keep cut is applied and queries revert to base
@@ -436,11 +509,8 @@ def per_candidate_progressive_task(pld, cluster_model, eval_model, config, rng):
     their own forward pass, then the chosen cluster's again for the filter,
     and tracks used samples in sets."""
     need = config.shots + config.queries
-    eligible = np.array([c for c, m in enumerate(pld.members) if m.size >= need])
-    bases = rng.choice(eligible, size=config.ways, replace=False)
-    support = np.empty((config.ways, config.shots), dtype=np.int64)
-    for way, cluster_id in enumerate(bases):
-        support[way] = rng.choice(pld.members[cluster_id], size=config.shots, replace=False)
+    (bases,), (picks,) = draw_episodes(pld, config.ways, need, rng)
+    support = picks[:, : config.shots]
     support_flat = support.reshape(-1)
     adapted = eval_model.finetuned(
         pld.features[support_flat], np.repeat(np.arange(config.ways), config.shots)

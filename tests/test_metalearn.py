@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plcfe.episodes import FewShotTask, WayProvenance
+from plcfe.episodes import FewShotTask, WayProvenance, way_pairs
 from plcfe.errors import NumericError, ParameterError, StateError
 from plcfe.metalearn import (
     EVAL_BLOCK_TASKS,
@@ -39,6 +39,11 @@ def make_task(support, query):
     query = np.asarray(query)
     provenance = [WayProvenance(w, w, False) for w in range(support.shape[0])]
     return FewShotTask(support=support, query=query, provenance=provenance)
+
+
+def task_arrays(tasks):
+    """(T, ways, shots) support and (T, ways, queries) query arrays."""
+    return np.stack([t.support for t in tasks]), np.stack([t.query for t in tasks])
 
 
 def toy_model(seed=0, input_dim=2, ways=2):
@@ -122,7 +127,7 @@ class TestMetaStep:
         meta_grad, _ = maml_meta_gradient(model, features, tasks, config)
         expected = np.zeros_like(meta_grad)
         for task in tasks:
-            q_idx, q_way = task.query_pairs()
+            q_idx, q_way = way_pairs(task.query)
             _, g = model_loss_and_grad(model, features[q_idx], q_way)
             expected += g
         assert np.allclose(meta_grad, expected / 2, atol=1e-15)
@@ -229,8 +234,8 @@ class TestStackedTasks:
     config = MamlConfig(inner_lr=0.1, inner_steps=3)
 
     def looped_accuracy(self, model, features, task, method):
-        s_idx, s_way = task.support_pairs()
-        q_idx, q_way = task.query_pairs()
+        s_idx, s_way = way_pairs(task.support)
+        q_idx, q_way = way_pairs(task.query)
         if method == "proto":
             e_s = mlp_forward(model.encoder, features[s_idx])
             scores = proto_classify(e_s, s_way, mlp_forward(model.encoder, features[q_idx]))
@@ -244,7 +249,7 @@ class TestStackedTasks:
         model = stack_model()
         features = make_rng(21).normal(size=(200, 6))
         tasks = random_tasks(n_tasks, 200, shots=shots, seed=22)
-        result = evaluate_fewshot(model, features, tasks, method=method, config=self.config)
+        result = evaluate_fewshot(model, features, *task_arrays(tasks), method=method, config=self.config)
         expected = [self.looped_accuracy(model, features, task, method) for task in tasks]
         assert np.array_equal(result.per_task, expected)
 
@@ -265,8 +270,8 @@ class TestStackedTasks:
         meta_grad, mean_loss = maml_meta_gradient(model, features, tasks, self.config)
         total, total_loss = np.zeros_like(model.vector), 0.0
         for task in tasks:
-            s_idx, s_way = task.support_pairs()
-            q_idx, q_way = task.query_pairs()
+            s_idx, s_way = way_pairs(task.support)
+            q_idx, q_way = way_pairs(task.query)
             adapted = maml_inner_adapt(
                 model, features[s_idx], s_way, self.config.inner_lr, self.config.inner_steps
             )
@@ -283,8 +288,8 @@ class TestStackedTasks:
         stepped, mean_loss = proto_meta_step(model, features, tasks, lr=0.1)
         total, total_loss = np.zeros(model.encoder.vector.size), 0.0
         for task in tasks:
-            s_idx, s_way = task.support_pairs()
-            q_idx, q_way = task.query_pairs()
+            s_idx, s_way = way_pairs(task.support)
+            q_idx, q_way = way_pairs(task.query)
             loss, grad = proto_loss_and_grad(model, features[s_idx], s_way, features[q_idx], q_way)
             total += grad
             total_loss += loss
@@ -322,7 +327,7 @@ class TestStackedTasks:
         bad = EVAL_BLOCK_TASKS + 3
         features = with_nan_rows(features, tasks[bad], "support")
         with pytest.raises(NumericError, match=f"^task {bad}: non-finite") as info:
-            evaluate_fewshot(stack_model(), features, tasks, method="maml", config=self.config)
+            evaluate_fewshot(stack_model(), features, *task_arrays(tasks), method="maml", config=self.config)
         assert info.value.task == bad
 
 
@@ -414,7 +419,7 @@ class TestEvaluate:
         model = self.constant_model()
         features = make_rng(1).normal(size=(100, 2))
         tasks = self.balanced_tasks(200)
-        result = evaluate_fewshot(model, features, tasks, method="maml", adapt=False)
+        result = evaluate_fewshot(model, features, *task_arrays(tasks), method="maml", adapt=False)
         # argmax of equal scores always picks way 0: exactly 1/N per task
         assert result.mean_accuracy == pytest.approx(0.2, abs=1e-12)
         assert result.ci95 == 0.0
@@ -431,16 +436,16 @@ class TestEvaluate:
             tasks.append(make_task(np.stack([s0, s1]), np.stack([q0, q1])))
         model = init_fewshot_model(2, 2, MamlConfig(encoder_hidden=(8,), encoder_dim=4), make_rng(3))
         config = MamlConfig(inner_lr=0.5, inner_steps=50)
-        result = evaluate_fewshot(model, features, tasks, method="maml", adapt=True, config=config)
+        result = evaluate_fewshot(model, features, *task_arrays(tasks), method="maml", adapt=True, config=config)
         assert result.mean_accuracy == 1.0
-        proto_result = evaluate_fewshot(model, features, tasks, method="proto")
+        proto_result = evaluate_fewshot(model, features, *task_arrays(tasks), method="proto")
         assert proto_result.mean_accuracy == 1.0
 
     def test_fixed_seed_replay(self):
         model = toy_model(seed=4)
         features = make_rng(5).normal(size=(100, 2))
-        r1 = evaluate_fewshot(model, features, self.balanced_tasks(50, ways=2, seed=7), method="maml")
-        r2 = evaluate_fewshot(model, features, self.balanced_tasks(50, ways=2, seed=7), method="maml")
+        r1 = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(50, ways=2, seed=7)), method="maml")
+        r2 = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(50, ways=2, seed=7)), method="maml")
         assert r1.mean_accuracy == r2.mean_accuracy and r1.ci95 == r2.ci95
 
     def test_ci_shrinks_with_task_count(self):
@@ -449,8 +454,8 @@ class TestEvaluate:
         encoder = MlpParams([(np.eye(2), np.array([10.0, 10.0]))], "relu")
         model = FewShotModel(encoder, np.eye(2), np.zeros(2))
         features = make_rng(9).normal(size=(100, 2))
-        small = evaluate_fewshot(model, features, self.balanced_tasks(50, ways=2, seed=10), method="maml", adapt=False)
-        large = evaluate_fewshot(model, features, self.balanced_tasks(800, ways=2, seed=10), method="maml", adapt=False)
+        small = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(50, ways=2, seed=10)), method="maml", adapt=False)
+        large = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(800, ways=2, seed=10)), method="maml", adapt=False)
         assert 0.0 <= large.mean_accuracy <= 1.0
         assert small.ci95 > 0.0
         # 16x the tasks should shrink the half-width by about 4x
@@ -458,7 +463,7 @@ class TestEvaluate:
 
     def test_needs_tasks(self):
         with pytest.raises(ParameterError):
-            evaluate_fewshot(toy_model(), np.zeros((1, 2)), [], method="maml")
+            evaluate_fewshot(toy_model(), np.zeros((1, 2)), np.zeros((0, 2, 1), dtype=int), np.zeros((0, 2, 1), dtype=int), method="maml")
 
 
 class TestSnapshots:
