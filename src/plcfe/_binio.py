@@ -1,16 +1,67 @@
-"""Low-level helpers for the package's binary containers.
+"""The package's one artifact I/O layer: atomic file replacement, CSV
+writing and the binary containers' header.
 
-All multi-byte fields are little-endian. Readers track their byte offset so
-format errors can name the exact position that failed.
+Every artifact is written to a temporary sibling and moved onto its path
+only when the write completed, so a stage that fails or is interrupted
+leaves the previous file or none, never a prefix. There is no fsync: the
+guarded failure is a killed or failing stage, not a power loss.
+
+Containers start with a 4-byte magic, a u16 format version and a u16 kind
+or flags field. All multi-byte fields are little-endian. Readers track
+their byte offset so format errors can name the exact position that
+failed.
 """
 
 from __future__ import annotations
 
+import csv
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .errors import FormatError
+
+
+@contextmanager
+def artifact_file(path, mode: str = "w"):
+    """Open a temporary sibling of path for writing ("w" text, "wb"
+    binary) and move it onto path when the block exits cleanly; on any
+    exception it is removed and path is left as it was. Text is written
+    with newline="", so line endings are exactly what the caller wrote."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header: list[str], rows: Iterable) -> None:
+    """One CSV artifact: the header, then each row as it is drawn from
+    rows, so a generator is never held as a whole."""
+    with artifact_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_container(path, magic: bytes, version: int) -> tuple["ByteReader", int]:
+    """A whole container file with its header checked: the reader,
+    positioned after the header, and the kind or flags field."""
+    reader = ByteReader(Path(path).read_bytes())
+    reader.expect_magic(magic)
+    at = reader.offset
+    found = reader.read_u16("version")
+    if found != version:
+        raise FormatError(f"unsupported format version {found}", offset=at)
+    return reader, reader.read_u16("kind or flags")
 
 
 class ByteReader:
@@ -56,13 +107,10 @@ class ByteReader:
 
 
 class ByteWriter:
-    """Accumulates little-endian fields into a bytes payload."""
+    """Accumulates a container, header first, as little-endian fields."""
 
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def write_bytes(self, data: bytes) -> None:
-        self._parts.append(data)
+    def __init__(self, magic: bytes, version: int, tag: int):
+        self._parts: list[bytes] = [magic, struct.pack("<HH", version, tag)]
 
     def write_u16(self, value: int) -> None:
         self._parts.append(struct.pack("<H", value))
@@ -76,5 +124,6 @@ class ByteWriter:
     def write_u32_array(self, array: np.ndarray) -> None:
         self._parts.append(np.ascontiguousarray(array, dtype="<u4").tobytes())
 
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+    def save(self, path) -> None:
+        with artifact_file(path, "wb") as fh:
+            fh.writelines(self._parts)

@@ -10,13 +10,12 @@ else repels.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._binio import ByteReader, ByteWriter
+from ._binio import ByteReader, ByteWriter, read_container, write_csv
 from .data import AugmentConfig, augment
 from .errors import FormatError, NumericError, ParameterError, ShapeError, StateError
 from .numcore import (
@@ -311,15 +310,25 @@ def encode(params: MlpParams | EncoderPair, features: np.ndarray, normalize: boo
     return l2_normalize(raw) if normalize else raw
 
 
-def _write_mlp_descriptor(writer: ByteWriter, mlp: MlpParams) -> None:
-    writer.write_u16(_ACTIVATION_CODES[mlp.activation])
-    writer.write_u16(len(mlp.layers))
-    for rows, cols in mlp.shapes:
+def checkpoint_writer(kind: int, encoder: MlpParams) -> ByteWriter:
+    """A checkpoint container of this kind, opened with the encoder's
+    activation and layer shapes."""
+    writer = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, kind)
+    writer.write_u16(_ACTIVATION_CODES[encoder.activation])
+    writer.write_u16(len(encoder.shapes))
+    for rows, cols in encoder.shapes:
         writer.write_u32(rows)
         writer.write_u32(cols)
+    return writer
 
 
-def _read_mlp_descriptor(reader: ByteReader) -> tuple[str, list[tuple[int, int]]]:
+def read_checkpoint(path, kind: int, what: str) -> tuple[ByteReader, str, list[tuple[int, int]]]:
+    """Inverse of checkpoint_writer: the reader past the encoder's
+    architecture, its activation and its layer shapes. A checkpoint of
+    another kind is a FormatError that says it is not `what`."""
+    reader, found = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    if found != kind:
+        raise FormatError(f"checkpoint kind {found} is not {what}", offset=reader.offset - 2)
     at = reader.offset
     code = reader.read_u16("activation code")
     if code not in _ACTIVATION_NAMES:
@@ -330,10 +339,12 @@ def _read_mlp_descriptor(reader: ByteReader) -> tuple[str, list[tuple[int, int]]
         rows = reader.read_u32(f"layer {i} rows")
         cols = reader.read_u32(f"layer {i} cols")
         shapes.append((rows, cols))
-    return _ACTIVATION_NAMES[code], shapes
+    return reader, _ACTIVATION_NAMES[code], shapes
 
 
-def _read_mlp_payload(reader: ByteReader, activation: str, shapes: list[tuple[int, int]]) -> MlpParams:
+def read_mlp(reader: ByteReader, activation: str, shapes: list[tuple[int, int]]) -> MlpParams:
+    """One network's parameters, in the layout checkpoint_writer's
+    encoder vector was written in."""
     layers = []
     for i, (rows, cols) in enumerate(shapes):
         w = reader.read_f64_array(rows * cols, f"layer {i} weights").reshape(rows, cols)
@@ -344,40 +355,20 @@ def _read_mlp_payload(reader: ByteReader, activation: str, shapes: list[tuple[in
 
 def save_checkpoint(pair: EncoderPair, path) -> None:
     """Versioned binary checkpoint of both encoders."""
-    writer = ByteWriter()
-    writer.write_bytes(CHECKPOINT_MAGIC)
-    writer.write_u16(CHECKPOINT_VERSION)
-    writer.write_u16(KIND_ENCODER_PAIR)
-    _write_mlp_descriptor(writer, pair.main)
+    writer = checkpoint_writer(KIND_ENCODER_PAIR, pair.main)
     writer.write_f64_array(pair.main.vector)
     writer.write_f64_array(pair.history.vector)
-    with open(path, "wb") as fh:
-        fh.write(writer.getvalue())
+    writer.save(path)
 
 
 def load_checkpoint(path) -> EncoderPair:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    reader = ByteReader(data)
-    reader.expect_magic(CHECKPOINT_MAGIC)
-    at = reader.offset
-    version = reader.read_u16("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=at)
-    at = reader.offset
-    kind = reader.read_u16("kind")
-    if kind != KIND_ENCODER_PAIR:
-        raise FormatError(f"checkpoint kind {kind} is not an encoder pair", offset=at)
-    activation, shapes = _read_mlp_descriptor(reader)
-    main = _read_mlp_payload(reader, activation, shapes)
-    history = _read_mlp_payload(reader, activation, shapes)
+    reader, activation, shapes = read_checkpoint(path, KIND_ENCODER_PAIR, "an encoder pair")
+    main = read_mlp(reader, activation, shapes)
+    history = read_mlp(reader, activation, shapes)
     reader.expect_end()
     return EncoderPair(main=main, history=history)
 
 
 def write_loss_trace(trace: list[float], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, value in enumerate(trace):
-            writer.writerow([epoch, f"{value:.10g}"])
+    rows = ([epoch, f"{value:.10g}"] for epoch, value in enumerate(trace))
+    write_csv(path, ["epoch", "mean_loss"], rows)

@@ -11,7 +11,6 @@ echo and a hash of every artifact.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -26,6 +25,7 @@ from . import data as data_mod
 from . import episodes as episodes_mod
 from . import metalearn as meta_mod
 from . import metrics as metrics_mod
+from ._binio import artifact_file, write_csv
 from .errors import ParameterError, PlcfeError
 from .numcore import derive_rng
 
@@ -64,6 +64,8 @@ class ClusterSection:
     max_iters: int = 100
 
     def __post_init__(self):
+        if self.k is not None and (isinstance(self.k, bool) or not isinstance(self.k, int)):
+            raise ParameterError(f"cluster.k must be null or an integer, not {json.dumps(self.k)}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ParameterError("cluster.restarts and cluster.max_iters must be >= 1")
 
@@ -112,35 +114,51 @@ _SECTION_TYPES = {
     "eval": EvalSection,
 }
 
-_TUPLE_FIELDS = {
-    ("augment", "scale_range"),
-    ("cfe", "hidden_dims"),
-    ("maml", "encoder_hidden"),
-    ("eval", "shots"),
+# JSON values a config key takes, by the type of its field's default: bool
+# stays apart from int, and a field whose default is None takes any value
+_VALUE_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list, tuple), "a list"),
 }
+
+
+def _check_value(name: str, value, default) -> None:
+    if default is None:
+        return
+    accepted, kind = _VALUE_TYPES[type(default)]
+    if not isinstance(value, accepted) or isinstance(value, bool) != isinstance(default, bool):
+        raise ParameterError(f"config key {name} must be {kind}, not {json.dumps(value)}")
+    if isinstance(default, tuple):
+        for i, item in enumerate(value):
+            _check_value(f"{name}[{i}]", item, default[0])
 
 
 def build_config(raw: dict) -> PipelineConfig:
     """Nested dict (parsed JSON) to a validated PipelineConfig; unknown
-    keys are rejected by name."""
+    keys and values of the wrong type are rejected by name."""
     kwargs = {}
     for key, value in raw.items():
         if key in _SECTION_TYPES:
             section_cls = _SECTION_TYPES[key]
             if not isinstance(value, dict):
                 raise ParameterError(f"config section {key!r} must be an object")
-            names = {f for f in section_cls.__dataclass_fields__}
-            for sub in value:
+            defaults = section_cls()
+            # a section held inside another one (cfe.augment) is set from
+            # its top-level spelling only
+            names = set(section_cls.__dataclass_fields__) - set(_SECTION_TYPES)
+            fixed = {}
+            for sub, v in value.items():
                 if sub not in names:
                     raise ParameterError(f"unknown config key: {key}.{sub}")
-            fixed = {
-                sub: tuple(v) if (key, sub) in _TUPLE_FIELDS and v is not None else v
-                for sub, v in value.items()
-            }
-            if key == "cfe" and "augment" in fixed:
-                fixed["augment"] = data_mod.AugmentConfig(**fixed["augment"])
+                default = getattr(defaults, sub)
+                _check_value(f"{key}.{sub}", v, default)
+                fixed[sub] = tuple(v) if isinstance(default, tuple) else v
             kwargs[key] = section_cls(**fixed)
         elif key in ("seed", "out_dir", "method", "episode_mode"):
+            _check_value(key, value, getattr(PipelineConfig, key))
             kwargs[key] = value
         else:
             raise ParameterError(f"unknown config key: {key}")
@@ -235,11 +253,11 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
         pair = cfe_mod.load_checkpoint(_require(ws, ckpt, "metrics"))
         emb = cfe_mod.encode(pair, features, normalize=config.cfe.normalize)
         report = metrics_mod.similarity_ratio(
-            metrics_mod.LabeledEmbeddings(emb, labels, ds.meta.classes),
+            metrics_mod.LabeledEmbeddings(emb, labels, ds.classes),
             config.cfe.temperature,
         )
         metrics_mod.write_similarity_csv(report, ws.path(f"similarity_{tag}.csv"))
-        points, _ = metrics_mod.pca_project_2d(emb, labels)
+        points = metrics_mod.pca_project_2d(emb)
         metrics_mod.write_projection_csv(points, ws.path(f"pca_{tag}.csv"), labels)
         out += [f"similarity_{tag}.csv", f"pca_{tag}.csv"]
     return out
@@ -249,7 +267,7 @@ def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds = data_mod.read_dataset(_require(ws, "dataset.plds", "cluster"))
     embeddings = data_mod.read_embeddings(_require(ws, "embeddings.plem", "cluster"))
     train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
-    k = config.cluster.k if config.cluster.k is not None else 4 * ds.meta.classes
+    k = config.cluster.k if config.cluster.k is not None else 4 * ds.classes
     model = cluster_mod.kmeans(
         embeddings[train_idx],
         k,
@@ -266,10 +284,11 @@ def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
     out = ["clusters_assignment.csv", "clusters_centers.csv"]
     if ds.eval_labels is not None:
         acc = metrics_mod.clustering_accuracy(model.assignment, ds.eval_labels[train_idx])
-        with open(ws.path("clustering_quality.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "inertia", "hungarian_accuracy"])
-            writer.writerow([k, f"{model.inertia:.17g}", f"{acc:.6f}"])
+        write_csv(
+            ws.path("clustering_quality.csv"),
+            ["k", "inertia", "hungarian_accuracy"],
+            [[k, f"{model.inertia:.17g}", f"{acc:.6f}"]],
+        )
         out.append("clustering_quality.csv")
     return out
 
@@ -300,20 +319,19 @@ def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
         rng=derive_rng(config.seed, KEY_META),
     )
     meta_mod.save_model(fs_model, ws.path("meta_model.plcf"))
-    with open(ws.path("meta_history.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "query_loss", "progressive_fraction"])
-        for epoch, (loss, fraction) in enumerate(
-            zip(history["epoch_query_loss"], history["epoch_progressive_fraction"])
-        ):
-            writer.writerow([epoch, f"{loss:.10g}", f"{fraction:.6f}"])
+    per_epoch = zip(history["epoch_query_loss"], history["epoch_progressive_fraction"])
+    write_csv(
+        ws.path("meta_history.csv"),
+        ["epoch", "query_loss", "progressive_fraction"],
+        ([epoch, f"{loss:.10g}", f"{fraction:.6f}"] for epoch, (loss, fraction) in enumerate(per_epoch)),
+    )
     return ["meta_model.plcf", "meta_history.csv"]
 
 
 def _test_pld(ds: data_mod.Dataset, test_idx: np.ndarray) -> cluster_mod.PseudoLabeledDataset:
     # evaluation-only: groups the held-out split by its true labels
     labels = ds.eval_labels[test_idx]
-    members = [np.flatnonzero(labels == c) for c in range(ds.meta.classes)]
+    members = [np.flatnonzero(labels == c) for c in range(ds.classes)]
     return cluster_mod.PseudoLabeledDataset(
         features=ds.features[test_idx], pseudo_labels=labels.copy(), members=members
     )
@@ -399,7 +417,7 @@ def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
         "stages": [name for name, _ in stages],
         "artifacts": artifacts,
     }
-    with open(ws.path("manifest.json"), "w") as fh:
+    with artifact_file(ws.path("manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._binio import write_csv
 from .errors import FormatError, ParameterError, ShapeError
 
 
@@ -157,16 +158,16 @@ def write_cluster_csv(
     to original dataset indices when the model was fit on a subset."""
     if sample_indices is None:
         sample_indices = np.arange(model.assignment.shape[0])
-    with open(assignment_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "cluster_id"])
-        for i, c in zip(sample_indices, model.assignment):
-            writer.writerow([int(i), int(c)])
-    with open(centers_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id"] + [f"c{j}" for j in range(model.centers.shape[1])])
-        for cid, row in enumerate(model.centers):
-            writer.writerow([cid] + [f"{v:.17g}" for v in row])
+    write_csv(
+        assignment_path,
+        ["sample_index", "cluster_id"],
+        ([int(i), int(c)] for i, c in zip(sample_indices, model.assignment)),
+    )
+    write_csv(
+        centers_path,
+        ["cluster_id"] + [f"c{j}" for j in range(model.centers.shape[1])],
+        ([cid] + [f"{v:.17g}" for v in row] for cid, row in enumerate(model.centers)),
+    )
 
 
 def read_cluster_csv(assignment_path, centers_path, sample_indices=None) -> ClusterModel:

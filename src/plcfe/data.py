@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import ByteReader, ByteWriter
-from .errors import FormatError, ParameterError
+from ._binio import ByteWriter, read_container
+from .errors import ParameterError
 
 DATASET_MAGIC = b"PLDS"
 EMBEDDING_MAGIC = b"PLEM"
@@ -22,13 +22,6 @@ FORMAT_VERSION = 1
 FLAG_LABELS = 0x0001
 
 REJECTION_BUDGET = 10_000
-
-
-@dataclass
-class DatasetMeta:
-    n: int
-    dim: int
-    classes: int
 
 
 @dataclass
@@ -42,7 +35,7 @@ class Dataset:
 
     features: np.ndarray
     eval_labels: np.ndarray | None
-    meta: DatasetMeta
+    classes: int
     class_means: np.ndarray | None = None
 
     def __post_init__(self):
@@ -114,8 +107,7 @@ def gen_blobs(
     labels = np.repeat(np.arange(classes), per_class)
     noise = rng.normal(size=(classes * per_class, dim))
     features = means[labels] + noise
-    meta = DatasetMeta(n=classes * per_class, dim=dim, classes=classes)
-    return Dataset(features, labels, meta, class_means=means)
+    return Dataset(features, labels, classes, class_means=means)
 
 
 def augment(sample: np.ndarray, config: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -135,28 +127,19 @@ def augment(sample: np.ndarray, config: AugmentConfig, rng: np.random.Generator)
     return out
 
 
-def _write_container(magic: bytes, features: np.ndarray, labels, classes: int) -> bytes:
-    writer = ByteWriter()
-    writer.write_bytes(magic)
-    writer.write_u16(FORMAT_VERSION)
-    writer.write_u16(FLAG_LABELS if labels is not None else 0)
+def _write_container(magic: bytes, features: np.ndarray, labels, classes: int, path) -> None:
+    writer = ByteWriter(magic, FORMAT_VERSION, FLAG_LABELS if labels is not None else 0)
     writer.write_u32(features.shape[0])
     writer.write_u32(features.shape[1])
     writer.write_u32(classes)
     writer.write_f64_array(features)
     if labels is not None:
         writer.write_u32_array(labels)
-    return writer.getvalue()
+    writer.save(path)
 
 
-def _read_container(data: bytes, magic: bytes):
-    reader = ByteReader(data)
-    reader.expect_magic(magic)
-    at = reader.offset
-    version = reader.read_u16("version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}", offset=at)
-    flags = reader.read_u16("flags")
+def _read_container(path, magic: bytes):
+    reader, flags = read_container(path, magic, FORMAT_VERSION)
     n = reader.read_u32("sample count")
     d = reader.read_u32("feature dim")
     classes = reader.read_u32("class count")
@@ -169,31 +152,16 @@ def _read_container(data: bytes, magic: bytes):
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    payload = _write_container(
-        DATASET_MAGIC, dataset.features, dataset.eval_labels, dataset.meta.classes
-    )
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    _write_container(DATASET_MAGIC, dataset.features, dataset.eval_labels, dataset.classes, path)
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    features, labels, classes = _read_container(data, DATASET_MAGIC)
-    meta = DatasetMeta(n=features.shape[0], dim=features.shape[1], classes=classes)
-    return Dataset(features, labels, meta)
+    return Dataset(*_read_container(path, DATASET_MAGIC))
 
 
 def write_embeddings(embeddings: np.ndarray, path) -> None:
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    payload = _write_container(EMBEDDING_MAGIC, embeddings, None, 0)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    _write_container(EMBEDDING_MAGIC, np.asarray(embeddings, dtype=np.float64), None, 0, path)
 
 
 def read_embeddings(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    features, _, _ = _read_container(data, EMBEDDING_MAGIC)
-    return features
-
+    return _read_container(path, EMBEDDING_MAGIC)[0]

@@ -16,12 +16,12 @@ log-softmax ranks members for the filter.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
+from ._binio import write_csv
 from .cluster import ClusterModel, PseudoLabeledDataset, nearest_clusters
 from .errors import ConstructionError, InsufficientSamplesError, ParameterError
 
@@ -313,19 +313,15 @@ def sample_task_batch(
 
 def write_tasks_csv(tasks: list[FewShotTask], path) -> None:
     """Audit dump: one row per sample placement."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["task_id", "role", "way", "sample_index", "source_cluster", "progressive_flag"]
-        )
+
+    def rows():
         for task_id, task in enumerate(tasks):
             for way in range(task.ways):
                 prov = task.provenance[way]
                 for idx in task.support[way]:
-                    writer.writerow(
-                        [task_id, "support", way, int(idx), prov.base_cluster, int(prov.progressive)]
-                    )
+                    yield [task_id, "support", way, int(idx), prov.base_cluster, int(prov.progressive)]
                 for idx in task.query[way]:
-                    writer.writerow(
-                        [task_id, "query", way, int(idx), prov.query_cluster, int(prov.progressive)]
-                    )
+                    yield [task_id, "query", way, int(idx), prov.query_cluster, int(prov.progressive)]
+
+    header = ["task_id", "role", "way", "sample_index", "source_cluster", "progressive_flag"]
+    write_csv(path, header, rows())

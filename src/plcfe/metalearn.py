@@ -10,23 +10,15 @@ evaluation models that the progressive episode sampler consumes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import episodes as episodes_mod
-from ._binio import ByteReader, ByteWriter
-from .cfe import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    KIND_FEWSHOT_MODEL,
-    _read_mlp_descriptor,
-    _read_mlp_payload,
-    _write_mlp_descriptor,
-)
+from ._binio import write_csv
+from .cfe import KIND_FEWSHOT_MODEL, checkpoint_writer, read_checkpoint, read_mlp
 from .cluster import ClusterModel, PseudoLabeledDataset
-from .errors import FormatError, NumericError, ParameterError, ShapeError, StateError
+from .errors import NumericError, ParameterError, ShapeError, StateError
 from .numcore import (
     MlpParams,
     init_mlp,
@@ -491,35 +483,18 @@ def meta_train(
 
 def save_model(model: FewShotModel, path) -> None:
     """Few-shot model in the shared versioned checkpoint container."""
-    writer = ByteWriter()
-    writer.write_bytes(CHECKPOINT_MAGIC)
-    writer.write_u16(CHECKPOINT_VERSION)
-    writer.write_u16(KIND_FEWSHOT_MODEL)
-    _write_mlp_descriptor(writer, model.encoder)
+    writer = checkpoint_writer(KIND_FEWSHOT_MODEL, model.encoder)
     writer.write_u32(model.head_w.shape[0])
     writer.write_u32(model.head_w.shape[1])
     writer.write_f64_array(model.vector)  # encoder payload, then head_w, then head_b
-    with open(path, "wb") as fh:
-        fh.write(writer.getvalue())
+    writer.save(path)
 
 
 def load_model(path) -> FewShotModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    reader = ByteReader(data)
-    reader.expect_magic(CHECKPOINT_MAGIC)
-    at = reader.offset
-    version = reader.read_u16("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=at)
-    at = reader.offset
-    kind = reader.read_u16("kind")
-    if kind != KIND_FEWSHOT_MODEL:
-        raise FormatError(f"checkpoint kind {kind} is not a few-shot model", offset=at)
-    activation, shapes = _read_mlp_descriptor(reader)
+    reader, activation, shapes = read_checkpoint(path, KIND_FEWSHOT_MODEL, "a few-shot model")
     ways = reader.read_u32("head ways")
     head_in = reader.read_u32("head input dim")
-    encoder = _read_mlp_payload(reader, activation, shapes)
+    encoder = read_mlp(reader, activation, shapes)
     head_w = reader.read_f64_array(ways * head_in, "head weights").reshape(ways, head_in)
     head_b = reader.read_f64_array(ways, "head bias")
     reader.expect_end()
@@ -527,9 +502,8 @@ def load_model(path) -> FewShotModel:
 
 
 def write_eval_csv(result: EvalResult, ways: int, shots: int, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_count", "shots", "ways", "mean_acc", "ci95"])
-        writer.writerow(
-            [result.task_count, shots, ways, f"{result.mean_accuracy:.6f}", f"{result.ci95:.6f}"]
-        )
+    write_csv(
+        path,
+        ["task_count", "shots", "ways", "mean_acc", "ci95"],
+        [[result.task_count, shots, ways, f"{result.mean_accuracy:.6f}", f"{result.ci95:.6f}"]],
+    )

@@ -8,12 +8,12 @@ inter/intra ratio, and a simple clustering algorithm will recover them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._binio import write_csv
 from .errors import DegenerateDataError, ParameterError, ShapeError
 
 @dataclass
@@ -116,15 +116,12 @@ def similarity_ratio(data: LabeledEmbeddings, tau: float) -> SimilarityReport:
     )
 
 
-def pca_project_2d(
-    embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def pca_project_2d(embeddings: np.ndarray) -> np.ndarray:
     """Project rows onto the top-2 principal directions for plotting.
 
     Directions are eigenvectors of the covariance matrix sorted by
     descending eigenvalue, each sign-fixed so its largest-magnitude
-    component is positive. If labels are given, per-class centers are
-    projected too.
+    component is positive.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
@@ -140,13 +137,7 @@ def pca_project_2d(
         lead = np.argmax(np.abs(basis[:, k]))
         if basis[lead, k] < 0:
             basis[:, k] = -basis[:, k]
-    points = centered @ basis
-    centers = None
-    if labels is not None:
-        labels = np.asarray(labels)
-        ids = np.unique(labels)
-        centers = np.stack([points[labels == c].mean(axis=0) for c in ids])
-    return points, centers
+    return centered @ basis
 
 
 def clustering_accuracy(pseudo_labels, true_labels) -> float:
@@ -167,30 +158,19 @@ def clustering_accuracy(pseudo_labels, true_labels) -> float:
 
 def write_similarity_csv(report: SimilarityReport, path) -> None:
     """Long-format CSV of the report, 6 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["field", "value"])
-        writer.writerow(["intra_mean", f"{report.intra_mean:.6g}"])
-        writer.writerow(["inter_mean", f"{report.inter_mean:.6g}"])
-        writer.writerow(["inter_mean_per_sample", f"{report.inter_mean_per_sample:.6g}"])
-        writer.writerow(["ratio", f"{report.ratio:.6g}"])
-        writer.writerow(["intra_sum", f"{report.intra_sum:.6g}"])
-        writer.writerow(["inter_sum", f"{report.inter_sum:.6g}"])
-        writer.writerow(["temperature", f"{report.temperature:.6g}"])
-        writer.writerow(["num_classes", str(report.num_classes)])
-        for i, value in enumerate(report.per_class_intra):
-            writer.writerow([f"intra_class_{i}", f"{value:.6g}"])
+    fields = (
+        "intra_mean", "inter_mean", "inter_mean_per_sample", "ratio", "intra_sum", "inter_sum", "temperature"
+    )
+    rows = [[name, f"{getattr(report, name):.6g}"] for name in fields]
+    rows.append(["num_classes", str(report.num_classes)])
+    rows += ([f"intra_class_{i}", f"{value:.6g}"] for i, value in enumerate(report.per_class_intra))
+    write_csv(path, ["field", "value"], rows)
 
 
 def write_projection_csv(points: np.ndarray, path, labels: np.ndarray | None = None) -> None:
     """2-D projection as CSV (x, y and optional label), 6 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if labels is None:
-            writer.writerow(["x", "y"])
-            for row in points:
-                writer.writerow([f"{row[0]:.6g}", f"{row[1]:.6g}"])
-        else:
-            writer.writerow(["x", "y", "label"])
-            for row, lab in zip(points, labels):
-                writer.writerow([f"{row[0]:.6g}", f"{row[1]:.6g}", str(int(lab))])
+    rows = ([f"{row[0]:.6g}", f"{row[1]:.6g}"] for row in points)
+    if labels is None:
+        write_csv(path, ["x", "y"], rows)
+    else:
+        write_csv(path, ["x", "y", "label"], (row + [str(int(lab))] for row, lab in zip(rows, labels)))

@@ -52,6 +52,17 @@ class TestConfigParsing:
         config = build_config({"augment": {"noise_std": 0.7}})
         assert config.cfe.augment.noise_std == 0.7
 
+    def test_value_types_follow_field_defaults(self):
+        config = build_config({"cluster": {"k": None}, "dataset": {"separation": 5}})
+        assert config.cluster.k is None and config.dataset.separation == 5
+        assert build_config({"cluster": {"k": 12}}).cluster.k == 12
+        with pytest.raises(ParameterError, match=r"cfe.normalize must be true or false, not 1"):
+            build_config({"cfe": {"normalize": 1}})
+        with pytest.raises(ParameterError, match=r"maml.epochs must be an integer, not true"):
+            build_config({"maml": {"epochs": True}})
+        with pytest.raises(ParameterError, match=r"eval.shots\[1\] must be an integer, not 1.5"):
+            build_config({"eval": {"shots": [1, 1.5]}})
+
     def test_split_is_deterministic_and_disjoint(self):
         train1, test1 = train_test_split(100, 0.2, seed=5)
         train2, test2 = train_test_split(100, 0.2, seed=5)
@@ -90,6 +101,29 @@ class TestCliValidation:
         path = write_tiny_config(tmp_path, **{section: {"seed": 5}})
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert f"unknown config key: {section}.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"seed": "x"}, 'config key seed must be an integer, not "x"'),
+            ({"cfe": {"hidden_dims": None}}, "config key cfe.hidden_dims must be a list, not null"),
+            ({"dataset": {"per_class": 2.5}}, "config key dataset.per_class must be an integer, not 2.5"),
+            ({"cluster": {"k": "x"}}, 'cluster.k must be null or an integer, not "x"'),
+        ],
+        ids=["seed", "hidden_dims", "per_class", "cluster_k"],
+    )
+    def test_ill_typed_value_exits_2(self, tmp_path, capsys, extra, message):
+        path = write_tiny_config(tmp_path, **extra)
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_augment_inside_cfe_section_exits_2(self, tmp_path, capsys):
+        # augment is set from its top-level section only; inside cfe it was
+        # silently replaced by that section
+        path = write_tiny_config(tmp_path, cfe={**TINY["cfe"], "augment": {"noise_std": 0.1}})
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "unknown config key: cfe.augment" in capsys.readouterr().err
 
     def test_out_dir_under_regular_file_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -204,6 +204,20 @@ class TestClusterCsv:
         lines = a_path.read_text().splitlines()
         assert lines[1] == "5,0" and lines[2] == "7,1" and lines[3] == "9,0"
 
+    def test_failed_write_keeps_previous_files(self, tmp_path):
+        x = make_rng(0).normal(size=(15, 3))
+        model = kmeans(x, 3, rng=make_rng(1))
+        a_path, c_path = tmp_path / "clusters_assignment.csv", tmp_path / "clusters_centers.csv"
+        write_cluster_csv(model, a_path, c_path)
+        before = c_path.read_bytes()
+        centers = model.centers.astype(object)
+        centers[2, 1] = "not a number"  # fails the 17g format after two rows
+        broken = ClusterModel(3, centers, model.assignment, model.inertia)
+        with pytest.raises(ValueError):
+            write_cluster_csv(broken, a_path, c_path)
+        assert c_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [a_path.name, c_path.name]
+
     def test_bad_header(self, tmp_path):
         a_path, c_path = tmp_path / "a.csv", tmp_path / "c.csv"
         a_path.write_text("wrong,header\n")

@@ -6,7 +6,6 @@ import pytest
 from plcfe.data import (
     AugmentConfig,
     Dataset,
-    DatasetMeta,
     augment,
     gen_blobs,
     read_dataset,
@@ -112,7 +111,7 @@ class TestDatasetIo:
         back = read_dataset(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.eval_labels, ds.eval_labels)
-        assert back.meta.classes == 3
+        assert back.classes == 3
 
     def test_write_read_write_bytes_stable(self, tmp_path):
         ds = gen_blobs(2, 3, 4, 5.0, make_rng(1))
@@ -122,8 +121,7 @@ class TestDatasetIo:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unlabeled_round_trip(self, tmp_path):
-        meta = DatasetMeta(n=2, dim=3, classes=0)
-        ds = Dataset(np.arange(6, dtype=float).reshape(2, 3), None, meta)
+        ds = Dataset(np.arange(6, dtype=float).reshape(2, 3), None, 0)
         path = tmp_path / "u.plds"
         write_dataset(ds, path)
         back = read_dataset(path)
@@ -134,7 +132,7 @@ class TestDatasetIo:
         # header and payload assembled by hand from the format definition
         features = np.array([[1.5, -2.0], [0.25, 8.0]])
         labels = np.array([1, 0])
-        ds = Dataset(features, labels, DatasetMeta(n=2, dim=2, classes=2))
+        ds = Dataset(features, labels, 2)
         path = tmp_path / "golden.plds"
         write_dataset(ds, path)
         expected = b"PLDS"

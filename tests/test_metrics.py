@@ -125,13 +125,13 @@ class TestSimilarityRatio:
 class TestPca:
     def test_collinear_data_second_axis_zero(self):
         t = np.linspace(-2, 2, 7)[:, None]
-        points, _ = pca_project_2d(t * np.array([1.0, 1.0, 0.0]))
+        points = pca_project_2d(t * np.array([1.0, 1.0, 0.0]))
         assert np.max(np.abs(points[:, 1])) < 1e-10
 
     def test_axis_aligned_2d(self):
         # exactly diagonal sample covariance with var(x) > var(y)
         x = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        points, _ = pca_project_2d(x)
+        points = pca_project_2d(x)
         # projection is the centered input up to per-axis sign
         for k in range(2):
             assert np.allclose(points[:, k], x[:, k], atol=1e-12) or np.allclose(
@@ -141,20 +141,12 @@ class TestPca:
     def test_projected_variance_matches_top_eigenvalues(self):
         rng = make_rng(6)
         x = rng.normal(size=(5, 4))
-        points, _ = pca_project_2d(x)
+        points = pca_project_2d(x)
         centered = x - x.mean(axis=0)
         eigvals = np.linalg.eigvalsh(centered.T @ centered / 4)
         top2 = np.sort(eigvals)[::-1][:2].sum()
         projected = np.sum(points.var(axis=0, ddof=1))
         assert abs(projected - top2) < 1e-10
-
-    def test_centers_projected(self):
-        rng = make_rng(7)
-        x = rng.normal(size=(8, 3))
-        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        points, centers = pca_project_2d(x, labels)
-        assert centers.shape == (2, 2)
-        assert np.allclose(centers[0], points[:4].mean(axis=0))
 
     def test_rank_zero_degenerate(self):
         with pytest.raises(DegenerateDataError):
