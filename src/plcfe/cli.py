@@ -309,7 +309,6 @@ def _pseudo_labeled_train_split(config: PipelineConfig, ws: _Workspace, stage: s
 def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
     model, pld = _pseudo_labeled_train_split(config, ws, "meta-train")
     fs_model, history = meta_mod.meta_train(
-        pld.features,
         pld,
         model,
         config.episodes,
@@ -350,6 +349,7 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
         sample_indices=train_idx,
     )
     fs_model = meta_mod.load_model(_require(ws, "meta_model.plcf", "meta-eval"))
+    scorer = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
     pld = _test_pld(ds, test_idx)
     out = []
     for shot_i, shots in enumerate(config.eval.shots):
@@ -357,13 +357,7 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
         rng = derive_rng(config.seed, KEY_EVAL, shot_i)
         _, picks = episodes_mod.draw_episodes(pld, config.episodes.ways, need, rng, config.eval.tasks)
         result = meta_mod.evaluate_fewshot(
-            fs_model,
-            pld.features,
-            picks[..., :shots],
-            picks[..., shots:],
-            method=config.method,
-            adapt=True,
-            config=config.maml,
+            scorer, pld.features, picks[..., :shots], picks[..., shots:]
         )
         name = f"eval_{config.method}_shot{shots}.csv"
         meta_mod.write_eval_csv(result, config.episodes.ways, shots, ws.path(name))
@@ -377,9 +371,7 @@ def stage_build_tasks(config: PipelineConfig, ws: _Workspace, count: int = 100) 
     eval_model = None
     if config.episode_mode == "progressive":
         fs_model = meta_mod.load_model(_require(ws, "meta_model.plcf", "build-tasks"))
-        eval_model = meta_mod.snapshot_eval_model(
-            fs_model, epoch=-1, method=config.method, inner_lr=config.maml.inner_lr
-        )
+        eval_model = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
     tasks = [
         task
         for _ in range(count)

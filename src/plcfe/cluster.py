@@ -9,7 +9,7 @@ the earlier restart), so results are deterministic for a fixed generator.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +33,24 @@ class ClusterModel:
 
 @dataclass
 class PseudoLabeledDataset:
-    """Samples with cluster-derived pseudo-labels and a per-cluster index."""
+    """Samples with cluster-derived pseudo-labels and a per-cluster index.
+
+    The index is also kept flat for the episode draws: flat_members is the
+    concatenation of members, cluster c's run of it starts at starts[c] and
+    has sizes[c] entries.
+    """
 
     features: np.ndarray
     pseudo_labels: np.ndarray
     members: list[np.ndarray]
+    sizes: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    flat_members: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sizes = np.array([m.size for m in self.members], dtype=np.int64)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.flat_members = np.concatenate(self.members)
 
     @property
     def num_clusters(self) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._binio import write_csv
 from .cluster import ClusterModel, PseudoLabeledDataset, nearest_clusters
-from .errors import ConstructionError, InsufficientSamplesError, ParameterError
+from .errors import ConstructionError, ParameterError
 
 
 @dataclass
@@ -124,7 +124,7 @@ def draw_episodes(
     Efraimidis & Spirakis, 2006). Member slots past a cluster's size get
     key +inf, so they sort after every real member.
     """
-    sizes = np.array([m.size for m in pld.members], dtype=np.int64)
+    sizes = pld.sizes
     eligible = np.flatnonzero(sizes >= picks)
     if eligible.size < ways:
         raise ConstructionError(f"only {eligible.size} clusters have {picks}+ members, need {ways}")
@@ -132,8 +132,7 @@ def draw_episodes(
     keys = rng.random((tasks, ways, int(sizes[eligible].max())))
     keys[np.arange(keys.shape[-1]) >= sizes[clusters][..., None]] = np.inf
     positions = np.argsort(keys, axis=-1)[..., :picks]
-    starts = np.cumsum(sizes) - sizes
-    return clusters, np.concatenate(pld.members)[starts[clusters][..., None] + positions]
+    return clusters, pld.flat_members[pld.starts[clusters][..., None] + positions]
 
 
 def sample_standard_task(
@@ -183,15 +182,13 @@ def filter_noisy(
     member_indices: np.ndarray,
     way_index: int,
     keep_rate: float,
-    min_required: int | None = None,
 ) -> np.ndarray:
     """Keep the floor(keep_rate * n) members most confidently scored as
     way_index.
 
     log_probs holds every row's log-softmax over the ways; members are
     sorted by descending log-probability of way_index with ties resolved
-    by their position in member_indices. Raises InsufficientSamplesError
-    if fewer than min_required members survive.
+    by their position in member_indices.
     """
     if not (0 < keep_rate < 1):
         raise ParameterError("keep_rate must be in (0, 1)")
@@ -199,12 +196,7 @@ def filter_noisy(
     if member_indices.size == 0:
         raise ParameterError("cluster has no members")
     order = np.argsort(-log_probs[member_indices, way_index], kind="stable")
-    kept = member_indices[order][: int(np.floor(keep_rate * member_indices.size))]
-    if min_required is not None and kept.size < min_required:
-        raise InsufficientSamplesError(
-            f"filtering kept {kept.size} members, need {min_required}"
-        )
-    return kept
+    return member_indices[order][: int(np.floor(keep_rate * member_indices.size))]
 
 
 def progressive_task(
@@ -254,18 +246,10 @@ def progressive_task(
     for way, base in enumerate(bases):
         candidates = nearest_clusters(cluster_model, int(base), config.candidate_neighbors)
         final = select_final_cluster(candidates, label_counts)
-        fallback = False
-        try:
-            kept = filter_noisy(
-                log_probs, pld.members[final], way, config.keep_rate, min_required=config.queries
-            )
-            pool = kept[~used[kept]]
-            if pool.size < config.queries:
-                raise InsufficientSamplesError(
-                    f"filtered pool for way {way} has {pool.size} fresh members"
-                )
-        except InsufficientSamplesError:
-            fallback = True
+        kept = filter_noisy(log_probs, pld.members[final], way, config.keep_rate)
+        pool = kept[~used[kept]]
+        fallback = pool.size < config.queries
+        if fallback:
             members = pld.members[base]
             pool = members[~used[members]]
             if pool.size < config.queries:

@@ -49,9 +49,5 @@ class ConstructionError(PlcfeError, RuntimeError):
     """A few-shot task could not be built from the available clusters."""
 
 
-class InsufficientSamplesError(ConstructionError):
-    """Filtering left fewer samples than the caller needs."""
-
-
 class DegenerateDataError(PlcfeError, ValueError):
     """Input data has no usable variation (e.g. rank-0 for a projection)."""

@@ -4,8 +4,10 @@ A small encoder plus linear N-way head is meta-trained with first-order
 MAML, or episodically with a prototype head as a second supervised method.
 Both run a task batch at once: the model is broadcast to a (T, P) stack of
 parameter vectors, and each MAML inner step, prototype loss or evaluation
-block is one batched pass over the T tasks. Epoch-end snapshots become the
-evaluation models that the progressive episode sampler consumes.
+block is one batched pass over the T tasks. One evaluation-model type,
+SnapshotEvaluationModel, finetunes a model on a support set and scores
+samples with it, for held-out evaluation and for the progressive episode
+sampler alike.
 """
 
 from __future__ import annotations
@@ -332,46 +334,37 @@ class EvalResult:
 
 
 def evaluate_fewshot(
-    model: FewShotModel,
+    scorer: "SnapshotEvaluationModel",
     features: np.ndarray,
     support: np.ndarray,
     query: np.ndarray,
-    method: str = "maml",
-    adapt: bool = True,
-    config: MamlConfig | None = None,
 ) -> EvalResult:
     """Per-task query accuracy of (T, ways, shots) support and (T, ways,
     queries) query index arrays, with a 1.96 * std / sqrt(T) half-width.
 
-    The tasks run as model stacks of EVAL_BLOCK_TASKS. For maml, each task
-    optionally adapts its copy of the model on its support set before
-    classifying queries with the head, which needs one output per way.
-    For proto, queries are matched to support prototypes in encoder space.
+    The tasks run in blocks of EVAL_BLOCK_TASKS: the scorer's model is
+    broadcast to one copy per task, finetuned on each task's support set
+    and scores its queries. A maml head needs one output per way.
     """
     tasks, ways = support.shape[:2]
     if tasks == 0:
         raise ParameterError("need at least one task")
-    if method not in ("maml", "proto"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "maml" and model.ways != ways:
-        raise ParameterError(f"the maml head has {model.ways} ways, the episodes {ways}")
-    cfg = config if config is not None else MamlConfig()
+    if scorer.method == "maml" and scorer.model.ways != ways:
+        raise ParameterError(f"the maml head has {scorer.model.ways} ways, the episodes {ways}")
     accs = np.empty(tasks)
     for start in range(0, tasks, EVAL_BLOCK_TASKS):
         block = slice(start, start + EVAL_BLOCK_TASKS)
-        used, (s_idx, s_way), (q_idx, q_way) = _stacked(model, support[block], query[block])
-        if method == "proto":
-            e_s = mlp_forward(used.encoder, features[s_idx])
-            scores = proto_classify(e_s, s_way, mlp_forward(used.encoder, features[q_idx]))
-        else:
-            if adapt:
-                try:
-                    used = maml_inner_adapt(
-                        used, features[s_idx], s_way, cfg.inner_lr, cfg.inner_steps
-                    )
-                except NumericError as exc:
-                    raise NumericError(exc.reason, task=start + exc.task) from exc
-            scores = model_scores(used, features[q_idx])
+        stack, (s_idx, s_way), (q_idx, q_way) = _stacked(scorer.model, support[block], query[block])
+        # one expression: the block's adapted model dies with it, so it is
+        # freed before the next block adapts instead of adding to peak memory
+        try:
+            scores = (
+                replace(scorer, model=stack)
+                .finetuned(features[s_idx], s_way)
+                .predict_scores(features[q_idx])
+            )
+        except NumericError as exc:
+            raise NumericError(exc.reason, task=start + exc.task) from exc
         accs[block] = np.mean(np.argmax(scores, axis=-1) == q_way, axis=-1)
     mean = float(accs.mean())
     ci = float(1.96 * accs.std(ddof=1) / np.sqrt(tasks)) if tasks > 1 else 0.0
@@ -380,21 +373,26 @@ def evaluate_fewshot(
 
 @dataclass
 class SnapshotEvaluationModel:
-    """Epoch-end copy of the meta-learned model, used to score candidate
-    clusters.
+    """A meta-learned model as a few-shot scorer: finetune it on a support
+    set, then score samples. Meta-eval and the progressive sampler both
+    use it.
 
-    For maml, scores are the head's logits and finetuning runs the same
-    inner adaptation the meta-learner uses. For proto, scores are negative
-    squared distances to the support prototypes that finetuning computes,
-    so scoring before finetuning is a StateError.
+    For maml, finetuning runs the meta-learner's inner adaptation with
+    config.inner_lr and config.inner_steps, and scores are the head's
+    logits. For proto, scores are negative squared distances to the
+    support prototypes that finetuning computes, so scoring before
+    finetuning is a StateError. A model stack finetunes and scores each
+    task of (T, n, d) inputs on its own.
     """
 
     model: FewShotModel
-    epoch: int
-    method: str = "maml"
-    inner_lr: float = 0.05
-    finetune_steps: int = 5
+    method: str
+    config: MamlConfig
     prototypes: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.method not in ("maml", "proto"):
+            raise ParameterError(f"unknown method {self.method!r}")
 
     def predict_scores(self, features: np.ndarray) -> np.ndarray:
         if self.method == "maml":
@@ -406,7 +404,7 @@ class SnapshotEvaluationModel:
     def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> "SnapshotEvaluationModel":
         if self.method == "maml":
             adapted = maml_inner_adapt(
-                self.model, support_x, support_y, self.inner_lr, self.finetune_steps
+                self.model, support_x, support_y, self.config.inner_lr, self.config.inner_steps
             )
             return replace(self, model=adapted)
         embeddings = mlp_forward(self.model.encoder, support_x)
@@ -414,21 +412,13 @@ class SnapshotEvaluationModel:
 
 
 def snapshot_eval_model(
-    model: FewShotModel,
-    epoch: int,
-    method: str = "maml",
-    inner_lr: float = 0.05,
-    finetune_steps: int = 5,
+    model: FewShotModel, method: str, config: MamlConfig
 ) -> SnapshotEvaluationModel:
-    """Copied epoch-end snapshot registered as the current evaluation
-    model; later training never mutates it."""
-    if method not in ("maml", "proto"):
-        raise ParameterError(f"unknown method {method!r}")
-    return SnapshotEvaluationModel(model.clone(), epoch, method, inner_lr, finetune_steps)
+    """Scorer around a copy of the model; later training never mutates it."""
+    return SnapshotEvaluationModel(model.clone(), method, config)
 
 
 def meta_train(
-    features: np.ndarray,
     pld: PseudoLabeledDataset,
     cluster_model: ClusterModel,
     episode_config: episodes_mod.EpisodeConfig,
@@ -450,33 +440,27 @@ def meta_train(
         raise ParameterError(f"unknown episode mode {episode_mode!r}")
     if rng is None:
         raise ParameterError("meta_train requires an explicit generator")
-    model = init_fewshot_model(features.shape[1], episode_config.ways, config, rng)
+    model = init_fewshot_model(pld.features.shape[1], episode_config.ways, config, rng)
     eval_model = None
     epoch_losses: list[float] = []
     epoch_fractions: list[float] = []
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         losses = np.empty(config.steps_per_epoch)
         progressive_tasks = 0
         for step in range(config.steps_per_epoch):
             tasks = episodes_mod.sample_task_batch(
-                pld,
-                cluster_model,
-                eval_model if episode_mode == "progressive" else None,
-                episode_config,
-                rng,
-                config.meta_batch_size,
+                pld, cluster_model, eval_model, episode_config, rng, config.meta_batch_size
             )
             progressive_tasks += sum(task.progressive for task in tasks)
             if method == "maml":
-                model, loss = maml_meta_step(model, features, tasks, config)
+                model, loss = maml_meta_step(model, pld.features, tasks, config)
             else:
-                model, loss = proto_meta_step(model, features, tasks, config.outer_lr)
+                model, loss = proto_meta_step(model, pld.features, tasks, config.outer_lr)
             losses[step] = loss
         epoch_losses.append(float(losses.mean()))
         epoch_fractions.append(progressive_tasks / (config.steps_per_epoch * config.meta_batch_size))
-        eval_model = snapshot_eval_model(
-            model, epoch, method=method, inner_lr=config.inner_lr
-        )
+        if episode_mode == "progressive":
+            eval_model = snapshot_eval_model(model, method, config)
     history = {"epoch_query_loss": epoch_losses, "epoch_progressive_fraction": epoch_fractions}
     return model, history
 

@@ -35,7 +35,7 @@ from plcfe.episodes import (
     sample_task_batch,
     select_final_cluster,
 )
-from plcfe.metalearn import MamlConfig, evaluate_fewshot, meta_train
+from plcfe.metalearn import MamlConfig, evaluate_fewshot, meta_train, snapshot_eval_model
 from plcfe.metrics import LabeledEmbeddings, clustering_accuracy, similarity_ratio
 from plcfe.numcore import finite_diff_check, l2_normalize, make_rng, softmax
 
@@ -172,7 +172,7 @@ def test_criterion_4_end_to_end_fewshot(blob_run):
     for method in ("maml", "proto"):
         maml_config = MamlConfig()
         fs_model, _ = meta_train(
-            ds.features[train_idx], pld, model, episode_config, maml_config,
+            pld, model, episode_config, maml_config,
             method=method, episode_mode="standard", rng=make_rng(9),
         )
         rng_eval = make_rng(10)
@@ -180,8 +180,8 @@ def test_criterion_4_end_to_end_fewshot(blob_run):
             sample_standard_task(test_pld, episode_config, rng_eval) for _ in range(500)
         ]
         result = evaluate_fewshot(
-            fs_model, test_pld.features, np.stack([t.support for t in tasks]),
-            np.stack([t.query for t in tasks]), method=method, adapt=True, config=maml_config
+            snapshot_eval_model(fs_model, method, maml_config), test_pld.features,
+            np.stack([t.support for t in tasks]), np.stack([t.query for t in tasks])
         )
         accuracies[method] = result.mean_accuracy
     elapsed = time.monotonic() - start

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from plcfe import metalearn
 from plcfe.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -269,6 +270,28 @@ class TestPipeline:
         assert lines[0] == "task_id,role,way,sample_index,source_cluster,progressive_flag"
         # 5 tasks x 3 ways x (1 support + 3 queries)
         assert len(lines) == 1 + 5 * 3 * 4
+
+    def test_progressive_finetuning_follows_inner_steps(self, tmp_path, monkeypatch):
+        # gate 0 makes every build-tasks task progressive, and each one
+        # finetunes the loaded model on its support set once
+        path = write_tiny_config(
+            tmp_path,
+            episodes={**TINY["episodes"], "gate_threshold": 0.0},
+            maml={**TINY["maml"], "inner_steps": 2},
+        )
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        steps = []
+        adapt = metalearn.maml_inner_adapt
+
+        def recording_adapt(model, support_x, support_y, alpha, n_steps):
+            steps.append(n_steps)
+            return adapt(model, support_x, support_y, alpha, n_steps)
+
+        monkeypatch.setattr(metalearn, "maml_inner_adapt", recording_adapt)
+        assert main(["build-tasks", "--config", str(path), "--out", str(out),
+                     "--episodes", "progressive", "--tasks", "5"]) == EXIT_OK
+        assert steps == [2] * 5
 
     def test_proto_method_flag(self, tmp_path):
         path = write_tiny_config(tmp_path)

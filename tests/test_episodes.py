@@ -20,7 +20,7 @@ from plcfe.episodes import (
     select_final_cluster,
     write_tasks_csv,
 )
-from plcfe.errors import ConstructionError, InsufficientSamplesError, ParameterError
+from plcfe.errors import ConstructionError, ParameterError
 from plcfe.numcore import make_rng, softmax
 
 
@@ -312,13 +312,6 @@ class TestFilterNoisy:
         scorer = RowScorer(rows)
         kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         assert kept.tolist() == [0, 3, 2]
-
-    def test_min_required_error(self):
-        pld = make_pld([4])
-        scorer = RowScorer(np.zeros((4, 2)))
-        probs = softmax(scorer.predict_scores(pld.features))
-        with pytest.raises(InsufficientSamplesError):
-            filter_noisy(probs, pld.members[0], 0, 0.75, min_required=4)
 
     def test_scores_non_increasing_and_subset(self):
         rng = make_rng(2)

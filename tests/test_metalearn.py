@@ -249,7 +249,7 @@ class TestStackedTasks:
         model = stack_model()
         features = make_rng(21).normal(size=(200, 6))
         tasks = random_tasks(n_tasks, 200, shots=shots, seed=22)
-        result = evaluate_fewshot(model, features, *task_arrays(tasks), method=method, config=self.config)
+        result = evaluate_fewshot(snapshot_eval_model(model, method, self.config), features, *task_arrays(tasks))
         expected = [self.looped_accuracy(model, features, task, method) for task in tasks]
         assert np.array_equal(result.per_task, expected)
 
@@ -327,7 +327,7 @@ class TestStackedTasks:
         bad = EVAL_BLOCK_TASKS + 3
         features = with_nan_rows(features, tasks[bad], "support")
         with pytest.raises(NumericError, match=f"^task {bad}: non-finite") as info:
-            evaluate_fewshot(stack_model(), features, *task_arrays(tasks), method="maml", config=self.config)
+            evaluate_fewshot(snapshot_eval_model(stack_model(), "maml", self.config), features, *task_arrays(tasks))
         assert info.value.task == bad
 
 
@@ -419,7 +419,7 @@ class TestEvaluate:
         model = self.constant_model()
         features = make_rng(1).normal(size=(100, 2))
         tasks = self.balanced_tasks(200)
-        result = evaluate_fewshot(model, features, *task_arrays(tasks), method="maml", adapt=False)
+        result = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.0)), features, *task_arrays(tasks))
         # argmax of equal scores always picks way 0: exactly 1/N per task
         assert result.mean_accuracy == pytest.approx(0.2, abs=1e-12)
         assert result.ci95 == 0.0
@@ -436,16 +436,16 @@ class TestEvaluate:
             tasks.append(make_task(np.stack([s0, s1]), np.stack([q0, q1])))
         model = init_fewshot_model(2, 2, MamlConfig(encoder_hidden=(8,), encoder_dim=4), make_rng(3))
         config = MamlConfig(inner_lr=0.5, inner_steps=50)
-        result = evaluate_fewshot(model, features, *task_arrays(tasks), method="maml", adapt=True, config=config)
+        result = evaluate_fewshot(snapshot_eval_model(model, "maml", config), features, *task_arrays(tasks))
         assert result.mean_accuracy == 1.0
-        proto_result = evaluate_fewshot(model, features, *task_arrays(tasks), method="proto")
+        proto_result = evaluate_fewshot(snapshot_eval_model(model, "proto", MamlConfig()), features, *task_arrays(tasks))
         assert proto_result.mean_accuracy == 1.0
 
     def test_fixed_seed_replay(self):
         model = toy_model(seed=4)
         features = make_rng(5).normal(size=(100, 2))
-        r1 = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(50, ways=2, seed=7)), method="maml")
-        r2 = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(50, ways=2, seed=7)), method="maml")
+        r1 = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig()), features, *task_arrays(self.balanced_tasks(50, ways=2, seed=7)))
+        r2 = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig()), features, *task_arrays(self.balanced_tasks(50, ways=2, seed=7)))
         assert r1.mean_accuracy == r2.mean_accuracy and r1.ci95 == r2.ci95
 
     def test_ci_shrinks_with_task_count(self):
@@ -454,8 +454,8 @@ class TestEvaluate:
         encoder = MlpParams([(np.eye(2), np.array([10.0, 10.0]))], "relu")
         model = FewShotModel(encoder, np.eye(2), np.zeros(2))
         features = make_rng(9).normal(size=(100, 2))
-        small = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(50, ways=2, seed=10)), method="maml", adapt=False)
-        large = evaluate_fewshot(model, features, *task_arrays(self.balanced_tasks(800, ways=2, seed=10)), method="maml", adapt=False)
+        small = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.0)), features, *task_arrays(self.balanced_tasks(50, ways=2, seed=10)))
+        large = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.0)), features, *task_arrays(self.balanced_tasks(800, ways=2, seed=10)))
         assert 0.0 <= large.mean_accuracy <= 1.0
         assert small.ci95 > 0.0
         # 16x the tasks should shrink the half-width by about 4x
@@ -463,21 +463,20 @@ class TestEvaluate:
 
     def test_needs_tasks(self):
         with pytest.raises(ParameterError):
-            evaluate_fewshot(toy_model(), np.zeros((1, 2)), np.zeros((0, 2, 1), dtype=int), np.zeros((0, 2, 1), dtype=int), method="maml")
+            evaluate_fewshot(snapshot_eval_model(toy_model(), "maml", MamlConfig()), np.zeros((1, 2)), np.zeros((0, 2, 1), dtype=int), np.zeros((0, 2, 1), dtype=int))
 
 
 class TestSnapshots:
     def test_snapshot_survives_later_training(self):
         model = toy_model(seed=11)
-        snap = snapshot_eval_model(model, epoch=3, method="maml", inner_lr=0.05)
+        snap = snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.05))
         frozen = snap.model.vector.copy()
         model.head_w += 1.0  # mutate the live model
         assert np.array_equal(snap.model.vector, frozen)
-        assert snap.epoch == 3
 
     def test_maml_snapshot_scores_and_finetunes(self):
         model = toy_model(seed=12)
-        snap = snapshot_eval_model(model, epoch=0, method="maml", inner_lr=0.1)
+        snap = snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.1))
         x = make_rng(13).normal(size=(6, 2))
         assert np.array_equal(snap.predict_scores(x), model_scores(model, x))
         tuned = snap.finetuned(x, np.array([0, 1, 0, 1, 0, 1]))
@@ -486,7 +485,7 @@ class TestSnapshots:
 
     def test_proto_snapshot_requires_finetune(self):
         model = toy_model(seed=14)
-        snap = snapshot_eval_model(model, epoch=0, method="proto")
+        snap = snapshot_eval_model(model, "proto", MamlConfig())
         x = make_rng(15).normal(size=(4, 2))
         with pytest.raises(StateError):
             snap.predict_scores(x)
@@ -495,7 +494,7 @@ class TestSnapshots:
 
     def test_proto_snapshot_scores_match_proto_classify(self):
         model = toy_model(seed=17)
-        snap = snapshot_eval_model(model, epoch=0, method="proto")
+        snap = snapshot_eval_model(model, "proto", MamlConfig())
         rng = make_rng(18)
         support, queries = rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
         labels = np.array([0, 1, 0, 1])
@@ -507,9 +506,13 @@ class TestSnapshots:
         with pytest.raises(StateError):
             snap.predict_scores(queries)  # finetuning left the snapshot unscored
 
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ParameterError, match="unknown method 'bogus'"):
+            snapshot_eval_model(toy_model(), "bogus", MamlConfig())
+
     def test_serialize_round_trip_bit_identical(self, tmp_path):
         model = toy_model(seed=16)
-        snap = snapshot_eval_model(model, epoch=1, method="maml", inner_lr=0.05)
+        snap = snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.05))
         p1, p2 = tmp_path / "a.plcf", tmp_path / "b.plcf"
         save_model(snap.model, p1)
         back = load_model(p1)
