@@ -141,7 +141,7 @@ def build_positive_batch(
     features: np.ndarray, config: CfeConfig, rng: np.random.Generator
 ) -> PositiveBatch:
     """Draw batch_positives distinct points uniformly and augment each one
-    augments_per_point times."""
+    augments_per_point times, all views in one augment call."""
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if n < config.batch_positives:
@@ -149,10 +149,8 @@ def build_positive_batch(
             f"dataset has {n} samples, fewer than batch_positives={config.batch_positives}"
         )
     chosen = rng.choice(n, size=config.batch_positives, replace=False)
-    views = np.empty((config.batch_positives, config.augments_per_point, features.shape[1]))
-    for i, idx in enumerate(chosen):
-        for j in range(config.augments_per_point):
-            views[i, j] = augment(features[idx], config.augment, rng)
+    shape = (config.batch_positives, config.augments_per_point, features.shape[1])
+    views = augment(np.broadcast_to(features[chosen][:, None, :], shape), config.augment, rng)
     return PositiveBatch(original_indices=chosen, augmented=views)
 
 

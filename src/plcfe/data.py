@@ -111,19 +111,22 @@ def gen_blobs(
 
 
 def augment(sample: np.ndarray, config: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Apply, in order: coordinate masking, global scaling, additive
-    Gaussian noise. Zero-strength settings skip their step entirely."""
-    out = np.asarray(sample, dtype=np.float64).copy()
+    """Augment each row of a (..., d) array into a new array of that shape.
+
+    Apply, in order: coordinate masking, one scale per row shared by its d
+    coordinates, additive Gaussian noise, each one draw over the whole
+    array. Zero-strength settings skip their step entirely. The input, which
+    may be a read-only broadcast view, is never written."""
+    out = np.array(sample, dtype=np.float64)
     if config.mask_prob > 0:
-        mask = rng.random(out.shape[0]) < config.mask_prob
-        out[mask] = 0.0
+        out[rng.random(out.shape) < config.mask_prob] = 0.0
     lo, hi = config.scale_range
     if lo != hi:
-        out *= rng.uniform(lo, hi)
+        out *= rng.uniform(lo, hi, size=out.shape[:-1])[..., None]
     elif lo != 1.0:
         out *= lo
     if config.noise_std > 0:
-        out += rng.normal(0.0, config.noise_std, size=out.shape[0])
+        out += rng.normal(0.0, config.noise_std, size=out.shape)
     return out
 
 

@@ -444,7 +444,7 @@ def meta_train(
     eval_model = None
     epoch_losses: list[float] = []
     epoch_fractions: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         losses = np.empty(config.steps_per_epoch)
         progressive_tasks = 0
         for step in range(config.steps_per_epoch):
@@ -459,7 +459,7 @@ def meta_train(
             losses[step] = loss
         epoch_losses.append(float(losses.mean()))
         epoch_fractions.append(progressive_tasks / (config.steps_per_epoch * config.meta_batch_size))
-        if episode_mode == "progressive":
+        if episode_mode == "progressive" and epoch + 1 < config.epochs:
             eval_model = snapshot_eval_model(model, method, config)
     history = {"epoch_query_loss": epoch_losses, "epoch_progressive_fraction": epoch_fractions}
     return model, history

@@ -37,7 +37,9 @@ from plcfe.episodes import (
 )
 from plcfe.metalearn import MamlConfig, evaluate_fewshot, meta_train, snapshot_eval_model
 from plcfe.metrics import LabeledEmbeddings, clustering_accuracy, similarity_ratio
-from plcfe.numcore import finite_diff_check, l2_normalize, make_rng, softmax
+from plcfe.numcore import l2_normalize, softmax
+
+from helpers import finite_diff_check, make_rng
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

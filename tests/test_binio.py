@@ -8,7 +8,8 @@ from plcfe._binio import artifact_file, write_csv
 from plcfe.cfe import CfeConfig, EncoderPair, load_checkpoint, save_checkpoint
 from plcfe.errors import FormatError
 from plcfe.metalearn import MamlConfig, init_fewshot_model, load_model, save_model
-from plcfe.numcore import make_rng
+
+from helpers import make_rng
 
 
 class TestArtifactFile:

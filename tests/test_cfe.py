@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcfe import cfe
 from plcfe.cfe import (
     CfeConfig,
     EncoderPair,
@@ -22,16 +23,16 @@ from plcfe.cfe import (
     train_cfe,
     write_loss_trace,
 )
-from plcfe.data import AugmentConfig, gen_blobs
+from plcfe.data import AugmentConfig, augment, gen_blobs
 from plcfe.errors import FormatError, ParameterError, ShapeError, StateError
 from plcfe.metrics import LabeledEmbeddings, similarity_ratio
 from plcfe.numcore import (
     MlpParams,
-    finite_diff_check,
     l2_normalize,
-    make_rng,
     mlp_forward,
 )
+
+from helpers import finite_diff_check, make_rng
 
 
 def small_config(**overrides):
@@ -100,6 +101,18 @@ class TestBuildPositiveBatch:
     def test_dataset_too_small(self):
         with pytest.raises(ParameterError):
             build_positive_batch(np.zeros((3, 2)), small_config(), make_rng(0))
+
+    def test_one_augment_call_per_batch(self, monkeypatch):
+        shapes = []
+
+        def counting_augment(sample, config, rng):
+            shapes.append(np.shape(sample))
+            return augment(sample, config, rng)
+
+        monkeypatch.setattr(cfe, "augment", counting_augment)
+        config = small_config(batch_positives=5, augments_per_point=3)
+        build_positive_batch(make_rng(4).normal(size=(12, 6)), config, make_rng(5))
+        assert shapes == [(5, 3, 6)]
 
 
 class TestAsynchronousEmbed:

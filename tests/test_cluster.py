@@ -10,7 +10,8 @@ from plcfe.cluster import (
     write_cluster_csv,
 )
 from plcfe.errors import FormatError, ParameterError
-from plcfe.numcore import make_rng
+
+from helpers import make_rng
 
 
 def inertia_of(x, centers, labels):

@@ -14,7 +14,8 @@ from plcfe.data import (
     write_embeddings,
 )
 from plcfe.errors import FormatError, ParameterError
-from plcfe.numcore import make_rng
+
+from helpers import make_rng
 
 
 class TestGenBlobs:
@@ -101,6 +102,52 @@ class TestAugment:
             AugmentConfig(scale_range=(1.5, 2.0))
         with pytest.raises(ParameterError):
             AugmentConfig(mask_prob=1.5)
+
+
+class TestAugmentRows:
+    """augment on a (B, V, d) array: each step is one draw over the whole
+    array, with one scale per row."""
+
+    def test_one_scale_per_row(self):
+        rng = make_rng(10)
+        x = rng.uniform(1.0, 2.0, size=(6, 3, 5))
+        out = augment(x, AugmentConfig(scale_range=(0.5, 2.0)), rng)
+        ratio = out / x
+        assert np.allclose(ratio, ratio[..., :1])
+        scales = ratio[..., 0]
+        assert np.all((0.5 <= scales) & (scales <= 2.0))
+        assert len(np.unique(scales)) == scales.size
+
+    def test_mask_rate(self):
+        rng = make_rng(11)
+        p = 0.3
+        out = augment(np.ones((200, 4, 16)), AugmentConfig(mask_prob=p), rng)
+        n = out.size
+        rate = np.mean(out == 0.0)
+        assert abs(rate - p) < 4 * np.sqrt(p * (1 - p) / n)
+
+    def test_noise_moments_per_coordinate(self):
+        rng = make_rng(12)
+        out = augment(np.zeros((5_000, 2, 4)), AugmentConfig(noise_std=0.1), rng)
+        per_coordinate = out.reshape(-1, 4)
+        assert np.all(np.abs(per_coordinate.mean(axis=0)) < 4 * 0.1 / np.sqrt(10_000))
+        assert np.all(np.abs(per_coordinate.var(axis=0) - 0.01) < 0.001)
+
+    def test_read_only_broadcast_input_is_left_unchanged(self):
+        rng = make_rng(13)
+        rows = rng.normal(size=(3, 4))
+        view = np.broadcast_to(rows[:, None, :], (3, 2, 4))
+        assert not view.flags.writeable
+        config = AugmentConfig(noise_std=0.5, scale_range=(0.9, 1.1), mask_prob=0.2)
+        out = augment(view, config, rng)
+        assert out.shape == (3, 2, 4)
+        assert np.array_equal(view, np.broadcast_to(rows[:, None, :], (3, 2, 4)))
+        assert not np.array_equal(out[:, 0], out[:, 1])
+
+    def test_one_dimensional_sample_keeps_its_shape(self):
+        rng = make_rng(14)
+        config = AugmentConfig(noise_std=0.5, scale_range=(0.9, 1.1), mask_prob=0.2)
+        assert augment(np.ones(7), config, rng).shape == (7,)
 
 
 class TestDatasetIo:

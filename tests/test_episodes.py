@@ -21,7 +21,9 @@ from plcfe.episodes import (
     write_tasks_csv,
 )
 from plcfe.errors import ConstructionError, ParameterError
-from plcfe.numcore import make_rng, softmax
+from plcfe.numcore import softmax
+
+from helpers import make_rng
 
 
 class TableScorer:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from plcfe.episodes import FewShotTask, WayProvenance, way_pairs
+from plcfe import metalearn
+from plcfe.cluster import assign_pseudo_labels, kmeans
+from plcfe.episodes import EpisodeConfig, FewShotTask, WayProvenance, way_pairs
 from plcfe.errors import NumericError, ParameterError, StateError
 from plcfe.metalearn import (
     EVAL_BLOCK_TASKS,
@@ -26,12 +28,12 @@ from plcfe.metalearn import (
 )
 from plcfe.numcore import (
     MlpParams,
-    finite_diff_check,
-    make_rng,
     mlp_forward,
     params_to_vector,
     vector_to_params,
 )
+
+from helpers import finite_diff_check, make_rng
 
 
 def make_task(support, query):
@@ -509,6 +511,26 @@ class TestSnapshots:
     def test_unknown_method_is_refused(self):
         with pytest.raises(ParameterError, match="unknown method 'bogus'"):
             snapshot_eval_model(toy_model(), "bogus", MamlConfig())
+
+    def test_progressive_meta_train_snapshots_only_before_another_epoch(self, monkeypatch):
+        calls = []
+
+        def counting_snapshot(model, method, config):
+            calls.append(method)
+            return snapshot_eval_model(model, method, config)
+
+        monkeypatch.setattr(metalearn, "snapshot_eval_model", counting_snapshot)
+        features = make_rng(19).normal(size=(60, 2))
+        cluster_model = kmeans(features, 6, rng=make_rng(20))
+        config = MamlConfig(
+            epochs=3, steps_per_epoch=2, meta_batch_size=2, encoder_hidden=(4,), encoder_dim=3
+        )
+        metalearn.meta_train(
+            assign_pseudo_labels(cluster_model, features), cluster_model,
+            EpisodeConfig(ways=2, shots=1, queries=2), config,
+            episode_mode="progressive", rng=make_rng(21),
+        )
+        assert calls == ["maml", "maml"]
 
     def test_serialize_round_trip_bit_identical(self, tmp_path):
         model = toy_model(seed=16)

@@ -15,7 +15,9 @@ from plcfe.metrics import (
     write_projection_csv,
     write_similarity_csv,
 )
-from plcfe.numcore import l2_normalize, make_rng
+from plcfe.numcore import l2_normalize
+
+from helpers import make_rng
 
 E5 = math.exp(5.0)
 

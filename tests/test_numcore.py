@@ -7,17 +7,17 @@ from plcfe import cfe
 from plcfe.errors import NumericError, ParameterError, ShapeError, StateError
 from plcfe.numcore import (
     MlpParams,
-    finite_diff_check,
     init_mlp,
     l2_normalize,
     l2_normalize_backward,
-    make_rng,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
     params_to_vector,
     vector_to_params,
 )
+
+from helpers import finite_diff_check, make_rng
 
 
 def single_layer(w, b, activation="relu"):
