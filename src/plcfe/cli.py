@@ -253,7 +253,7 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
         pair = cfe_mod.load_checkpoint(_require(ws, ckpt, "metrics"))
         emb = cfe_mod.encode(pair, features, normalize=config.cfe.normalize)
         report = metrics_mod.similarity_ratio(
-            metrics_mod.LabeledEmbeddings(emb, labels, ds.classes),
+            cluster_mod.PseudoLabeledDataset(emb, labels, ds.classes),
             config.cfe.temperature,
         )
         metrics_mod.write_similarity_csv(report, ws.path(f"similarity_{tag}.csv"))
@@ -327,15 +327,6 @@ def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
     return ["meta_model.plcf", "meta_history.csv"]
 
 
-def _test_pld(ds: data_mod.Dataset, test_idx: np.ndarray) -> cluster_mod.PseudoLabeledDataset:
-    # evaluation-only: groups the held-out split by its true labels
-    labels = ds.eval_labels[test_idx]
-    members = [np.flatnonzero(labels == c) for c in range(ds.classes)]
-    return cluster_mod.PseudoLabeledDataset(
-        features=ds.features[test_idx], pseudo_labels=labels.copy(), members=members
-    )
-
-
 def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds = data_mod.read_dataset(_require(ws, "dataset.plds", "meta-eval"))
     if ds.eval_labels is None:
@@ -350,7 +341,8 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     )
     fs_model = meta_mod.load_model(_require(ws, "meta_model.plcf", "meta-eval"))
     scorer = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
-    pld = _test_pld(ds, test_idx)
+    # evaluation-only: the held-out split grouped by its true labels
+    pld = cluster_mod.PseudoLabeledDataset(ds.features[test_idx], ds.eval_labels[test_idx], ds.classes)
     out = []
     for shot_i, shots in enumerate(config.eval.shots):
         need = shots + config.episodes.queries

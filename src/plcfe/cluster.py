@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._binio import write_csv
+from ._binio import artifact_file
 from .errors import FormatError, ParameterError, ShapeError
 
 
@@ -24,37 +24,38 @@ class ClusterModel:
     assignment: np.ndarray  # (n,) cluster id per sample
     inertia: float
 
-    def members(self, cluster_id: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster_id)
-
-    def member_lists(self) -> list[np.ndarray]:
-        return [self.members(c) for c in range(self.k)]
-
 
 @dataclass
 class PseudoLabeledDataset:
-    """Samples with cluster-derived pseudo-labels and a per-cluster index.
+    """Feature rows, one label in [0, num_clusters) per row, and the rows
+    grouped by label. Meta-training passes k-means pseudo-labels; the
+    evaluation paths (meta-eval's held-out split, the similarity ratio)
+    pass true classes through the same type.
 
-    The index is also kept flat for the episode draws: flat_members is the
-    concatenation of members, cluster c's run of it starts at starts[c] and
-    has sizes[c] entries.
+    The whole index is derived from the labels: flat_members lists the rows
+    in a stable sort by label, so each label's rows keep increasing order;
+    label c's run of it starts at starts[c] and has sizes[c] entries, and
+    members[c] is that run as a view.
     """
 
     features: np.ndarray
     pseudo_labels: np.ndarray
-    members: list[np.ndarray]
+    num_clusters: int
+    members: list[np.ndarray] = field(init=False, repr=False)
     sizes: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
     flat_members: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.sizes = np.array([m.size for m in self.members], dtype=np.int64)
+        labels = self.pseudo_labels
+        if labels.shape != (self.features.shape[0],):
+            raise ShapeError("need one pseudo-label per feature row")
+        if np.any((labels < 0) | (labels >= self.num_clusters)):
+            raise ParameterError(f"pseudo-labels must lie in [0, {self.num_clusters})")
+        self.flat_members = np.argsort(labels, kind="stable")
+        self.sizes = np.bincount(labels, minlength=self.num_clusters)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.flat_members = np.concatenate(self.members)
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.members)
+        self.members = np.split(self.flat_members, self.starts[1:])
 
 
 def _kmeans_pp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,12 +90,13 @@ def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _lloyd(
     x: np.ndarray, centers: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    k = centers.shape[0]
+    k, d = centers.shape
     labels, d2 = _assign(x, centers)
     for _ in range(max_iters):
         counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, x)
+        # one flat bincount over (cluster, column) ids sums every cluster in row order
+        flat = (labels[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(flat, weights=x.ravel(), minlength=k * d).reshape(k, d)
         new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
         # repair empty clusters at the point farthest from its own center
         point_d2 = d2[np.arange(x.shape[0]), labels]
@@ -139,14 +141,7 @@ def kmeans(
 
 def assign_pseudo_labels(model: ClusterModel, features: np.ndarray) -> PseudoLabeledDataset:
     """Turn a fitted cluster model into a pseudo-labeled dataset."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] != model.assignment.shape[0]:
-        raise ShapeError("cluster model does not cover this dataset")
-    return PseudoLabeledDataset(
-        features=features,
-        pseudo_labels=model.assignment.copy(),
-        members=model.member_lists(),
-    )
+    return PseudoLabeledDataset(np.asarray(features, dtype=np.float64), model.assignment.copy(), model.k)
 
 
 def nearest_clusters(model: ClusterModel, base: int, count: int) -> np.ndarray:
@@ -171,16 +166,14 @@ def write_cluster_csv(
     to original dataset indices when the model was fit on a subset."""
     if sample_indices is None:
         sample_indices = np.arange(model.assignment.shape[0])
-    write_csv(
-        assignment_path,
-        ["sample_index", "cluster_id"],
-        ([int(i), int(c)] for i, c in zip(sample_indices, model.assignment)),
-    )
-    write_csv(
-        centers_path,
-        ["cluster_id"] + [f"c{j}" for j in range(model.centers.shape[1])],
-        ([cid] + [f"{v:.17g}" for v in row] for cid, row in enumerate(model.centers)),
-    )
+    # nested, so a failure while writing either file leaves both old files
+    with artifact_file(assignment_path) as assignment, artifact_file(centers_path) as centers:
+        writer = csv.writer(assignment)
+        writer.writerow(["sample_index", "cluster_id"])
+        writer.writerows([int(i), int(c)] for i, c in zip(sample_indices, model.assignment))
+        writer = csv.writer(centers)
+        writer.writerow(["cluster_id"] + [f"c{j}" for j in range(model.centers.shape[1])])
+        writer.writerows([cid] + [f"{v:.17g}" for v in row] for cid, row in enumerate(model.centers))
 
 
 def read_cluster_csv(assignment_path, centers_path, sample_indices=None) -> ClusterModel:

@@ -80,28 +80,6 @@ class FewShotTask:
     def ways(self) -> int:
         return self.support.shape[0]
 
-    def validate_structure(self, n_samples: int) -> None:
-        """Raise if counts, index ranges, or support/query disjointness are
-        violated."""
-        if self.support.ndim != 2 or self.query.ndim != 2:
-            raise ConstructionError("support and query must be 2-D")
-        if self.support.shape[0] != self.query.shape[0]:
-            raise ConstructionError("support and query must agree on the number of ways")
-        all_idx = np.concatenate([self.support.reshape(-1), self.query.reshape(-1)])
-        if all_idx.min() < 0 or all_idx.max() >= n_samples:
-            raise ConstructionError("sample index out of range")
-        s = set(self.support.reshape(-1).tolist())
-        q = set(self.query.reshape(-1).tolist())
-        if s & q:
-            raise ConstructionError("support and query sets overlap")
-        if len(s) != self.support.size:
-            raise ConstructionError("duplicate sample within the support set")
-        for way in range(self.query.shape[0]):
-            if np.unique(self.query[way]).size != self.query.shape[1]:
-                raise ConstructionError(f"duplicate query sample within way {way}")
-        if len(self.provenance) != self.support.shape[0]:
-            raise ConstructionError("provenance must cover every way")
-
 
 def way_pairs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(..., ways, n) sample indices as (..., ways * n) indices and their

@@ -243,15 +243,15 @@ def way_prototypes(embeddings: np.ndarray, way_labels: np.ndarray) -> np.ndarray
     ways = int(way_labels.max()) + 1
     d = embeddings.shape[-1]
     rows = way_labels.reshape(-1, way_labels.shape[-1])
-    # one id per (task, way), so one add.at pass sums every task's ways
+    # one id per (task, way), and one flat bincount over (id, column) sums every task's ways
     ids = (np.arange(rows.shape[0])[:, None] * ways + rows).ravel()
     counts = np.bincount(ids, minlength=rows.shape[0] * ways)
     if not counts.all():
         task, way = divmod(int(np.argmin(counts)), ways)
         where = f"task {task}: " if way_labels.ndim > 1 else ""
         raise ParameterError(f"{where}way {way} has no support embeddings")
-    sums = np.zeros((counts.size, d))
-    np.add.at(sums, ids, embeddings.reshape(-1, d))
+    flat = (ids[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=embeddings.ravel(), minlength=counts.size * d).reshape(-1, d)
     return (sums / counts[:, None]).reshape(way_labels.shape[:-1] + (ways, d))
 
 

@@ -14,31 +14,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ._binio import write_csv
+from .cluster import PseudoLabeledDataset
 from .errors import DegenerateDataError, ParameterError, ShapeError
-
-@dataclass
-class LabeledEmbeddings:
-    """Embedding rows plus integer class ids in [0, num_classes)."""
-
-    embeddings: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
-        if self.embeddings.ndim != 2 or self.labels.shape != (self.embeddings.shape[0],):
-            raise ShapeError("embeddings must be (n, d) with one label per row")
-        if self.num_classes < 1:
-            raise ParameterError("num_classes must be positive")
-        present = np.unique(self.labels)
-        if present.min() < 0 or present.max() >= self.num_classes:
-            raise ParameterError("labels outside [0, num_classes)")
-        if present.size != self.num_classes:
-            raise ParameterError("every class id must appear at least once")
-
-    def class_rows(self, class_id: int) -> np.ndarray:
-        return self.embeddings[self.labels == class_id]
 
 
 @dataclass
@@ -74,35 +51,28 @@ def intra_similarity(class_embeddings: np.ndarray, tau: float) -> float:
     return float(np.exp(np.sum(z @ center) / (tau * z.shape[0])))
 
 
-def inter_similarity(center_i: np.ndarray, center_j: np.ndarray, tau: float) -> float:
-    """Closeness of two class centers: exp(center_i . center_j / tau)."""
-    if tau <= 0:
-        raise ParameterError("tau must be positive")
-    center_i = np.asarray(center_i, dtype=np.float64)
-    center_j = np.asarray(center_j, dtype=np.float64)
-    if center_i.shape != center_j.shape or center_i.ndim != 1:
-        raise ShapeError("centers must be vectors of equal dimension")
-    return float(np.exp(center_i @ center_j / tau))
-
-
-def similarity_ratio(data: LabeledEmbeddings, tau: float) -> SimilarityReport:
+def similarity_ratio(data: PseudoLabeledDataset, tau: float) -> SimilarityReport:
     """Average inter- to intra-class similarity ratio over all classes.
 
+    data holds the embeddings as features and the true classes as labels.
     For each class i the inter similarities to every other center are
     summed and divided by (C-1) times that class's intra similarity; the
     ratio is the mean of those per-class values. Lower means the embedding
     is friendlier to clustering.
     """
-    if data.num_classes < 2:
+    c = data.num_clusters
+    if c < 2:
         raise ParameterError("need at least 2 classes")
-    c = data.num_classes
-    per_class = np.array([intra_similarity(data.class_rows(i), tau) for i in range(c)])
-    centers = np.stack([data.class_rows(i).mean(axis=0) for i in range(c)])
+    if not data.sizes.all():
+        raise ParameterError("every class id must appear at least once")
+    # each class's rows are gathered per use, so at most one copy is alive
+    per_class = np.array([intra_similarity(data.features[m], tau) for m in data.members])
+    centers = np.stack([data.features[m].mean(axis=0) for m in data.members])
     inter = np.exp(centers @ centers.T / tau)
     np.fill_diagonal(inter, 0.0)
     inter_sum = float(inter.sum())
     ratio = float(np.mean(inter.sum(axis=1) / ((c - 1) * per_class)))
-    mean_class_size = data.embeddings.shape[0] / c
+    mean_class_size = data.features.shape[0] / c
     return SimilarityReport(
         intra_mean=float(per_class.mean()),
         inter_mean=inter_sum / (c * (c - 1)),
@@ -150,8 +120,8 @@ def clustering_accuracy(pseudo_labels, true_labels) -> float:
         raise ParameterError("empty label lists")
     if pseudo.shape != true.shape:
         raise ShapeError("label lists must have equal length")
-    table = np.zeros((int(pseudo.max()) + 1, int(true.max()) + 1), dtype=np.int64)
-    np.add.at(table, (pseudo, true), 1)
+    clusters, classes = int(pseudo.max()) + 1, int(true.max()) + 1
+    table = np.bincount(pseudo * classes + true, minlength=clusters * classes).reshape(clusters, classes)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum()) / pseudo.size
 
@@ -167,10 +137,7 @@ def write_similarity_csv(report: SimilarityReport, path) -> None:
     write_csv(path, ["field", "value"], rows)
 
 
-def write_projection_csv(points: np.ndarray, path, labels: np.ndarray | None = None) -> None:
-    """2-D projection as CSV (x, y and optional label), 6 significant digits."""
-    rows = ([f"{row[0]:.6g}", f"{row[1]:.6g}"] for row in points)
-    if labels is None:
-        write_csv(path, ["x", "y"], rows)
-    else:
-        write_csv(path, ["x", "y", "label"], (row + [str(int(lab))] for row, lab in zip(rows, labels)))
+def write_projection_csv(points: np.ndarray, path, labels: np.ndarray) -> None:
+    """2-D projection as CSV (x, y and the row's label), 6 significant digits."""
+    rows = ([f"{x:.6g}", f"{y:.6g}", str(int(lab))] for (x, y), lab in zip(points, labels))
+    write_csv(path, ["x", "y", "label"], rows)

@@ -190,20 +190,14 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
     return grad
 
 
-def l2_normalize(vectors: np.ndarray, return_degenerate: bool = False):
+def l2_normalize(vectors: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm.
 
-    Rows with norm below DEGENERATE_NORM_EPS are returned unchanged. With
-    return_degenerate=True also returns the boolean mask of such rows.
+    Rows with norm below DEGENERATE_NORM_EPS are returned unchanged.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    degenerate = norms[..., 0] < DEGENERATE_NORM_EPS
-    safe = np.where(norms < DEGENERATE_NORM_EPS, 1.0, norms)
-    out = vectors / safe
-    if return_degenerate:
-        return out, degenerate
-    return out
+    return vectors / np.where(norms < DEGENERATE_NORM_EPS, 1.0, norms)
 
 
 def l2_normalize_backward(vectors: np.ndarray, grad_output: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Test-only helpers: a seeded generator and a finite-difference gradient
-checker."""
+"""Test-only helpers: a seeded generator, a finite-difference gradient
+checker and two oracles, the pairwise center similarity and a few-shot
+task's structural invariants."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from plcfe.errors import NumericError, ParameterError
+from plcfe.episodes import FewShotTask
+from plcfe.errors import ConstructionError, NumericError, ParameterError, ShapeError
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -46,3 +48,37 @@ def finite_diff_check(
         err = abs(g_fd - grad[i]) / max(1.0, abs(grad[i]))
         worst = max(worst, err)
     return worst
+
+
+def inter_similarity(center_i: np.ndarray, center_j: np.ndarray, tau: float) -> float:
+    """Closeness of two class centers: exp(center_i . center_j / tau)."""
+    if tau <= 0:
+        raise ParameterError("tau must be positive")
+    center_i = np.asarray(center_i, dtype=np.float64)
+    center_j = np.asarray(center_j, dtype=np.float64)
+    if center_i.shape != center_j.shape or center_i.ndim != 1:
+        raise ShapeError("centers must be vectors of equal dimension")
+    return float(np.exp(center_i @ center_j / tau))
+
+
+def validate_structure(task: FewShotTask, n_samples: int) -> None:
+    """Raise if counts, index ranges, or support/query disjointness are
+    violated."""
+    if task.support.ndim != 2 or task.query.ndim != 2:
+        raise ConstructionError("support and query must be 2-D")
+    if task.support.shape[0] != task.query.shape[0]:
+        raise ConstructionError("support and query must agree on the number of ways")
+    all_idx = np.concatenate([task.support.reshape(-1), task.query.reshape(-1)])
+    if all_idx.min() < 0 or all_idx.max() >= n_samples:
+        raise ConstructionError("sample index out of range")
+    s = set(task.support.reshape(-1).tolist())
+    q = set(task.query.reshape(-1).tolist())
+    if s & q:
+        raise ConstructionError("support and query sets overlap")
+    if len(s) != task.support.size:
+        raise ConstructionError("duplicate sample within the support set")
+    for way in range(task.query.shape[0]):
+        if np.unique(task.query[way]).size != task.query.shape[1]:
+            raise ConstructionError(f"duplicate query sample within way {way}")
+    if len(task.provenance) != task.support.shape[0]:
+        raise ConstructionError("provenance must cover every way")

@@ -36,10 +36,10 @@ from plcfe.episodes import (
     select_final_cluster,
 )
 from plcfe.metalearn import MamlConfig, evaluate_fewshot, meta_train, snapshot_eval_model
-from plcfe.metrics import LabeledEmbeddings, clustering_accuracy, similarity_ratio
+from plcfe.metrics import clustering_accuracy, similarity_ratio
 from plcfe.numcore import l2_normalize, softmax
 
-from helpers import finite_diff_check, make_rng
+from helpers import finite_diff_check, make_rng, validate_structure
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -70,8 +70,7 @@ def index_pld(cluster_sizes, dim=3):
     features = np.zeros((n, dim))
     features[:, 0] = np.arange(n)
     labels = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
-    members = [np.flatnonzero(labels == c) for c in range(len(cluster_sizes))]
-    return PseudoLabeledDataset(features=features, pseudo_labels=labels, members=members)
+    return PseudoLabeledDataset(features=features, pseudo_labels=labels, num_clusters=len(cluster_sizes))
 
 
 def test_criterion_1_gradient_fidelity():
@@ -135,11 +134,11 @@ def test_criterion_3_clustering_friendliness(blob_run):
     start = time.monotonic()
     ds, config, initial, trained, _ = blob_run
     before = similarity_ratio(
-        LabeledEmbeddings(encode(initial, ds.features), ds.eval_labels, 8),
+        PseudoLabeledDataset(encode(initial, ds.features), ds.eval_labels, 8),
         config.temperature,
     )
     after = similarity_ratio(
-        LabeledEmbeddings(encode(trained, ds.features), ds.eval_labels, 8),
+        PseudoLabeledDataset(encode(trained, ds.features), ds.eval_labels, 8),
         config.temperature,
     )
     drop = 1.0 - after.ratio / before.ratio
@@ -167,8 +166,7 @@ def test_criterion_4_end_to_end_fewshot(blob_run):
     episode_config = EpisodeConfig(ways=5, shots=1, queries=5)
 
     test_labels = ds.eval_labels[test_idx]
-    members = [np.flatnonzero(test_labels == c) for c in range(8)]
-    test_pld = PseudoLabeledDataset(ds.features[test_idx], test_labels.copy(), members)
+    test_pld = PseudoLabeledDataset(ds.features[test_idx], test_labels.copy(), 8)
 
     accuracies = {}
     for method in ("maml", "proto"):
@@ -291,9 +289,9 @@ def test_criterion_7_structural_invariants():
     rng = make_rng(31)
     n = pld.features.shape[0]
     for _ in range(5000):
-        sample_standard_task(pld, config, rng).validate_structure(n)
+        validate_structure(sample_standard_task(pld, config, rng), n)
     for _ in range(5000):
-        progressive_task(pld, model, scorer, config, rng).validate_structure(n)
+        validate_structure(progressive_task(pld, model, scorer, config, rng), n)
 
     # queue FIFO and capacity under a 1k-step randomized replay
     rng_q = make_rng(32)

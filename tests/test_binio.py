@@ -76,3 +76,12 @@ def test_only_binio_opens_files_for_writing():
                 modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
                 for mode in modes:
                     assert isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+"), where
+
+
+def test_no_module_calls_add_at():
+    # audit: group sums are one flat np.bincount over (group, column) ids,
+    # which adds in the same row order as np.add.at and runs several times faster
+    for source in sorted(Path(plcfe.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "at":
+                assert getattr(node.value, "attr", None) != "add", f"{source.name}:{node.lineno}"

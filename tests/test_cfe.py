@@ -23,9 +23,10 @@ from plcfe.cfe import (
     train_cfe,
     write_loss_trace,
 )
+from plcfe.cluster import PseudoLabeledDataset
 from plcfe.data import AugmentConfig, augment, gen_blobs
 from plcfe.errors import FormatError, ParameterError, ShapeError, StateError
-from plcfe.metrics import LabeledEmbeddings, similarity_ratio
+from plcfe.metrics import similarity_ratio
 from plcfe.numcore import (
     MlpParams,
     l2_normalize,
@@ -384,11 +385,11 @@ class TestTrainCfe:
         )
         initial = EncoderPair.initialize(8, config, make_rng(5))
         before = similarity_ratio(
-            LabeledEmbeddings(encode(initial, ds.features), ds.eval_labels, 4), 0.2
+            PseudoLabeledDataset(encode(initial, ds.features), ds.eval_labels, 4), 0.2
         )
         pair, _ = train_cfe(ds.features, config, make_rng(6), initial=initial)
         after = similarity_ratio(
-            LabeledEmbeddings(encode(pair, ds.features), ds.eval_labels, 4), 0.2
+            PseudoLabeledDataset(encode(pair, ds.features), ds.eval_labels, 4), 0.2
         )
         assert after.ratio < before.ratio
 

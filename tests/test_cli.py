@@ -208,6 +208,24 @@ class TestPipeline:
                          "--seed", "99"]) == EXIT_VALIDATION
             assert "sample_index column" in capsys.readouterr().err
 
+    def test_out_of_range_cluster_id_exits_2(self, tmp_path, capsys):
+        # a row outside [0, k) must be refused, not dropped from the index
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assignment = out / "clusters_assignment.csv"
+        header, first, *rest = assignment.read_text().splitlines()
+        sample = first.split(",")[0]
+        for cluster_id in (-1, 8):
+            assignment.write_text("\n".join([header, f"{sample},{cluster_id}", *rest]) + "\n")
+            for episodes in ("standard", "progressive"):
+                capsys.readouterr()
+                assert main(["meta-train", "--config", str(path), "--out", str(out),
+                             "--episodes", episodes]) == EXIT_VALIDATION
+                err = capsys.readouterr().err
+                assert "pseudo-labels must lie in [0, 8)" in err
+                assert "Traceback" not in err
+
     def test_meta_eval_refuses_split_of_another_seed(self, tmp_path, capsys):
         # with seed 99 the test split overlaps rows the seed-1234 encoder
         # and model were trained on

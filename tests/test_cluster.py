@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcfe.cluster import (
     ClusterModel,
+    PseudoLabeledDataset,
     assign_pseudo_labels,
     kmeans,
     nearest_clusters,
     read_cluster_csv,
     write_cluster_csv,
 )
-from plcfe.errors import FormatError, ParameterError
+from plcfe.errors import FormatError, ParameterError, ShapeError
 
 from helpers import make_rng
 
@@ -151,6 +154,41 @@ class TestAssignPseudoLabels:
         assert [m.size for m in pld.members] == counts.tolist()
 
 
+class TestLabelIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=40))
+        )
+    )
+    def test_index_matches_per_cluster_oracle(self, case):
+        # k may exceed the labels drawn, so empty clusters are covered
+        k, labels = case
+        labels = np.array(labels, dtype=np.int64)
+        pld = PseudoLabeledDataset(np.zeros((labels.size, 2)), labels, k)
+        oracle = [np.flatnonzero(labels == c) for c in range(k)]
+        assert len(pld.members) == k
+        for members, expected in zip(pld.members, oracle):
+            assert np.array_equal(members, expected)
+        assert pld.sizes.tolist() == [m.size for m in oracle]
+        assert np.array_equal(pld.flat_members, np.concatenate(oracle))
+        for c in range(k):
+            run = pld.flat_members[pld.starts[c] : pld.starts[c] + pld.sizes[c]]
+            assert np.array_equal(run, oracle[c])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_label_is_refused(self, bad):
+        with pytest.raises(ParameterError, match=r"pseudo-labels must lie in \[0, 3\)"):
+            PseudoLabeledDataset(np.zeros((3, 2)), np.array([0, bad, 2]), 3)
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ShapeError):
+            PseudoLabeledDataset(np.zeros((3, 2)), np.array([0, 1]), 2)
+        model = ClusterModel(2, np.zeros((2, 2)), np.array([0, 1]), 0.0)
+        with pytest.raises(ShapeError):
+            assign_pseudo_labels(model, np.zeros((3, 2)))
+
+
 class TestNearestClusters:
     def test_mixed_center_is_nearest(self):
         centers = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
@@ -210,13 +248,15 @@ class TestClusterCsv:
         model = kmeans(x, 3, rng=make_rng(1))
         a_path, c_path = tmp_path / "clusters_assignment.csv", tmp_path / "clusters_centers.csv"
         write_cluster_csv(model, a_path, c_path)
-        before = c_path.read_bytes()
+        before, before_assignment = c_path.read_bytes(), a_path.read_bytes()
         centers = model.centers.astype(object)
         centers[2, 1] = "not a number"  # fails the 17g format after two rows
-        broken = ClusterModel(3, centers, model.assignment, model.inertia)
+        # every row of the new assignment differs, so a replaced file shows
+        broken = ClusterModel(3, centers, (model.assignment + 1) % 3, model.inertia)
         with pytest.raises(ValueError):
             write_cluster_csv(broken, a_path, c_path)
         assert c_path.read_bytes() == before
+        assert a_path.read_bytes() == before_assignment
         assert sorted(p.name for p in tmp_path.iterdir()) == [a_path.name, c_path.name]
 
     def test_bad_header(self, tmp_path):

@@ -23,7 +23,7 @@ from plcfe.episodes import (
 from plcfe.errors import ConstructionError, ParameterError
 from plcfe.numcore import softmax
 
-from helpers import make_rng
+from helpers import make_rng, validate_structure
 
 
 class TableScorer:
@@ -64,8 +64,7 @@ def make_pld(cluster_sizes, dim=3):
     features = np.zeros((n, dim))
     features[:, 0] = np.arange(n)
     labels = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
-    members = [np.flatnonzero(labels == c) for c in range(len(cluster_sizes))]
-    return PseudoLabeledDataset(features=features, pseudo_labels=labels, members=members)
+    return PseudoLabeledDataset(features=features, pseudo_labels=labels, num_clusters=len(cluster_sizes))
 
 
 def make_cluster_model(pld, dim=3):
@@ -90,7 +89,7 @@ class TestStandardTask:
         pld = make_pld([2, 2])
         config = EpisodeConfig(ways=2, shots=1, queries=1)
         task = sample_standard_task(pld, config, make_rng(0))
-        task.validate_structure(pld.features.shape[0])
+        validate_structure(task, pld.features.shape[0])
         used_clusters = {p.base_cluster for p in task.provenance}
         assert used_clusters == {0, 1}
 
@@ -352,7 +351,7 @@ class TestProgressiveTask:
         for _ in range(20):
             (task,) = sample_task_batch(pld, model, scorer, config, rng, 1)
             assert task.progressive
-            task.validate_structure(pld.features.shape[0])
+            validate_structure(task, pld.features.shape[0])
 
     def test_single_candidate_forces_unique_neighbor(self):
         # k = ways + 1 clusters and one candidate per base: the query
@@ -439,7 +438,7 @@ class TestProgressiveTask:
         for way, prov in enumerate(task.provenance):
             if prov.fallback:
                 assert prov.query_cluster == prov.base_cluster
-        task.validate_structure(pld.features.shape[0])
+        validate_structure(task, pld.features.shape[0])
 
     def test_progressive_requires_eval_model(self):
         pld, model, _ = self.make_setup()

@@ -309,6 +309,17 @@ class TestStackedTasks:
         for t in range(3):
             assert np.array_equal(stacked[t], way_prototypes(embeddings[t], labels[t]))
 
+    def test_prototypes_equal_add_at_reference(self):
+        # the flat bincount adds each way's rows in the same order as np.add.at
+        rng = make_rng(35)
+        embeddings = rng.normal(size=(4, 20, 8))
+        labels = np.stack([rng.permutation(np.arange(20) % 5) for _ in range(4)])
+        stacked = way_prototypes(embeddings, labels)
+        for t in range(4):
+            sums = np.zeros((5, 8))
+            np.add.at(sums, labels[t], embeddings[t])
+            assert np.array_equal(stacked[t], sums / np.bincount(labels[t])[:, None])
+
     def test_stacked_empty_way_names_task(self):
         labels = np.array([[0, 1, 0, 1], [0, 0, 0, 1], [1, 1, 1, 1]])
         with pytest.raises(ParameterError, match="^task 2: way 0 has no support"):

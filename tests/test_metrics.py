@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from plcfe.cluster import PseudoLabeledDataset
 from plcfe.errors import DegenerateDataError, ParameterError
 from plcfe.metrics import (
-    LabeledEmbeddings,
     clustering_accuracy,
-    inter_similarity,
     intra_similarity,
     pca_project_2d,
     similarity_ratio,
@@ -17,7 +16,7 @@ from plcfe.metrics import (
 )
 from plcfe.numcore import l2_normalize
 
-from helpers import make_rng
+from helpers import inter_similarity, make_rng
 
 E5 = math.exp(5.0)
 
@@ -60,7 +59,7 @@ class TestInterSimilarity:
 
 def make_labeled(embeddings, labels):
     labels = np.asarray(labels)
-    return LabeledEmbeddings(embeddings, labels, int(labels.max()) + 1)
+    return PseudoLabeledDataset(embeddings, labels, int(labels.max()) + 1)
 
 
 class TestSimilarityRatio:
@@ -118,6 +117,11 @@ class TestSimilarityRatio:
         report = similarity_ratio(make_labeled(shuffled, labels), 0.2)
         assert report.ratio == pytest.approx(base.ratio, rel=1e-12)
         assert np.allclose(report.per_class_intra, base.per_class_intra)
+
+    def test_empty_class_is_refused(self):
+        emb = np.repeat(np.eye(3), 2, axis=0)
+        with pytest.raises(ParameterError, match="every class id must appear"):
+            similarity_ratio(PseudoLabeledDataset(emb, np.array([0, 0, 2, 2, 2, 2]), 3), 0.2)
 
     def test_needs_two_classes(self):
         with pytest.raises(ParameterError):
