@@ -26,7 +26,7 @@ from . import episodes as episodes_mod
 from . import metalearn as meta_mod
 from . import metrics as metrics_mod
 from ._binio import artifact_file, write_csv
-from .errors import ParameterError, PlcfeError
+from .errors import FormatError, ParameterError, PlcfeError
 from .numcore import derive_rng
 
 EXIT_OK = 0
@@ -470,7 +470,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             produced = _STAGES[args.command](config, ws)
             print(f"{args.command}: wrote {', '.join(produced)}")
-    except ParameterError as exc:
+    except (ParameterError, FormatError) as exc:
+        # a malformed input artifact is refused like a bad parameter
         print(f"validation error in {args.command}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except PlcfeError as exc:

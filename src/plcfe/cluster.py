@@ -76,35 +76,32 @@ def _kmeans_pp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # squared Euclidean distances via expansion; (n, k)
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ centers.T)
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    labels = np.argmin(d2, axis=1)
-    return labels, d2
+def _assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # argmin over centers of |x - c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2
+    # term is the same for every center of a row, so it is left out
+    return np.argmin(x @ (-2.0 * centers).T + np.sum(centers * centers, axis=1), axis=1)
 
 
 def _lloyd(
     x: np.ndarray, centers: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     k, d = centers.shape
-    labels, d2 = _assign(x, centers)
+    labels = _assign(x, centers)
     for _ in range(max_iters):
         counts = np.bincount(labels, minlength=k)
         # one flat bincount over (cluster, column) ids sums every cluster in row order
         flat = (labels[:, None] * d + np.arange(d)).ravel()
         sums = np.bincount(flat, weights=x.ravel(), minlength=k * d).reshape(k, d)
         new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
-        # repair empty clusters at the point farthest from its own center
-        point_d2 = d2[np.arange(x.shape[0]), labels]
-        for j in np.flatnonzero(counts == 0):
-            far = int(np.argmax(point_d2))
-            new_centers[j] = x[far]
-            point_d2[far] = -1.0  # don't reuse the same point twice
-        new_labels, d2 = _assign(x, new_centers)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # repair empty clusters at the point farthest from its own center
+            point_d2 = np.sum((x - centers[labels]) ** 2, axis=1)
+            for j in empty:
+                far = int(np.argmax(point_d2))
+                new_centers[j] = x[far]
+                point_d2[far] = -1.0  # don't reuse the same point twice
+        new_labels = _assign(x, new_centers)
         centers = new_centers
         if np.array_equal(new_labels, labels):
             labels = new_labels
@@ -144,18 +141,21 @@ def assign_pseudo_labels(model: ClusterModel, features: np.ndarray) -> PseudoLab
     return PseudoLabeledDataset(np.asarray(features, dtype=np.float64), model.assignment.copy(), model.k)
 
 
-def nearest_clusters(model: ClusterModel, base: int, count: int) -> np.ndarray:
-    """The `count` clusters most similar to `base` by center dot product,
-    most similar first; ties break toward the lower cluster id."""
-    if not (0 <= base < model.k):
-        raise ParameterError(f"base cluster {base} out of range")
+def nearest_clusters(model: ClusterModel, bases, count: int) -> np.ndarray:
+    """For each base cluster, the `count` clusters most similar to it by
+    center dot product, most similar first; ties break toward the lower
+    cluster id. A (ways,) array of bases gives a (ways, count) table, a
+    single base a (count,) row."""
+    bases = np.asarray(bases, dtype=np.int64)
+    if np.any((bases < 0) | (bases >= model.k)):
+        raise ParameterError(f"base cluster out of range [0, {model.k}): {bases}")
     if count >= model.k:
         raise ParameterError(f"count={count} must be < k={model.k}")
-    sims = model.centers @ model.centers[base]
-    others = np.delete(np.arange(model.k, dtype=np.int64), base)
-    # sort by descending similarity, then ascending id (lexsort's last key is primary)
-    order = others[np.lexsort((others, -sims[others]))]
-    return order[:count]
+    sims = (model.centers @ model.centers[bases].T).T
+    # a base is never its own neighbor; a stable sort keeps equal
+    # similarities in ascending id order
+    np.put_along_axis(sims, bases[..., None], -np.inf, axis=-1)
+    return np.argsort(-sims, axis=-1, kind="stable")[..., :count]
 
 
 def write_cluster_csv(
@@ -176,25 +176,56 @@ def write_cluster_csv(
         writer.writerows([cid] + [f"{v:.17g}" for v in row] for cid, row in enumerate(model.centers))
 
 
+def _read_table(path, what: str, header_ok, dtype) -> np.ndarray:
+    """The rows after a cluster CSV's header, typed as one (rows, columns)
+    array in one read. A bad header, a row with another column count than
+    the header or a cell that does not parse as dtype is a FormatError
+    naming the file and line."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or not header_ok(rows[0]):
+        raise FormatError(f"bad {what} header in {path}")
+    width, body = len(rows[0]), rows[1:]
+
+    def refuse(line: int, reason) -> FormatError:
+        return FormatError(f"malformed {what} row in {path} line {line}: {reason}")
+
+    for line, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise refuse(line, f"{len(row)} columns, the header has {width}")
+    try:
+        return np.array(body, dtype=dtype).reshape(len(body), width)
+    except ValueError as exc:
+        # the typed read names the cell but not its line
+        for line, row in enumerate(body, start=2):
+            try:
+                np.array(row, dtype=dtype)
+            except ValueError:
+                raise refuse(line, exc) from None
+        raise
+
+
 def read_cluster_csv(assignment_path, centers_path, sample_indices=None) -> ClusterModel:
     """Inverse of write_cluster_csv; a sample_index column that differs
-    from the given sample_indices is a ParameterError."""
-    with open(assignment_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["sample_index", "cluster_id"]:
-        raise FormatError(f"bad assignment header in {assignment_path}")
-    assignment = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
-    found = [int(r[0]) for r in rows[1:]]
+    from the given sample_indices is a ParameterError, a malformed row or a
+    centers cluster_id column other than 0..k-1 a FormatError."""
+    found, assignment = _read_table(
+        assignment_path, "assignment", lambda h: h == ["sample_index", "cluster_id"], np.int64
+    ).T.copy()
     if sample_indices is not None and not np.array_equal(found, sample_indices):
         raise ParameterError(
             f"sample_index column of {assignment_path} does not match this run's training "
             "split; was it clustered with another seed or test fraction?"
         )
-    with open(centers_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "cluster_id":
-        raise FormatError(f"bad centers header in {centers_path}")
-    centers = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
+    table = _read_table(centers_path, "centers", lambda h: h[:1] == ["cluster_id"], np.float64)
+    wrong = np.flatnonzero(table[:, 0] != np.arange(table.shape[0]))
+    if wrong.size:
+        row = int(wrong[0])
+        raise FormatError(
+            f"malformed centers row in {centers_path} line {row + 2}: "
+            f"cluster_id {table[row, 0]:g}, expected {row}"
+        )
+    centers = np.ascontiguousarray(table[:, 1:])
     return ClusterModel(
         k=centers.shape[0], centers=centers, assignment=assignment, inertia=float("nan")
     )

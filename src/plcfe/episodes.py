@@ -4,20 +4,21 @@ Every episode starts from one draw kernel, draw_episodes: for a batch of
 tasks it picks each task's ways distinct clusters and each way's distinct
 members as one (tasks, ways, picks) index array. Two samplers build on it:
 a plain one that splits each way's picks into support and query, and a
-progressive one that, for the small fraction of task batches that pass a
-random gate, takes only the supports from the kernel, finetunes an
-evaluation model on them, picks each way's query source among the base
-cluster's nearest neighbors by predicted-label entropy, and filters the
-chosen cluster's noisiest members before drawing queries. The progressive
-sampler scores each task once: one forward pass over every row of the
-split, whose argmax labels fill one (clusters, ways) count table and whose
-log-softmax ranks members for the filter.
+progressive one for the small fraction of task batches that pass a random
+gate. The progressive sampler builds its batch support-first: it takes the
+bases and supports of all T tasks from one kernel draw, finetunes the
+evaluation model on the T supports as one stack, and scores every row of
+the split for every task in one forward pass, (T, N, ways). The argmax
+labels fill one predicted-label count table per task, from which one call
+gives every cluster's entropy, and one log-softmax ranks members for the
+noise filter. Each task then picks each way's query source among the base
+cluster's nearest neighbors by entropy, filters the chosen cluster's
+noisiest members and draws its queries, task after task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -46,16 +47,6 @@ class EpisodeConfig:
             raise ParameterError("episodes.gate_threshold must be in [0, 1]")
         if self.candidate_neighbors < 1:
             raise ParameterError("episodes.candidate_neighbors must be >= 1")
-
-
-class EvaluationModel(Protocol):
-    """What the progressive sampler needs from a meta-learned snapshot."""
-
-    def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        """Per-sample scores over the task's ways, shape (n, ways)."""
-
-    def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> "EvaluationModel":
-        """A copy adapted to the given support set; self is untouched."""
 
 
 @dataclass
@@ -125,10 +116,15 @@ def sample_standard_task(
 
 def predicted_label_counts(scores: np.ndarray, pld: PseudoLabeledDataset) -> np.ndarray:
     """(k, ways) table: how many members of each cluster take each way as
-    the argmax label of their (n, ways) score row."""
-    ways = scores.shape[1]
-    flat = pld.pseudo_labels * ways + np.argmax(scores, axis=1)
-    return np.bincount(flat, minlength=pld.num_clusters * ways).reshape(-1, ways)
+    the argmax label of their (n, ways) score row. (T, n, ways) scores give
+    one table per task, (T, k, ways), from one bincount whose bins carry a
+    task offset."""
+    *lead, n, ways = scores.shape
+    tasks = int(np.prod(lead))
+    ids = np.arange(tasks)[:, None] * pld.num_clusters + pld.pseudo_labels
+    flat = ids * ways + np.argmax(scores, axis=-1).reshape(tasks, n)
+    counts = np.bincount(flat.ravel(), minlength=tasks * pld.num_clusters * ways)
+    return counts.reshape(*lead, pld.num_clusters, ways)
 
 
 def cluster_entropy(label_counts: np.ndarray) -> np.ndarray:
@@ -146,13 +142,17 @@ def cluster_entropy(label_counts: np.ndarray) -> np.ndarray:
     return -np.sum(probs * logs, axis=1)
 
 
-def select_final_cluster(candidate_ids, label_counts: np.ndarray) -> int:
-    """Candidate with the highest entropy; ties go to the earlier (nearer)
-    candidate."""
+def select_final_cluster(candidate_ids, entropy: np.ndarray) -> int:
+    """Candidate with the highest entropy, read from a per-cluster entropy
+    vector; ties go to the earlier (nearer) candidate. An empty cluster's
+    entropy is NaN, and choosing among it is a ParameterError."""
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
     if candidate_ids.size == 0:
         raise ParameterError("need at least one candidate cluster")
-    return int(candidate_ids[np.argmax(cluster_entropy(label_counts[candidate_ids]))])
+    values = entropy[candidate_ids]
+    if np.isnan(values).any():
+        raise ParameterError("every cluster needs at least one member")
+    return int(candidate_ids[np.argmax(values)])
 
 
 def filter_noisy(
@@ -180,50 +180,33 @@ def filter_noisy(
 def progressive_task(
     pld: PseudoLabeledDataset,
     cluster_model: ClusterModel,
-    eval_model,
     config: EpisodeConfig,
     rng: np.random.Generator,
+    bases: np.ndarray,
+    support: np.ndarray,
+    entropy: np.ndarray,
+    log_probs: np.ndarray,
 ) -> FewShotTask:
-    """Build one episode with the entropy-guided query source, bypassing
-    the gate.
+    """One progressive episode from its (ways,) base clusters and (ways,
+    shots) support, given the (k,) cluster entropies and (N, ways)
+    log-softmax rows that the model finetuned on that support produced.
 
-    Each way's support comes from a base cluster; a copy of the evaluation
-    model is finetuned on the whole support set and scores every row once,
-    and the way's queries are drawn from whichever candidate neighbor
-    cluster has the highest predicted-label entropy, after dropping its
-    lowest-scored members. Ways whose filtered pool cannot supply enough
-    fresh queries fall back to their base cluster (recorded in provenance).
-    Support samples are never reused as queries; query samples are unique
-    within a task except in the last-resort fallback, where a way may share
-    queries with another way's.
+    Each way's queries are drawn from whichever of its base's candidate
+    neighbor clusters has the highest entropy, after dropping that
+    cluster's lowest-scored members. Ways whose filtered pool cannot supply
+    enough fresh queries fall back to their base cluster (recorded in
+    provenance). Support samples are never reused as queries; query
+    samples are unique within a task except in the last-resort fallback,
+    where a way may share queries with another way's.
     """
-    if eval_model is None:
-        raise ParameterError("progressive sampling requires an evaluation model")
-    if cluster_model.k <= config.candidate_neighbors:
-        raise ParameterError("need more clusters than candidate_neighbors")
-    # a base needs shots + queries members to back a fallback
-    (bases,), (picks,) = draw_episodes(pld, config.ways, config.shots + config.queries, rng)
-    support = picks[:, : config.shots]
-
-    support_flat, support_ways = way_pairs(support)
-    adapted = eval_model.finetuned(pld.features[support_flat], support_ways)
-    scores = np.asarray(adapted.predict_scores(pld.features))
-    if scores.shape != (pld.features.shape[0], config.ways):
-        raise ParameterError(f"evaluation model must emit {config.ways} scores per sample")
-    label_counts = predicted_label_counts(scores, pld)
-    # logsumexp as max + log1p(rest), which keeps near-1 probabilities apart
-    ordered = np.sort(scores, axis=1)
-    top = ordered[:, -1:]
-    log_probs = scores - top - np.log1p(np.exp(ordered[:, :-1] - top).sum(axis=1, keepdims=True))
-
     is_support = np.zeros(pld.features.shape[0], dtype=bool)
-    is_support[support_flat] = True
+    is_support[support.ravel()] = True
     used = is_support.copy()
     query = np.empty((config.ways, config.queries), dtype=np.int64)
     provenance = []
-    for way, base in enumerate(bases):
-        candidates = nearest_clusters(cluster_model, int(base), config.candidate_neighbors)
-        final = select_final_cluster(candidates, label_counts)
+    neighbors = nearest_clusters(cluster_model, bases, config.candidate_neighbors)
+    for way, (base, candidates) in enumerate(zip(bases, neighbors)):
+        final = select_final_cluster(candidates, entropy)
         kept = filter_noisy(log_probs, pld.members[final], way, config.keep_rate)
         pool = kept[~used[kept]]
         fallback = pool.size < config.queries
@@ -252,6 +235,55 @@ def progressive_task(
     return FewShotTask(support=support, query=query, provenance=provenance, progressive=True)
 
 
+def sample_progressive_batch(
+    pld: PseudoLabeledDataset,
+    cluster_model: ClusterModel,
+    eval_model,
+    config: EpisodeConfig,
+    rng: np.random.Generator,
+    count: int,
+) -> list[FewShotTask]:
+    """count progressive episodes, built support-first, bypassing the gate.
+
+    One draw_episodes call gives every task's base clusters and picks; a
+    base needs shots + queries members to back a fallback. The evaluation
+    model is finetuned once on the (count, ways * shots) support stack and
+    scores every row of the split for every task. The (count, N, ways)
+    scores give each task's cluster entropies and log-softmax rows, and
+    progressive_task then draws the tasks' queries in task order.
+
+    eval_model is a SnapshotEvaluationModel or a test double with its two
+    methods: finetuned(support_x, support_y) on (count, n, d) support rows
+    and (count, n) way labels returns an adapted copy, whose predict_scores
+    maps (count, N, d) rows to (count, N, ways) scores.
+    """
+    if eval_model is None:
+        raise ParameterError("progressive sampling requires an evaluation model")
+    if cluster_model.k <= config.candidate_neighbors:
+        raise ParameterError("need more clusters than candidate_neighbors")
+    bases, picks = draw_episodes(pld, config.ways, config.shots + config.queries, rng, count)
+    support = picks[..., : config.shots]
+    support_flat, support_ways = way_pairs(support)
+    adapted = eval_model.finetuned(pld.features[support_flat], support_ways)
+    every_row = np.broadcast_to(pld.features, (count, *pld.features.shape))
+    scores = np.asarray(adapted.predict_scores(every_row))
+    if scores.shape != (count, pld.features.shape[0], config.ways):
+        raise ParameterError(f"evaluation model must emit {config.ways} scores per sample")
+    counts = predicted_label_counts(scores, pld)
+    # an empty cluster has no entropy; NaN marks it for select_final_cluster
+    entropy = np.full((count, pld.num_clusters), np.nan)
+    filled = pld.sizes > 0
+    entropy[:, filled] = cluster_entropy(counts[:, filled].reshape(-1, config.ways)).reshape(count, -1)
+    # logsumexp as max + log1p(rest), which keeps near-1 probabilities apart
+    ordered = np.sort(scores, axis=-1)
+    top = ordered[..., -1:]
+    log_probs = scores - top - np.log1p(np.exp(ordered[..., :-1] - top).sum(axis=-1, keepdims=True))
+    return [
+        progressive_task(pld, cluster_model, config, rng, *task)
+        for task in zip(bases, support, entropy, log_probs)
+    ]
+
+
 def sample_task_batch(
     pld: PseudoLabeledDataset,
     cluster_model: ClusterModel,
@@ -269,7 +301,7 @@ def sample_task_batch(
     progressive.
     """
     if eval_model is not None and rng.uniform() > config.gate_threshold:
-        return [progressive_task(pld, cluster_model, eval_model, config, rng) for _ in range(count)]
+        return sample_progressive_batch(pld, cluster_model, eval_model, config, rng, count)
     return [sample_standard_task(pld, config, rng) for _ in range(count)]
 
 

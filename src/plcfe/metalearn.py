@@ -5,9 +5,9 @@ MAML, or episodically with a prototype head as a second supervised method.
 Both run a task batch at once: the model is broadcast to a (T, P) stack of
 parameter vectors, and each MAML inner step, prototype loss or evaluation
 block is one batched pass over the T tasks. One evaluation-model type,
-SnapshotEvaluationModel, finetunes a model on a support set and scores
-samples with it, for held-out evaluation and for the progressive episode
-sampler alike.
+SnapshotEvaluationModel, finetunes a model on a stack of support sets and
+scores samples with it, for held-out evaluation and for the progressive
+episode sampler alike.
 """
 
 from __future__ import annotations
@@ -262,16 +262,6 @@ def prototype_scores(embeddings: np.ndarray, prototypes: np.ndarray) -> np.ndarr
     return -np.sum(diff * diff, axis=-1)
 
 
-def proto_classify(
-    support_embeddings: np.ndarray,
-    support_labels: np.ndarray,
-    query_embeddings: np.ndarray,
-) -> np.ndarray:
-    """Negative squared distance of each query embedding to each way's
-    support prototype (per-way mean), per task for stacked inputs."""
-    return prototype_scores(query_embeddings, way_prototypes(support_embeddings, support_labels))
-
-
 def proto_loss_and_grad(
     model: FewShotModel,
     support_x: np.ndarray,
@@ -342,9 +332,9 @@ def evaluate_fewshot(
     """Per-task query accuracy of (T, ways, shots) support and (T, ways,
     queries) query index arrays, with a 1.96 * std / sqrt(T) half-width.
 
-    The tasks run in blocks of EVAL_BLOCK_TASKS: the scorer's model is
-    broadcast to one copy per task, finetuned on each task's support set
-    and scores its queries. A maml head needs one output per way.
+    The tasks run in blocks of EVAL_BLOCK_TASKS: the scorer is finetuned on
+    each task's support set, as one model stack per block, and scores the
+    task's queries. A maml head needs one output per way.
     """
     tasks, ways = support.shape[:2]
     if tasks == 0:
@@ -354,15 +344,12 @@ def evaluate_fewshot(
     accs = np.empty(tasks)
     for start in range(0, tasks, EVAL_BLOCK_TASKS):
         block = slice(start, start + EVAL_BLOCK_TASKS)
-        stack, (s_idx, s_way), (q_idx, q_way) = _stacked(scorer.model, support[block], query[block])
+        s_idx, s_way = episodes_mod.way_pairs(support[block])
+        q_idx, q_way = episodes_mod.way_pairs(query[block])
         # one expression: the block's adapted model dies with it, so it is
         # freed before the next block adapts instead of adding to peak memory
         try:
-            scores = (
-                replace(scorer, model=stack)
-                .finetuned(features[s_idx], s_way)
-                .predict_scores(features[q_idx])
-            )
+            scores = scorer.finetuned(features[s_idx], s_way).predict_scores(features[q_idx])
         except NumericError as exc:
             raise NumericError(exc.reason, task=start + exc.task) from exc
         accs[block] = np.mean(np.argmax(scores, axis=-1) == q_way, axis=-1)
@@ -381,8 +368,9 @@ class SnapshotEvaluationModel:
     config.inner_lr and config.inner_steps, and scores are the head's
     logits. For proto, scores are negative squared distances to the
     support prototypes that finetuning computes, so scoring before
-    finetuning is a StateError. A model stack finetunes and scores each
-    task of (T, n, d) inputs on its own.
+    finetuning is a StateError. Finetuning on a (T, n, d) stack of support
+    sets broadcasts the model to T copies first, so each task is finetuned
+    on its own, and the result scores (T, n, d) rows as (T, n, ways).
     """
 
     model: FewShotModel
@@ -402,13 +390,17 @@ class SnapshotEvaluationModel:
         return prototype_scores(mlp_forward(self.model.encoder, features), self.prototypes)
 
     def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> "SnapshotEvaluationModel":
+        # an unstacked snapshot is broadcast to one read-only copy per task
+        # of a (T, n, d) support; the copy is never written
+        lead = support_x.shape[:-2] + self.model.vector.shape[-1:]
+        model = model_with_vector(self.model, np.broadcast_to(self.model.vector, lead))
         if self.method == "maml":
             adapted = maml_inner_adapt(
-                self.model, support_x, support_y, self.config.inner_lr, self.config.inner_steps
+                model, support_x, support_y, self.config.inner_lr, self.config.inner_steps
             )
             return replace(self, model=adapted)
-        embeddings = mlp_forward(self.model.encoder, support_x)
-        return replace(self, prototypes=way_prototypes(embeddings, support_y))
+        embeddings = mlp_forward(model.encoder, support_x)
+        return replace(self, model=model, prototypes=way_prototypes(embeddings, support_y))
 
 
 def snapshot_eval_model(

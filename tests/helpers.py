@@ -1,6 +1,6 @@
 """Test-only helpers: a seeded generator, a finite-difference gradient
-checker and two oracles, the pairwise center similarity and a few-shot
-task's structural invariants."""
+checker and three oracles, the pairwise center similarity, prototype
+classification and a few-shot task's structural invariants."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from plcfe.episodes import FewShotTask
 from plcfe.errors import ConstructionError, NumericError, ParameterError, ShapeError
+from plcfe.metalearn import prototype_scores, way_prototypes
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -59,6 +60,16 @@ def inter_similarity(center_i: np.ndarray, center_j: np.ndarray, tau: float) -> 
     if center_i.shape != center_j.shape or center_i.ndim != 1:
         raise ShapeError("centers must be vectors of equal dimension")
     return float(np.exp(center_i @ center_j / tau))
+
+
+def proto_classify(
+    support_embeddings: np.ndarray,
+    support_labels: np.ndarray,
+    query_embeddings: np.ndarray,
+) -> np.ndarray:
+    """Negative squared distance of each query embedding to each way's
+    support prototype (per-way mean), per task for stacked inputs."""
+    return prototype_scores(query_embeddings, way_prototypes(support_embeddings, support_labels))
 
 
 def validate_structure(task: FewShotTask, n_samples: int) -> None:

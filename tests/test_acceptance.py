@@ -30,7 +30,7 @@ from plcfe.episodes import (
     filter_noisy,
     cluster_entropy,
     predicted_label_counts,
-    progressive_task,
+    sample_progressive_batch,
     sample_standard_task,
     sample_task_batch,
     select_final_cluster,
@@ -49,17 +49,14 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 class StubScorer:
     """Deterministic evaluation model: predicted labels come from a fixed
-    table keyed by feature column 0."""
+    table keyed by feature column 0, for (n, d) rows or a (T, n, d) stack."""
 
     def __init__(self, labels, ways):
         self.labels = np.asarray(labels)
         self.ways = ways
 
     def predict_scores(self, features):
-        idx = features[:, 0].astype(int)
-        scores = np.zeros((idx.size, self.ways))
-        scores[np.arange(idx.size), self.labels[idx]] = 1.0
-        return scores
+        return np.eye(self.ways)[self.labels[features[..., 0].astype(int)]]
 
     def finetuned(self, support_x, support_y):
         return self
@@ -240,7 +237,7 @@ def test_criterion_6_progressive_mechanics():
     for _ in range(100):
         candidates = rng.choice(12, size=5, replace=False).tolist()
         counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        chosen = select_final_cluster(candidates, counts)
+        chosen = select_final_cluster(candidates, cluster_entropy(counts))
         entropies = [
             cluster_entropy(
                 predicted_label_counts(
@@ -291,7 +288,7 @@ def test_criterion_7_structural_invariants():
     for _ in range(5000):
         validate_structure(sample_standard_task(pld, config, rng), n)
     for _ in range(5000):
-        validate_structure(progressive_task(pld, model, scorer, config, rng), n)
+        validate_structure(sample_progressive_batch(pld, model, scorer, config, rng, 1)[0], n)
 
     # queue FIFO and capacity under a 1k-step randomized replay
     rng_q = make_rng(32)

@@ -226,6 +226,44 @@ class TestPipeline:
                 assert "pseudo-labels must lie in [0, 8)" in err
                 assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "clusters_assignment.csv",
+                lambda rows: rows[1].replace(rows[1].split(",")[1], "abc"),
+                "line 2: invalid literal for int() with base 10: 'abc'",
+            ),
+            (
+                "clusters_centers.csv",
+                lambda rows: rows[1].rsplit(",", 1)[0] + ",abc",
+                "line 2: could not convert string to float: 'abc'",
+            ),
+            (
+                "clusters_centers.csv",
+                lambda rows: rows[1].rsplit(",", 1)[0],
+                "line 2: 8 columns, the header has 9",
+            ),
+            (
+                "clusters_centers.csv",
+                lambda rows: "7" + rows[1][rows[1].index(","):],
+                "line 2: cluster_id 7, expected 0",
+            ),
+        ],
+        ids=["non-integer-cell", "non-float-cell", "short-row", "centers-id"],
+    )
+    def test_malformed_cluster_csv_exits_2(self, tmp_path, capsys, name, edit, message):
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = (out / name).read_text().splitlines()
+        (out / name).write_text("\n".join([rows[0], edit(rows), *rows[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{out / name} {message}" in err
+        assert "Traceback" not in err
+
     def test_meta_eval_refuses_split_of_another_seed(self, tmp_path, capsys):
         # with seed 99 the test split overlaps rows the seed-1234 encoder
         # and model were trained on

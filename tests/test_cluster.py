@@ -91,10 +91,14 @@ class TestKmeans:
 
     @pytest.mark.parametrize("seeded", [True, False])
     def test_lloyd_matches_per_cluster_mask_loop(self, seeded):
-        from plcfe.cluster import _assign, _kmeans_pp_seed, _lloyd
+        from plcfe.cluster import _kmeans_pp_seed, _lloyd
+
+        def assign(x, centers):
+            d2 = np.sum((x[:, None, :] - centers[None]) ** 2, axis=-1)
+            return np.argmin(d2, axis=1), d2
 
         def looped(x, centers, max_iters):
-            labels, d2 = _assign(x, centers)
+            labels, d2 = assign(x, centers)
             for _ in range(max_iters):
                 new_centers = centers.copy()
                 for j in range(len(centers)):
@@ -106,7 +110,7 @@ class TestKmeans:
                         far = int(np.argmax(point_d2))
                         new_centers[j] = x[far]
                         point_d2[far] = -1.0
-                new_labels, d2 = _assign(x, new_centers)
+                new_labels, d2 = assign(x, new_centers)
                 centers = new_centers
                 if np.array_equal(new_labels, labels):
                     break
@@ -219,6 +223,24 @@ class TestNearestClusters:
         centers = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
         model = ClusterModel(4, centers, np.arange(4), 0.0)
         assert nearest_clusters(model, 0, 3).tolist() == [1, 2, 3]
+
+    def test_table_rows_match_single_bases(self):
+        rng = make_rng(2)
+        for _ in range(20):
+            centers = rng.normal(size=(12, 4))
+            # duplicate centers make exact ties
+            centers[rng.integers(12, size=3)] = centers[0]
+            model = ClusterModel(12, centers, np.arange(12), 0.0)
+            bases = rng.choice(12, size=5, replace=False)
+            table = nearest_clusters(model, bases, 4)
+            assert table.shape == (5, 4)
+            for base, row in zip(bases, table):
+                assert row.tolist() == nearest_clusters(model, int(base), 4).tolist()
+
+    def test_base_range_validation(self):
+        model = ClusterModel(3, np.zeros((3, 2)), np.arange(3), 0.0)
+        with pytest.raises(ParameterError, match="out of range"):
+            nearest_clusters(model, np.array([0, 3]), 1)
 
     def test_count_validation(self):
         model = ClusterModel(3, np.zeros((3, 2)), np.arange(3), 0.0)

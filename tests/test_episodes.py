@@ -14,7 +14,7 @@ from plcfe.episodes import (
     draw_episodes,
     filter_noisy,
     predicted_label_counts,
-    progressive_task,
+    sample_progressive_batch,
     sample_standard_task,
     sample_task_batch,
     select_final_cluster,
@@ -26,35 +26,33 @@ from plcfe.numcore import softmax
 from helpers import make_rng, validate_structure
 
 
-class TableScorer:
-    """Stub evaluation model: sample identity is feature column 0 and the
-    predicted label comes from a fixed table."""
+class RowScorer:
+    """Stub evaluation model with explicit per-sample score rows, indexed by
+    feature column 0. Finetuning on a (..., n, d) support adds shift times
+    each way's sum of support indices to that way's scores, so a model
+    finetuned on a stack of T supports scores (T, N, ways), each task
+    after its own support."""
+
+    def __init__(self, rows, shift=0.0, bias=None):
+        self.rows = np.asarray(rows, dtype=float)
+        self.shift = shift
+        self.bias = np.zeros(self.rows.shape[1]) if bias is None else bias
+
+    def predict_scores(self, features):
+        return self.rows[features[..., 0].astype(int)] + self.bias[..., None, :]
+
+    def finetuned(self, support_x, support_y):
+        one_hot = support_y[..., None] == np.arange(self.rows.shape[1])
+        sums = np.sum(support_x[..., :1] * one_hot, axis=-2)
+        return RowScorer(self.rows, self.shift, self.shift * sums)
+
+
+class TableScorer(RowScorer):
+    """RowScorer whose rows one-hot encode a fixed predicted label per
+    sample."""
 
     def __init__(self, labels, ways):
-        self.labels = np.asarray(labels)
-        self.ways = ways
-
-    def predict_scores(self, features):
-        idx = features[:, 0].astype(int)
-        scores = np.zeros((idx.size, self.ways))
-        scores[np.arange(idx.size), self.labels[idx]] = 1.0
-        return scores
-
-    def finetuned(self, support_x, support_y):
-        return self
-
-
-class RowScorer:
-    """Stub with explicit per-sample score rows, indexed by column 0."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
-
-    def predict_scores(self, features):
-        return self.rows[features[:, 0].astype(int)]
-
-    def finetuned(self, support_x, support_y):
-        return self
+        super().__init__(np.eye(ways)[np.asarray(labels)])
 
 
 def make_pld(cluster_sizes, dim=3):
@@ -256,7 +254,7 @@ class TestSelectFinalCluster:
         pld = make_pld([3, 3])
         scorer = TableScorer(np.zeros(6, dtype=int), 2)
         counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        assert select_final_cluster([1], counts) == 1
+        assert select_final_cluster([1], cluster_entropy(counts)) == 1
 
     def test_argmax_entropy(self):
         # cluster 0: all one label (H=0); cluster 1: even split (H=ln2);
@@ -265,13 +263,13 @@ class TestSelectFinalCluster:
         labels = np.array([0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1])
         scorer = TableScorer(labels, 2)
         counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        assert select_final_cluster([0, 1, 2], counts) == 1
+        assert select_final_cluster([0, 1, 2], cluster_entropy(counts)) == 1
 
     def test_tie_breaks_by_candidate_order(self):
         pld = make_pld([3, 3, 3])
         scorer = TableScorer(np.zeros(9, dtype=int), 2)  # all entropies zero
         counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        assert select_final_cluster([2, 0, 1], counts) == 2
+        assert select_final_cluster([2, 0, 1], cluster_entropy(counts)) == 2
 
     def test_matches_bruteforce_oracle(self):
         rng = make_rng(1)
@@ -281,7 +279,7 @@ class TestSelectFinalCluster:
         for _ in range(20):
             candidates = rng.choice(6, size=4, replace=False).tolist()
             counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-            chosen = select_final_cluster(candidates, counts)
+            chosen = select_final_cluster(candidates, cluster_entropy(counts))
             entropies = [
                 cluster_entropy(
                     predicted_label_counts(
@@ -390,7 +388,7 @@ class TestProgressiveTask:
         )
         rng = make_rng(4)
         for _ in range(30):
-            task = progressive_task(pld, model, scorer, config, rng)
+            (task,) = sample_progressive_batch(pld, model, scorer, config, rng, 1)
             for way, prov in enumerate(task.provenance):
                 if prov.fallback:
                     pool = pld.members[prov.base_cluster]
@@ -417,7 +415,7 @@ class TestProgressiveTask:
         )
         checked = 0
         for seed in range(10):
-            task = progressive_task(pld, model, scorer, config, make_rng(seed))
+            (task,) = sample_progressive_batch(pld, model, scorer, config, make_rng(seed), 1)
             if not task.provenance[0].fallback:
                 assert (task.query[0] % 10 >= 5).all()
                 checked += 1
@@ -433,7 +431,7 @@ class TestProgressiveTask:
             ways=2, shots=1, queries=6, candidate_neighbors=1, gate_threshold=0.0,
             keep_rate=0.6,
         )
-        task = progressive_task(pld, model, scorer, config, make_rng(5))
+        (task,) = sample_progressive_batch(pld, model, scorer, config, make_rng(5), 1)
         assert any(p.fallback for p in task.provenance)
         for way, prov in enumerate(task.provenance):
             if prov.fallback:
@@ -444,20 +442,38 @@ class TestProgressiveTask:
         pld, model, _ = self.make_setup()
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
         with pytest.raises(ParameterError):
-            progressive_task(pld, model, None, config, make_rng(0))
+            sample_progressive_batch(pld, model, None, config, make_rng(0), 1)
 
     def test_needs_more_clusters_than_candidates(self):
         pld, model, scorer = self.make_setup(sizes=(10, 10))
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
         with pytest.raises(ParameterError):
-            progressive_task(pld, model, scorer, config, make_rng(0))
+            sample_progressive_batch(pld, model, scorer, config, make_rng(0), 1)
 
     def test_wrong_score_width_is_error(self):
         pld, model, _ = self.make_setup()
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
         scorer = RowScorer(make_rng(0).normal(size=(pld.features.shape[0], 3)))
         with pytest.raises(ParameterError, match="2 scores per sample"):
-            progressive_task(pld, model, scorer, config, make_rng(0))
+            sample_progressive_batch(pld, model, scorer, config, make_rng(0), 1)
+
+    def test_empty_cluster_only_refused_as_candidate(self):
+        # cluster 3 has no members; its center is nearest to cluster 0's
+        pld = make_pld([10, 10, 10, 0])
+        centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.9, 0.1]])
+        model = ClusterModel(4, centers, pld.pseudo_labels, 0.0)
+        scorer = TableScorer(make_rng(9).integers(0, 2, size=30), 2)
+        config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=1)
+        with pytest.raises(ParameterError, match="at least one member"):
+            for seed in range(20):
+                sample_progressive_batch(pld, model, scorer, config, make_rng(seed), 4)
+        # an empty cluster least similar to every base is never a candidate
+        centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
+        model = ClusterModel(4, centers, pld.pseudo_labels, 0.0)
+        config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
+        for seed in range(20):
+            for task in sample_progressive_batch(pld, model, scorer, config, make_rng(seed), 4):
+                validate_structure(task, 30)
 
     def test_gate_fraction_concentrates(self):
         pld, model, scorer = self.make_setup()
@@ -498,12 +514,22 @@ class TestProgressiveTask:
             assert np.array_equal(got.query, want.query)
 
 
-def per_candidate_progressive_task(pld, cluster_model, eval_model, config, rng):
-    """Reference sampler: scores each candidate cluster's members with
-    their own forward pass, then the chosen cluster's again for the filter,
-    and tracks used samples in sets."""
-    need = config.shots + config.queries
-    (bases,), (picks,) = draw_episodes(pld, config.ways, need, rng)
+def support_first_reference(pld, cluster_model, eval_model, config, rng, count):
+    """Reference sampler: draws the bases and supports of all count tasks
+    first, as the stacked sampler does, then builds each task alone with
+    reference_task."""
+    bases, picks = draw_episodes(pld, config.ways, config.shots + config.queries, rng, count)
+    return [
+        reference_task(pld, cluster_model, eval_model, config, rng, task_bases, task_picks)
+        for task_bases, task_picks in zip(bases, picks)
+    ]
+
+
+def reference_task(pld, cluster_model, eval_model, config, rng, bases, picks):
+    """One task the slow way: finetunes the model on this task's support
+    only, scores each candidate cluster's members with their own forward
+    pass, then the chosen cluster's again for the filter, and tracks used
+    samples in sets."""
     support = picks[:, : config.shots]
     support_flat = support.reshape(-1)
     adapted = eval_model.finetuned(
@@ -557,30 +583,36 @@ def per_candidate_progressive_task(pld, cluster_model, eval_model, config, rng):
     ],
 )
 def test_matches_per_candidate_reference(sizes, config, path):
-    """Scoring every row once gives the per-candidate sampler's tasks."""
-    reached = 0
+    """A batch finetuned and scored as one stack gives the support-first
+    reference's tasks, for batches of 1 and 4 tasks."""
+    reached = {1: 0, 4: 0}
     for seed in range(60):
-        pld = make_pld(list(sizes))
-        rng = make_rng(seed)
-        model = ClusterModel(
-            k=len(sizes),
-            centers=rng.normal(size=(len(sizes), 3)),
-            assignment=pld.pseudo_labels,
-            inertia=0.0,
-        )
-        scorer = RowScorer(rng.normal(size=(pld.features.shape[0], config.ways)))
-        got = progressive_task(pld, model, scorer, config, make_rng(seed))
-        want = per_candidate_progressive_task(pld, model, scorer, config, make_rng(seed))
-        assert np.array_equal(got.support, want.support)
-        assert np.array_equal(got.query, want.query)
-        assert got.provenance == want.provenance
-        fallbacks = [p.fallback for p in got.provenance]
-        reached += {
-            "filtered": not all(fallbacks),
-            "fallback": any(fallbacks),
-            "reuse": np.unique(got.query).size < got.query.size,
-        }[path]
-    assert reached > 0, f"no seed reached the {path} path"
+        for count in reached:
+            pld = make_pld(list(sizes))
+            rng = make_rng(seed)
+            model = ClusterModel(
+                k=len(sizes),
+                centers=rng.normal(size=(len(sizes), 3)),
+                assignment=pld.pseudo_labels,
+                inertia=0.0,
+            )
+            # the support-dependent shift makes a task scored with another
+            # task's finetuned model pick other clusters and members
+            scorer = RowScorer(rng.normal(size=(pld.features.shape[0], config.ways)), shift=0.01)
+            got = sample_progressive_batch(pld, model, scorer, config, make_rng(seed), count)
+            want = support_first_reference(pld, model, scorer, config, make_rng(seed), count)
+            assert len(got) == len(want) == count
+            for task, expected in zip(got, want):
+                assert np.array_equal(task.support, expected.support)
+                assert np.array_equal(task.query, expected.query)
+                assert task.provenance == expected.provenance
+                fallbacks = [p.fallback for p in task.provenance]
+                reached[count] += {
+                    "filtered": not all(fallbacks),
+                    "fallback": any(fallbacks),
+                    "reuse": np.unique(task.query).size < task.query.size,
+                }[path]
+    assert all(reached.values()), f"not every batch size reached the {path} path: {reached}"
 
 
 class TestTaskCsv:

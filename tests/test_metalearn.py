@@ -18,7 +18,6 @@ from plcfe.metalearn import (
     model_loss_and_grad,
     model_scores,
     model_with_vector,
-    proto_classify,
     proto_loss_and_grad,
     proto_meta_step,
     save_model,
@@ -33,7 +32,7 @@ from plcfe.numcore import (
     vector_to_params,
 )
 
-from helpers import finite_diff_check, make_rng
+from helpers import finite_diff_check, make_rng, proto_classify
 
 
 def make_task(support, query):
@@ -518,6 +517,47 @@ class TestSnapshots:
         assert np.array_equal(tuned.predict_scores(queries), expected)
         with pytest.raises(StateError):
             snap.predict_scores(queries)  # finetuning left the snapshot unscored
+
+    @pytest.mark.parametrize("method", ["maml", "proto"])
+    def test_stacked_finetune_equals_single_task_runs(self, method):
+        # T supports finetuned as one stack, then every row scored for every
+        # task, against each task finetuned and scored alone
+        snap = snapshot_eval_model(stack_model(seed=22), method, MamlConfig(inner_lr=0.1))
+        rng = make_rng(23)
+        features = rng.normal(size=(40, 6))
+        support = rng.choice(40, size=(4, 10))
+        labels = np.broadcast_to(np.arange(10) % 5, support.shape)
+        tuned = snap.finetuned(features[support], labels)
+        scores = tuned.predict_scores(np.broadcast_to(features, (4, 40, 6)))
+        assert scores.shape == (4, 40, 5)
+        assert snap.model.vector.ndim == 1  # the snapshot itself stays unstacked
+        for task in range(4):
+            alone = snap.finetuned(features[support[task]], labels[task])
+            assert np.array_equal(tuned.model.vector[task], alone.model.vector)
+            assert np.array_equal(scores[task], alone.predict_scores(features))
+
+    def test_progressive_meta_train_finetunes_once_per_batch(self, monkeypatch):
+        calls = []
+        finetuned = metalearn.SnapshotEvaluationModel.finetuned
+
+        def counting_finetuned(self, support_x, support_y):
+            calls.append(support_x.shape[0])
+            return finetuned(self, support_x, support_y)
+
+        monkeypatch.setattr(metalearn.SnapshotEvaluationModel, "finetuned", counting_finetuned)
+        features = make_rng(24).normal(size=(60, 2))
+        cluster_model = kmeans(features, 6, rng=make_rng(25))
+        config = MamlConfig(
+            epochs=2, steps_per_epoch=3, meta_batch_size=4, encoder_hidden=(4,), encoder_dim=3
+        )
+        _, history = metalearn.meta_train(
+            assign_pseudo_labels(cluster_model, features), cluster_model,
+            EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2, gate_threshold=0.0),
+            config, episode_mode="progressive", rng=make_rng(26),
+        )
+        # gate 0: every batch of epoch 1 is progressive, one stack of 4 each
+        assert history["epoch_progressive_fraction"] == [0.0, 1.0]
+        assert calls == [4] * 3
 
     def test_unknown_method_is_refused(self):
         with pytest.raises(ParameterError, match="unknown method 'bogus'"):
