@@ -19,6 +19,7 @@ from ._binio import ByteReader, ByteWriter, read_container, write_csv
 from .data import AugmentConfig, augment
 from .errors import FormatError, NumericError, ParameterError, ShapeError, StateError
 from .numcore import (
+    ACTIVATIONS,
     ForwardCache,
     MlpParams,
     init_mlp,
@@ -62,8 +63,16 @@ class CfeConfig:
     augment: AugmentConfig = field(default_factory=lambda: AugmentConfig(noise_std=1.25, scale_range=(0.9, 1.1)))
 
     def __post_init__(self):
-        if self.batch_positives < 2 and self.queue_capacity < 1:
-            raise ParameterError("cfe needs batch_positives >= 2 or queue_capacity >= 1")
+        # the queue is empty on the first step, so the batch alone must
+        # supply the negatives
+        if self.batch_positives < 2:
+            raise ParameterError("cfe.batch_positives must be >= 2")
+        if self.queue_capacity < 1:
+            raise ParameterError("cfe.queue_capacity must be >= 1")
+        if self.embed_dim < 2:
+            raise ParameterError("cfe.embed_dim must be >= 2 for the 2-D projection")
+        if self.activation not in ACTIVATIONS:
+            raise ParameterError(f"cfe.activation must be one of {ACTIVATIONS}, not {self.activation!r}")
         if self.augments_per_point < 1:
             raise ParameterError("cfe.augments_per_point must be >= 1")
         if not (0 <= self.momentum < 1):

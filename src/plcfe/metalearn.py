@@ -22,6 +22,7 @@ from .cfe import KIND_FEWSHOT_MODEL, checkpoint_writer, read_checkpoint, read_ml
 from .cluster import ClusterModel, PseudoLabeledDataset
 from .errors import NumericError, ParameterError, ShapeError, StateError
 from .numcore import (
+    ACTIVATIONS,
     MlpParams,
     init_mlp,
     layer_views,
@@ -57,6 +58,8 @@ class MamlConfig:
             raise ParameterError("maml.inner_steps must be >= 1")
         if self.meta_batch_size < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
             raise ParameterError("maml batch/epoch sizes must be positive")
+        if self.activation not in ACTIVATIONS:
+            raise ParameterError(f"maml.activation must be one of {ACTIVATIONS}, not {self.activation!r}")
 
 
 class FewShotModel:

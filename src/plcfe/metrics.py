@@ -4,6 +4,9 @@ Measures how clustering-friendly an embedding space is: classes whose
 samples sit close to their own center (high intra-similarity) and whose
 centers sit far from other centers (low inter-similarity) get a low
 inter/intra ratio, and a simple clustering algorithm will recover them.
+Cluster ids are scored against class ids by the best one-to-one matching,
+found by rectangular assignment with shortest augmenting paths (Crouse,
+"On implementing 2D rectangular assignment algorithms", IEEE TAES 2016).
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._binio import write_csv
 from .cluster import PseudoLabeledDataset
@@ -110,6 +112,54 @@ def pca_project_2d(embeddings: np.ndarray) -> np.ndarray:
     return centered @ basis
 
 
+def _max_matching_total(table: np.ndarray) -> int:
+    """Largest sum of table entries with at most one entry per row and per
+    column, every row or every column (the shorter side) matched.
+
+    Shortest augmenting paths over the shorter side (Crouse 2016): each
+    row of the shorter side adds one augmenting path found by a Dijkstra
+    search on reduced costs -table[i, j] - u[i] - v[j] >= 0, and the duals
+    u, v keep the matching optimal after each augmentation. Costs are
+    integer counts, so the float64 arithmetic is exact. The matching need
+    not be unique; its total is.
+    """
+    cost = -np.asarray(table, dtype=np.float64)
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    rows, cols = cost.shape
+    u, v = np.zeros(rows), np.zeros(cols)
+    col_of_row = np.full(rows, -1)
+    row_of_col = np.full(cols, -1)
+    for start in range(rows):
+        dist = np.full(cols, np.inf)
+        via = np.zeros(cols, dtype=np.int64)
+        open_cols = np.ones(cols, dtype=bool)
+        seen_rows = [start]
+        i, reached = start, 0.0
+        while True:
+            through = reached + cost[i] - u[i] - v
+            better = open_cols & (through < dist)
+            dist[better], via[better] = through[better], i
+            j = int(np.argmin(np.where(open_cols, dist, np.inf)))
+            reached, open_cols[j] = dist[j], False
+            if row_of_col[j] < 0:
+                break
+            i = int(row_of_col[j])
+            seen_rows.append(i)
+        u[start] += reached
+        matched = np.array(seen_rows[1:], dtype=np.int64)
+        u[matched] += reached - dist[col_of_row[matched]]
+        closed = ~open_cols
+        v[closed] -= reached - dist[closed]
+        while True:  # flip the path back from the free column j to start
+            i = via[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == start:
+                break
+    return int(-cost[np.arange(rows), col_of_row].sum())
+
+
 def clustering_accuracy(pseudo_labels, true_labels) -> float:
     """Best one-to-one matching accuracy between cluster ids and class ids,
     via optimal assignment on the (clusters x classes) contingency table;
@@ -122,8 +172,7 @@ def clustering_accuracy(pseudo_labels, true_labels) -> float:
         raise ShapeError("label lists must have equal length")
     clusters, classes = int(pseudo.max()) + 1, int(true.max()) + 1
     table = np.bincount(pseudo * classes + true, minlength=clusters * classes).reshape(clusters, classes)
-    rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum()) / pseudo.size
+    return _max_matching_total(table) / pseudo.size
 
 
 def write_similarity_csv(report: SimilarityReport, path) -> None:

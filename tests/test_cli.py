@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plcfe
 from plcfe import metalearn
 from plcfe.cli import (
     EXIT_OK,
@@ -125,6 +130,28 @@ class TestCliValidation:
         path = write_tiny_config(tmp_path, cfe={**TINY["cfe"], "augment": {"noise_std": 0.1}})
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert "unknown config key: cfe.augment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [
+            ("cfe", {"batch_positives": 1, "queue_capacity": 4}, "cfe.batch_positives"),
+            ("cfe", {"queue_capacity": 0}, "cfe.queue_capacity"),
+            ("cfe", {"embed_dim": 1}, "cfe.embed_dim"),
+            ("cfe", {"activation": "sigmoid"}, "cfe.activation"),
+            ("maml", {"activation": "sigmoid"}, "maml.activation"),
+        ],
+        ids=["batch_positives", "queue_capacity", "embed_dim", "cfe_activation", "maml_activation"],
+    )
+    def test_config_that_cannot_run_writes_nothing(self, tmp_path, capsys, section, values, field):
+        # each of these used to pass the config check, write artifacts and
+        # fail in a later stage
+        path = write_tiny_config(tmp_path, **{section: {**TINY[section], **values}})
+        out = tmp_path / "o"
+        code = main(["pipeline", "--config", str(path), "--out", str(out), "--seed", "1"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not any(out.glob("*"))
 
     def test_out_dir_under_regular_file_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -373,3 +400,25 @@ def test_run_pipeline_returns_manifest(tmp_path):
     assert set(manifest["stages"]) == {
         "gen-data", "train-cfe", "embed", "metrics", "cluster", "meta-train", "meta-eval"
     }
+
+
+def test_pipeline_never_loads_scipy(tmp_path):
+    # the cluster stage scores the k-means labels with clustering_accuracy;
+    # a top-level or a lazy scipy import would both leave scipy in
+    # sys.modules of a fresh interpreter
+    path = write_tiny_config(tmp_path)
+    out = tmp_path / "o"
+    script = (
+        "import json, sys\n"
+        "from plcfe.cli import main\n"
+        f"code = main(['pipeline', '--config', {str(path)!r}, '--out', {str(out)!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(plcfe.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []]
+    assert (out / "clustering_quality.csv").exists()

@@ -1,12 +1,18 @@
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from plcfe.cluster import PseudoLabeledDataset
 from plcfe.errors import DegenerateDataError, ParameterError
 from plcfe.metrics import (
+    _max_matching_total,
     clustering_accuracy,
     intra_similarity,
     pca_project_2d,
@@ -204,6 +210,58 @@ class TestClusteringAccuracy:
         best = max(table[:, t].max() for t in range(20))
         acc = clustering_accuracy(noisy, true)
         assert best / true.size <= acc <= 1.0
+
+
+@st.composite
+def count_tables(draw):
+    """Contingency-like count tables, tall and wide, with some rows and
+    columns zeroed; 64 x 16 is the proto-scaled config's table."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 10), st.integers(1, 10)),
+        st.sampled_from([(1, 1), (64, 16), (16, 64)]),
+    ))
+    high = draw(st.sampled_from([1, 3, 40]))
+    table = draw(arrays(np.int64, shape, elements=st.integers(0, high)))
+    table[draw(arrays(np.bool_, shape[0])), :] = 0
+    table[:, draw(arrays(np.bool_, shape[1]))] = 0
+    return table
+
+
+def brute_force_total(table: np.ndarray) -> int:
+    """Best total over every injective matching of the shorter side."""
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    rows = range(table.shape[0])
+    return max(
+        sum(int(table[i, j]) for i, j in zip(rows, cols))
+        for cols in itertools.permutations(range(table.shape[1]), table.shape[0])
+    )
+
+
+class TestMaxMatchingTotal:
+    @settings(max_examples=300, deadline=None)
+    @given(count_tables())
+    def test_equals_scipy_optimal_total(self, table):
+        rows, cols = linear_sum_assignment(-table)
+        assert _max_matching_total(table) == table[rows, cols].sum()
+
+    def test_equals_brute_force_for_every_side_up_to_6(self):
+        rng = make_rng(10)
+        for shape in itertools.product(range(1, 7), repeat=2):
+            for high in (1, 4, 50):
+                table = rng.integers(0, high + 1, size=shape)
+                assert _max_matching_total(table) == brute_force_total(table), table
+
+    def test_two_optimal_matchings_share_one_total(self):
+        # rows 0 -> {0 or 2}, row 1 -> 1: two matchings reach 4, and only the
+        # total is defined by the table
+        table = np.array([[2, 1, 2], [1, 2, 0]])
+        assert table[[0, 1], [0, 1]].sum() == table[[0, 1], [2, 1]].sum() == 4
+        rows, cols = linear_sum_assignment(-table)
+        assert _max_matching_total(table) == brute_force_total(table) == table[rows, cols].sum() == 4
+        pseudo = np.repeat(np.arange(2).repeat(3), table.ravel())
+        true = np.repeat(np.tile(np.arange(3), 2), table.ravel())
+        assert clustering_accuracy(pseudo, true) == 4 / table.sum()
 
 
 class TestCsvExports:
