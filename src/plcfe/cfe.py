@@ -56,7 +56,6 @@ class CfeConfig:
     momentum: float = 0.99
     epochs: int = 30
     learning_rate: float = 0.05
-    normalize: bool = True
     hidden_dims: tuple[int, ...] = (32,)
     embed_dim: int = 16
     activation: str = "relu"
@@ -163,9 +162,9 @@ def build_positive_batch(
     return PositiveBatch(original_indices=chosen, augmented=views)
 
 
-def asynchronous_embed(pair: EncoderPair, batch: PositiveBatch, normalize: bool = True) -> PositiveBatch:
+def asynchronous_embed(pair: EncoderPair, batch: PositiveBatch) -> PositiveBatch:
     """Encode view 0 with the live encoder and the remaining views with the
-    history encoder, filling batch.embeddings in place."""
+    history encoder, onto the unit sphere, filling batch.embeddings in place."""
     n_points, n_views, dim = batch.augmented.shape
     if dim != pair.main.input_dim:
         raise StateError(
@@ -173,11 +172,10 @@ def asynchronous_embed(pair: EncoderPair, batch: PositiveBatch, normalize: bool 
         )
     main_raw, cache = mlp_forward_cached(pair.main, batch.augmented[:, 0, :])
     embeddings = np.empty((n_points, n_views, pair.main.output_dim))
-    embeddings[:, 0, :] = l2_normalize(main_raw) if normalize else main_raw
+    embeddings[:, 0, :] = l2_normalize(main_raw)
     if n_views > 1:
         rest = batch.augmented[:, 1:, :].reshape(n_points * (n_views - 1), dim)
-        hist_raw = mlp_forward(pair.history, rest)
-        hist = l2_normalize(hist_raw) if normalize else hist_raw
+        hist = l2_normalize(mlp_forward(pair.history, rest))
         embeddings[:, 1:, :] = hist.reshape(n_points, n_views - 1, pair.main.output_dim)
     batch.embeddings = embeddings
     batch.main_raw = main_raw
@@ -247,7 +245,7 @@ def momentum_update(pair: EncoderPair, momentum: float) -> EncoderPair:
     return EncoderPair(main=pair.main, history=vector_to_params(history, pair.history))
 
 
-def history_queue_vectors(pair: EncoderPair, batch: PositiveBatch, normalize: bool = True) -> np.ndarray:
+def history_queue_vectors(pair: EncoderPair, batch: PositiveBatch) -> np.ndarray:
     """One history embedding per point for the negative queue: view 1 when
     several views exist, otherwise view 0 re-encoded by the history
     encoder."""
@@ -255,8 +253,7 @@ def history_queue_vectors(pair: EncoderPair, batch: PositiveBatch, normalize: bo
         raise StateError("batch must be encoded first")
     if batch.augmented.shape[1] >= 2:
         return batch.embeddings[:, 1, :].copy()
-    raw = mlp_forward(pair.history, batch.augmented[:, 0, :])
-    return l2_normalize(raw) if normalize else raw
+    return l2_normalize(mlp_forward(pair.history, batch.augmented[:, 0, :]))
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -292,29 +289,25 @@ def train_cfe(
         epoch_losses = np.empty(steps_per_epoch)
         for step in range(steps_per_epoch):
             batch = build_positive_batch(features, config, rng)
-            asynchronous_embed(pair, batch, normalize=config.normalize)
+            asynchronous_embed(pair, batch)
             try:
                 loss, grad_embed = cfe_loss(batch, queue, config)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
-            if config.normalize:
-                grad_raw = l2_normalize_backward(batch.main_raw, grad_embed)
-            else:
-                grad_raw = grad_embed
+            grad_raw = l2_normalize_backward(batch.main_raw, grad_embed)
             grad = mlp_backward(pair.main, batch.main_cache, grad_raw)
             main = vector_to_params(pair.main.vector - lr * grad, pair.main)
             pair = momentum_update(EncoderPair(main=main, history=pair.history), config.momentum)
-            queue.push(history_queue_vectors(pair, batch, normalize=config.normalize))
+            queue.push(history_queue_vectors(pair, batch))
             epoch_losses[step] = loss
         trace.append(float(epoch_losses.mean()))
     return pair, trace
 
 
-def encode(params: MlpParams | EncoderPair, features: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Embed a feature matrix with the (live) encoder."""
+def encode(params: MlpParams | EncoderPair, features: np.ndarray) -> np.ndarray:
+    """Embed a feature matrix with the (live) encoder onto the unit sphere."""
     mlp = params.main if isinstance(params, EncoderPair) else params
-    raw = mlp_forward(mlp, np.asarray(features, dtype=np.float64))
-    return l2_normalize(raw) if normalize else raw
+    return l2_normalize(mlp_forward(mlp, np.asarray(features, dtype=np.float64)))
 
 
 def checkpoint_writer(kind: int, encoder: MlpParams) -> ByteWriter:

@@ -78,6 +78,9 @@ class EvalSection:
     def __post_init__(self):
         if self.tasks < 1 or any(s < 1 for s in self.shots):
             raise ParameterError("eval.tasks and every eval.shots entry must be >= 1")
+        if not self.shots or len(set(self.shots)) != len(self.shots):
+            # each shot count writes its own eval_<method>_shot<K>.csv
+            raise ParameterError(f"eval.shots needs one or more distinct shot counts, not {list(self.shots)}")
 
 
 @dataclass
@@ -97,6 +100,8 @@ class PipelineConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, not {self.seed}")
         if self.method not in ("maml", "proto"):
             raise ParameterError("method must be 'maml' or 'proto'")
         if self.episode_mode not in ("standard", "progressive"):
@@ -114,10 +119,9 @@ _SECTION_TYPES = {
     "eval": EvalSection,
 }
 
-# JSON values a config key takes, by the type of its field's default: bool
-# stays apart from int, and a field whose default is None takes any value
+# JSON values a config key takes, by the type of its field's default; no
+# field is a flag, so true and false are refused, and a None default takes any
 _VALUE_TYPES = {
-    bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
@@ -129,7 +133,7 @@ def _check_value(name: str, value, default) -> None:
     if default is None:
         return
     accepted, kind = _VALUE_TYPES[type(default)]
-    if not isinstance(value, accepted) or isinstance(value, bool) != isinstance(default, bool):
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise ParameterError(f"config key {name} must be {kind}, not {json.dumps(value)}")
     if isinstance(default, tuple):
         for i, item in enumerate(value):
@@ -234,7 +238,7 @@ def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
 def stage_embed(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds = data_mod.read_dataset(_require(ws, "dataset.plds", "embed"))
     pair = cfe_mod.load_checkpoint(_require(ws, "cfe_trained.plcf", "embed"))
-    embeddings = cfe_mod.encode(pair, ds.features, normalize=config.cfe.normalize)
+    embeddings = cfe_mod.encode(pair, ds.features)
     data_mod.write_embeddings(embeddings, ws.path("embeddings.plem"))
     return ["embeddings.plem"]
 
@@ -251,7 +255,7 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
     out = []
     for tag, ckpt in (("initial", "cfe_initial.plcf"), ("trained", "cfe_trained.plcf")):
         pair = cfe_mod.load_checkpoint(_require(ws, ckpt, "metrics"))
-        emb = cfe_mod.encode(pair, features, normalize=config.cfe.normalize)
+        emb = cfe_mod.encode(pair, features)
         report = metrics_mod.similarity_ratio(
             cluster_mod.PseudoLabeledDataset(emb, labels, ds.classes),
             config.cfe.temperature,
@@ -440,14 +444,15 @@ def make_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
     if args.command == "meta-eval" and args.shots is not None:
         raise ParameterError("meta-eval takes its shot counts from eval.shots, not --shots")
-    for name in ("seed", "out_dir", "method", "episode_mode"):
-        if getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    names = ("ways", "shots", "queries")
-    episode_kwargs = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
-    if episode_kwargs:
-        config.episodes = replace(config.episodes, **episode_kwargs)
-    return config
+    if args.tasks is not None and args.command != "build-tasks":
+        raise ParameterError(f"--tasks applies to build-tasks only, not {args.command}")
+    if args.tasks is not None and args.tasks < 1:
+        raise ParameterError(f"--tasks must be >= 1, not {args.tasks}")
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    top = {n: given[n] for n in ("seed", "out_dir", "method", "episode_mode") if n in given}
+    shape = {n: given[n] for n in ("ways", "shots", "queries") if n in given}
+    # rebuilt, not set, so every override passes the config's own checks
+    return replace(config, episodes=replace(config.episodes, **shape), **top)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._binio import artifact_file
 from .errors import FormatError, ParameterError, ShapeError
+from .numcore import group_sums
 
 
 @dataclass
@@ -85,13 +86,9 @@ def _assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _lloyd(
     x: np.ndarray, centers: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    k, d = centers.shape
     labels = _assign(x, centers)
     for _ in range(max_iters):
-        counts = np.bincount(labels, minlength=k)
-        # one flat bincount over (cluster, column) ids sums every cluster in row order
-        flat = (labels[:, None] * d + np.arange(d)).ravel()
-        sums = np.bincount(flat, weights=x.ravel(), minlength=k * d).reshape(k, d)
+        counts, sums = group_sums(x, labels, centers.shape[0])
         new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
         empty = np.flatnonzero(counts == 0)
         if empty.size:

@@ -24,6 +24,7 @@ from .errors import NumericError, ParameterError, ShapeError, StateError
 from .numcore import (
     ACTIVATIONS,
     MlpParams,
+    group_sums,
     init_mlp,
     layer_views,
     mlp_backward,
@@ -244,18 +245,15 @@ def way_prototypes(embeddings: np.ndarray, way_labels: np.ndarray) -> np.ndarray
     embeddings with (T, n) labels give each task's own, (T, ways, d)."""
     way_labels = np.asarray(way_labels)
     ways = int(way_labels.max()) + 1
-    d = embeddings.shape[-1]
     rows = way_labels.reshape(-1, way_labels.shape[-1])
-    # one id per (task, way), and one flat bincount over (id, column) sums every task's ways
-    ids = (np.arange(rows.shape[0])[:, None] * ways + rows).ravel()
-    counts = np.bincount(ids, minlength=rows.shape[0] * ways)
+    # one group per (task, way)
+    ids = np.arange(rows.shape[0])[:, None] * ways + rows
+    counts, sums = group_sums(embeddings, ids, ids.shape[0] * ways)
     if not counts.all():
         task, way = divmod(int(np.argmin(counts)), ways)
         where = f"task {task}: " if way_labels.ndim > 1 else ""
         raise ParameterError(f"{where}way {way} has no support embeddings")
-    flat = (ids[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(flat, weights=embeddings.ravel(), minlength=counts.size * d).reshape(-1, d)
-    return (sums / counts[:, None]).reshape(way_labels.shape[:-1] + (ways, d))
+    return (sums / counts[:, None]).reshape(way_labels.shape[:-1] + (ways, embeddings.shape[-1]))
 
 
 def prototype_scores(embeddings: np.ndarray, prototypes: np.ndarray) -> np.ndarray:

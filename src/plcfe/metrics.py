@@ -18,6 +18,7 @@ import numpy as np
 from ._binio import write_csv
 from .cluster import PseudoLabeledDataset
 from .errors import DegenerateDataError, ParameterError, ShapeError
+from .numcore import group_sums
 
 
 @dataclass
@@ -41,35 +42,24 @@ class SimilarityReport:
     inter_mean_per_sample: float
 
 
-def intra_similarity(class_embeddings: np.ndarray, tau: float) -> float:
-    """Compactness of one class: exp of the mean dot product between the
-    class center and its members, scaled by 1/tau."""
-    if tau <= 0:
-        raise ParameterError("tau must be positive")
-    z = np.asarray(class_embeddings, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ShapeError("class_embeddings must be a non-empty (n, d) matrix")
-    center = z.mean(axis=0)
-    return float(np.exp(np.sum(z @ center) / (tau * z.shape[0])))
-
-
 def similarity_ratio(data: PseudoLabeledDataset, tau: float) -> SimilarityReport:
     """Average inter- to intra-class similarity ratio over all classes.
 
     data holds the embeddings as features and the true classes as labels.
-    For each class i the inter similarities to every other center are
-    summed and divided by (C-1) times that class's intra similarity; the
-    ratio is the mean of those per-class values. Lower means the embedding
-    is friendlier to clustering.
+    For each class i with center mu_i, the inter similarities to every
+    other center are summed and divided by (C-1) times its intra
+    similarity exp(mu_i . mu_i / tau), the exp of its members' mean dot
+    product with mu_i over tau; the ratio is the mean of those per-class
+    values. Lower means the embedding is friendlier to clustering.
     """
     c = data.num_clusters
     if c < 2:
         raise ParameterError("need at least 2 classes")
     if not data.sizes.all():
         raise ParameterError("every class id must appear at least once")
-    # each class's rows are gathered per use, so at most one copy is alive
-    per_class = np.array([intra_similarity(data.features[m], tau) for m in data.members])
-    centers = np.stack([data.features[m].mean(axis=0) for m in data.members])
+    counts, sums = group_sums(data.features, data.pseudo_labels, c)
+    centers = sums / counts[:, None]
+    per_class = np.exp(np.sum(centers * centers, axis=1) / tau)
     inter = np.exp(centers @ centers.T / tau)
     np.fill_diagonal(inter, 0.0)
     inter_sum = float(inter.sum())

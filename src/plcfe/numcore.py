@@ -236,3 +236,15 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def group_sums(rows: np.ndarray, ids: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """(groups,) row counts and (groups, d) column sums of (..., d) rows with
+    one id in [0, groups) per row; one flat bincount over (id, column) bins
+    adds each group's rows in row order, as np.add.at does."""
+    d = rows.shape[-1]
+    ids = np.asarray(ids).ravel()
+    counts = np.bincount(ids, minlength=groups)
+    flat = (ids[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=groups * d).reshape(groups, d)
+    return counts, sums

@@ -51,6 +51,18 @@ def finite_diff_check(
     return worst
 
 
+def intra_similarity(class_embeddings: np.ndarray, tau: float) -> float:
+    """Compactness of one class: exp of the mean dot product between the
+    class center and its members, scaled by 1/tau."""
+    if tau <= 0:
+        raise ParameterError("tau must be positive")
+    z = np.asarray(class_embeddings, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise ShapeError("class_embeddings must be a non-empty (n, d) matrix")
+    center = z.mean(axis=0)
+    return float(np.exp(np.sum(z @ center) / (tau * z.shape[0])))
+
+
 def inter_similarity(center_i: np.ndarray, center_j: np.ndarray, tau: float) -> float:
     """Closeness of two class centers: exp(center_i . center_j / tau)."""
     if tau <= 0:

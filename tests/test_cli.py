@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from plcfe.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
+    PipelineConfig,
     build_config,
     main,
     run_pipeline,
@@ -62,12 +64,19 @@ class TestConfigParsing:
         config = build_config({"cluster": {"k": None}, "dataset": {"separation": 5}})
         assert config.cluster.k is None and config.dataset.separation == 5
         assert build_config({"cluster": {"k": 12}}).cluster.k == 12
-        with pytest.raises(ParameterError, match=r"cfe.normalize must be true or false, not 1"):
+        with pytest.raises(ParameterError, match=r"unknown config key: cfe.normalize"):
             build_config({"cfe": {"normalize": 1}})
+        with pytest.raises(ParameterError, match=r"cfe.temperature must be a number, not true"):
+            build_config({"cfe": {"temperature": True}})
         with pytest.raises(ParameterError, match=r"maml.epochs must be an integer, not true"):
             build_config({"maml": {"epochs": True}})
         with pytest.raises(ParameterError, match=r"eval.shots\[1\] must be an integer, not 1.5"):
             build_config({"eval": {"shots": [1, 1.5]}})
+
+    def test_readme_defaults_match_config(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert asdict(build_config(json.loads(block))) == asdict(PipelineConfig())
 
     def test_split_is_deterministic_and_disjoint(self):
         train1, test1 = train_test_split(100, 0.2, seed=5)
@@ -139,8 +148,14 @@ class TestCliValidation:
             ("cfe", {"embed_dim": 1}, "cfe.embed_dim"),
             ("cfe", {"activation": "sigmoid"}, "cfe.activation"),
             ("maml", {"activation": "sigmoid"}, "maml.activation"),
+            # the unnormalized CFE path was deleted: its ratio loss is unbounded
+            ("cfe", {"normalize": False}, "unknown config key: cfe.normalize"),
+            # each shot count names its own eval CSV
+            ("eval", {"shots": [1, 1]}, "eval.shots"),
+            ("eval", {"shots": []}, "eval.shots"),
         ],
-        ids=["batch_positives", "queue_capacity", "embed_dim", "cfe_activation", "maml_activation"],
+        ids=["batch_positives", "queue_capacity", "embed_dim", "cfe_activation", "maml_activation",
+             "cfe_normalize", "repeated_eval_shots", "empty_eval_shots"],
     )
     def test_config_that_cannot_run_writes_nothing(self, tmp_path, capsys, section, values, field):
         # each of these used to pass the config check, write artifacts and
@@ -152,6 +167,32 @@ class TestCliValidation:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys, where):
+        # SeedSequence refuses a negative seed with a traceback in the first stage
+        path = write_tiny_config(tmp_path, **({"seed": -1} if where == "config" else {}))
+        out = tmp_path / "o"
+        flags = ["--seed", "-1"] if where == "flag" else []
+        assert main(["gen-data", "--config", str(path), "--out", str(out), *flags]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, not -1" in err and "Traceback" not in err
+        assert not any(out.glob("*"))
+
+    def test_tasks_flag_refusals(self, tmp_path, capsys):
+        # --tasks 0 used to write 100 tasks and --tasks -3 a header-only
+        # tasks.csv, and any other command ignored the flag
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        cases = [["build-tasks", "--tasks", "0"], ["build-tasks", "--tasks", "-3"],
+                 ["meta-eval", "--tasks", "5"], ["pipeline", "--tasks", "5"]]
+        for argv in cases:
+            capsys.readouterr()
+            assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION, argv
+            err = capsys.readouterr().err
+            assert "--tasks" in err and "Traceback" not in err, argv
+        assert not (out / "tasks.csv").exists()
 
     def test_out_dir_under_regular_file_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "file"

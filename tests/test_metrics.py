@@ -14,7 +14,6 @@ from plcfe.errors import DegenerateDataError, ParameterError
 from plcfe.metrics import (
     _max_matching_total,
     clustering_accuracy,
-    intra_similarity,
     pca_project_2d,
     similarity_ratio,
     write_projection_csv,
@@ -22,7 +21,7 @@ from plcfe.metrics import (
 )
 from plcfe.numcore import l2_normalize
 
-from helpers import inter_similarity, make_rng
+from helpers import inter_similarity, intra_similarity, make_rng
 
 E5 = math.exp(5.0)
 
@@ -101,6 +100,14 @@ class TestSimilarityRatio:
                 inter += math.exp(float(mu_i @ mu_j) / tau)
             total += inter / (2 * intra)
         assert abs(report.ratio - total / 3) < 1e-10
+
+    def test_per_class_intra_matches_oracle(self):
+        rng = make_rng(6)
+        emb = l2_normalize(rng.normal(size=(40, 6)))
+        labels = rng.permutation(np.repeat(np.arange(5), [3, 7, 10, 12, 8]))
+        report = similarity_ratio(make_labeled(emb, labels), 0.2)
+        for c in range(5):
+            assert abs(report.per_class_intra[c] - intra_similarity(emb[labels == c], 0.2)) < 1e-12
 
     def test_rotation_invariance(self):
         rng = make_rng(3)

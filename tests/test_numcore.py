@@ -7,6 +7,7 @@ from plcfe import cfe
 from plcfe.errors import NumericError, ParameterError, ShapeError, StateError
 from plcfe.numcore import (
     MlpParams,
+    group_sums,
     init_mlp,
     l2_normalize,
     l2_normalize_backward,
@@ -178,6 +179,44 @@ class TestL2Normalize:
             return float(np.sum(y * g_out)), l2_normalize_backward(v, g_out).reshape(-1)
 
         assert finite_diff_check(fn, x.reshape(-1), eps=1e-6) < 1e-7
+
+
+def add_at_group_sums(rows, ids, groups):
+    d = rows.shape[-1]
+    counts = np.zeros(groups, dtype=np.int64)
+    sums = np.zeros((groups, d))
+    np.add.at(counts, ids.ravel(), 1)
+    np.add.at(sums, ids.ravel(), rows.reshape(-1, d))
+    return counts, sums
+
+
+class TestGroupSums:
+    @pytest.mark.parametrize("shape, groups", [((2560, 16), 64), ((640, 16), 32), ((37, 5), 4), ((1, 3), 1)])
+    def test_equals_add_at_reference(self, shape, groups):
+        rng = make_rng(7)
+        for _ in range(10):
+            rows = rng.normal(size=shape)
+            ids = rng.integers(groups, size=shape[0])
+            counts, sums = group_sums(rows, ids, groups)
+            ref_counts, ref_sums = add_at_group_sums(rows, ids, groups)
+            assert np.array_equal(counts, ref_counts) and np.array_equal(sums, ref_sums)
+
+    def test_stacked_task_way_ids(self):
+        # way_prototypes' layout: (T, n, d) rows, one (task, way) group per id
+        rng = make_rng(8)
+        tasks, n, ways = 6, 25, 5
+        rows = rng.normal(size=(tasks, n, 16))
+        ids = np.arange(tasks)[:, None] * ways + rng.integers(ways, size=(tasks, n))
+        counts, sums = group_sums(rows, ids, tasks * ways)
+        ref_counts, ref_sums = add_at_group_sums(rows, ids, tasks * ways)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(sums, ref_sums)
+
+    def test_group_without_rows_is_zero(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        counts, sums = group_sums(rows, np.array([0, 2, 0, 2]), 4)
+        assert counts.tolist() == [2, 0, 2, 0]
+        assert np.array_equal(sums[[1, 3]], np.zeros((2, 3)))
+        assert np.array_equal(sums[0], rows[0] + rows[2])
 
 
 class TestFiniteDiffCheck:
