@@ -11,7 +11,7 @@ else repels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class CfeConfig:
     hidden_dims: tuple[int, ...] = (32,)
     embed_dim: int = 16
     activation: str = "relu"
-    augment: AugmentConfig = field(default_factory=lambda: AugmentConfig(noise_std=1.25, scale_range=(0.9, 1.1)))
 
     def __post_init__(self):
         # the queue is empty on the first step, so the batch alone must
@@ -68,6 +67,8 @@ class CfeConfig:
             raise ParameterError("cfe.batch_positives must be >= 2")
         if self.queue_capacity < 1:
             raise ParameterError("cfe.queue_capacity must be >= 1")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ParameterError(f"cfe.hidden_dims entries must be >= 1, not {list(self.hidden_dims)}")
         if self.embed_dim < 2:
             raise ParameterError("cfe.embed_dim must be >= 2 for the 2-D projection")
         if self.activation not in ACTIVATIONS:
@@ -146,7 +147,7 @@ class PositiveBatch:
 
 
 def build_positive_batch(
-    features: np.ndarray, config: CfeConfig, rng: np.random.Generator
+    features: np.ndarray, config: CfeConfig, augmentation: AugmentConfig, rng: np.random.Generator
 ) -> PositiveBatch:
     """Draw batch_positives distinct points uniformly and augment each one
     augments_per_point times, all views in one augment call."""
@@ -158,7 +159,7 @@ def build_positive_batch(
         )
     chosen = rng.choice(n, size=config.batch_positives, replace=False)
     shape = (config.batch_positives, config.augments_per_point, features.shape[1])
-    views = augment(np.broadcast_to(features[chosen][:, None, :], shape), config.augment, rng)
+    views = augment(np.broadcast_to(features[chosen][:, None, :], shape), augmentation, rng)
     return PositiveBatch(original_indices=chosen, augmented=views)
 
 
@@ -266,6 +267,7 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 def train_cfe(
     features: np.ndarray,
     config: CfeConfig,
+    augmentation: AugmentConfig,
     rng: np.random.Generator,
     initial: EncoderPair | None = None,
 ) -> tuple[EncoderPair, list[float]]:
@@ -288,7 +290,7 @@ def train_cfe(
         lr = cosine_lr(config.learning_rate, epoch, config.epochs)
         epoch_losses = np.empty(steps_per_epoch)
         for step in range(steps_per_epoch):
-            batch = build_positive_batch(features, config, rng)
+            batch = build_positive_batch(features, config, augmentation, rng)
             asynchronous_embed(pair, batch)
             try:
                 loss, grad_embed = cfe_loss(batch, queue, config)

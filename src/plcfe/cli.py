@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,9 @@ class ClusterSection:
     def __post_init__(self):
         if self.k is not None and (isinstance(self.k, bool) or not isinstance(self.k, int)):
             raise ParameterError(f"cluster.k must be null or an integer, not {json.dumps(self.k)}")
+        if self.k is not None and self.k < 1:
+            # a k above the training row count depends on the data, and is refused by kmeans
+            raise ParameterError(f"cluster.k must be null or >= 1, not {self.k}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ParameterError("cluster.restarts and cluster.max_iters must be >= 1")
 
@@ -106,18 +109,7 @@ class PipelineConfig:
             raise ParameterError("method must be 'maml' or 'proto'")
         if self.episode_mode not in ("standard", "progressive"):
             raise ParameterError("episode_mode must be 'standard' or 'progressive'")
-        self.cfe.augment = self.augment
 
-
-_SECTION_TYPES = {
-    "dataset": DatasetSection,
-    "augment": data_mod.AugmentConfig,
-    "cfe": cfe_mod.CfeConfig,
-    "cluster": ClusterSection,
-    "episodes": episodes_mod.EpisodeConfig,
-    "maml": meta_mod.MamlConfig,
-    "eval": EvalSection,
-}
 
 # JSON values a config key takes, by the type of its field's default; no
 # field is a flag, so true and false are refused, and a None default takes any
@@ -140,44 +132,30 @@ def _check_value(name: str, value, default) -> None:
             _check_value(f"{name}[{i}]", item, default[0])
 
 
+def _build(default, raw, prefix: str = ""):
+    """`default` with the keys of the JSON object `raw` set: a field whose
+    default is a dataclass is a section, built the same way from that
+    default, and every other value must have its default's type."""
+    if not isinstance(raw, dict):
+        where = f"config section {prefix[:-1]!r}" if prefix else "a config"
+        raise ParameterError(f"{where} must be a JSON object, not {json.dumps(raw)}")
+    given = {}
+    for key, value in raw.items():
+        if key not in default.__dataclass_fields__:
+            raise ParameterError(f"unknown config key: {prefix}{key}")
+        field_default = getattr(default, key)
+        if is_dataclass(field_default):
+            given[key] = _build(field_default, value, f"{prefix}{key}.")
+        else:
+            _check_value(prefix + key, value, field_default)
+            given[key] = tuple(value) if isinstance(field_default, tuple) else value
+    return replace(default, **given)
+
+
 def build_config(raw: dict) -> PipelineConfig:
     """Nested dict (parsed JSON) to a validated PipelineConfig; unknown
     keys and values of the wrong type are rejected by name."""
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _SECTION_TYPES:
-            section_cls = _SECTION_TYPES[key]
-            if not isinstance(value, dict):
-                raise ParameterError(f"config section {key!r} must be an object")
-            defaults = section_cls()
-            # a section held inside another one (cfe.augment) is set from
-            # its top-level spelling only
-            names = set(section_cls.__dataclass_fields__) - set(_SECTION_TYPES)
-            fixed = {}
-            for sub, v in value.items():
-                if sub not in names:
-                    raise ParameterError(f"unknown config key: {key}.{sub}")
-                default = getattr(defaults, sub)
-                _check_value(f"{key}.{sub}", v, default)
-                fixed[sub] = tuple(v) if isinstance(default, tuple) else v
-            kwargs[key] = section_cls(**fixed)
-        elif key in ("seed", "out_dir", "method", "episode_mode"):
-            _check_value(key, value, getattr(PipelineConfig, key))
-            kwargs[key] = value
-        else:
-            raise ParameterError(f"unknown config key: {key}")
-    return PipelineConfig(**kwargs)
-
-
-def config_to_dict(config: PipelineConfig) -> dict:
-    return asdict(config)
-
-
-def load_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    with open(path) as fh:
-        return build_config(json.load(fh))
+    return _build(PipelineConfig(), raw)
 
 
 def train_test_split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,6 +183,12 @@ def _require(ws: _Workspace, name: str, stage: str) -> Path:
     return p
 
 
+def _split_dataset(config: PipelineConfig, ws: _Workspace, stage: str):
+    """This run's dataset and its train and test row indices."""
+    ds = data_mod.read_dataset(_require(ws, "dataset.plds", stage))
+    return (ds, *train_test_split(ds.n, config.dataset.test_fraction, config.seed))
+
+
 def stage_gen_data(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds = data_mod.gen_blobs(
         config.dataset.classes,
@@ -218,8 +202,7 @@ def stage_gen_data(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", "train-cfe"))
-    train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
+    ds, train_idx, _ = _split_dataset(config, ws, "train-cfe")
     initial = cfe_mod.EncoderPair.initialize(
         ds.dim, config.cfe, derive_rng(config.seed, KEY_CFE_INIT)
     )
@@ -227,6 +210,7 @@ def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
     pair, trace = cfe_mod.train_cfe(
         ds.features[train_idx],
         config.cfe,
+        config.augment,
         derive_rng(config.seed, KEY_CFE_TRAIN),
         initial=initial,
     )
@@ -246,10 +230,9 @@ def stage_embed(config: PipelineConfig, ws: _Workspace) -> list[str]:
 def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
     """Similarity reports and 2-D projections for the initial and trained
     encoders, over the training split with true labels (evaluation path)."""
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", "metrics"))
+    ds, train_idx, _ = _split_dataset(config, ws, "metrics")
     if ds.eval_labels is None:
         raise ParameterError("metrics stage needs a labeled dataset")
-    train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
     features = ds.features[train_idx]
     labels = ds.eval_labels[train_idx]
     out = []
@@ -268,9 +251,8 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", "cluster"))
+    ds, train_idx, _ = _split_dataset(config, ws, "cluster")
     embeddings = data_mod.read_embeddings(_require(ws, "embeddings.plem", "cluster"))
-    train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
     k = config.cluster.k if config.cluster.k is not None else 4 * ds.classes
     model = cluster_mod.kmeans(
         embeddings[train_idx],
@@ -300,8 +282,7 @@ def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
 def _pseudo_labeled_train_split(config: PipelineConfig, ws: _Workspace, stage: str):
     """The training split's cluster model, refused unless it covers exactly
     this split, and its pseudo-labeled dataset."""
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", stage))
-    train_idx, _ = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
+    ds, train_idx, _ = _split_dataset(config, ws, stage)
     model = cluster_mod.read_cluster_csv(
         _require(ws, "clusters_assignment.csv", stage),
         _require(ws, "clusters_centers.csv", stage),
@@ -332,10 +313,9 @@ def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", "meta-eval"))
+    ds, train_idx, test_idx = _split_dataset(config, ws, "meta-eval")
     if ds.eval_labels is None:
         raise ParameterError("meta-eval needs a labeled dataset")
-    train_idx, test_idx = train_test_split(ds.n, config.dataset.test_fraction, config.seed)
     # the encoder and the model were trained on the clustered rows, so a
     # split drawn with another seed would test on some of them
     cluster_mod.read_cluster_csv(
@@ -377,32 +357,25 @@ def stage_build_tasks(config: PipelineConfig, ws: _Workspace, count: int = 100) 
     return ["tasks.csv"]
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+# what `pipeline` runs, in order; build-tasks is an audit dump outside it
+STAGES = ("gen-data", "train-cfe", "embed", "metrics", "cluster", "meta-train", "meta-eval")
+
+
+def _stage(name: str):
+    # looked up when called, so a wrapper bound over stage_<name> runs too
+    return globals()["stage_" + name.replace("-", "_")]
 
 
 def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
     """All stages in order; returns the manifest dict."""
-    stages = [
-        ("gen-data", stage_gen_data),
-        ("train-cfe", stage_train_cfe),
-        ("embed", stage_embed),
-        ("metrics", stage_metrics),
-        ("cluster", stage_cluster),
-        ("meta-train", stage_meta_train),
-        ("meta-eval", stage_meta_eval),
-    ]
     artifacts: dict[str, str] = {}
-    for name, fn in stages:
-        produced = fn(config, ws)
-        for artifact in produced:
-            artifacts[artifact] = _sha256(ws.path(artifact))
+    for name in STAGES:
+        for artifact in _stage(name)(config, ws):
+            artifacts[artifact] = hashlib.sha256(ws.path(artifact).read_bytes()).hexdigest()
     manifest = {
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "seed": config.seed,
-        "stages": [name for name, _ in stages],
+        "stages": list(STAGES),
         "artifacts": artifacts,
     }
     with artifact_file(ws.path("manifest.json")) as fh:
@@ -411,57 +384,54 @@ def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
     return manifest
 
 
-_STAGES = {
-    "gen-data": stage_gen_data,
-    "train-cfe": stage_train_cfe,
-    "embed": stage_embed,
-    "metrics": stage_metrics,
-    "cluster": stage_cluster,
-    "build-tasks": stage_build_tasks,
-    "meta-train": stage_meta_train,
-    "meta-eval": stage_meta_eval,
-}
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plcfe",
         description="Pseudo-labeling with clustering-friendly embeddings: pipeline driver.",
     )
-    parser.add_argument("command", choices=sorted(_STAGES) + ["pipeline"])
+    parser.add_argument("command", choices=[*STAGES, "build-tasks", "pipeline"])
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override the global seed")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--method", choices=["maml", "proto"])
     parser.add_argument("--episodes", choices=["standard", "progressive"], dest="episode_mode")
-    parser.add_argument("--ways", type=int)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--queries", type=int)
+    parser.add_argument("--ways", type=int, dest="episodes.ways")
+    parser.add_argument("--shots", type=int, dest="episodes.shots")
+    parser.add_argument("--queries", type=int, dest="episodes.queries")
     parser.add_argument("--tasks", type=int, help="task count for build-tasks")
     return parser
 
 
-def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if args.command == "meta-eval" and args.shots is not None:
-        raise ParameterError("meta-eval takes its shot counts from eval.shots, not --shots")
-    if args.tasks is not None and args.command != "build-tasks":
-        raise ParameterError(f"--tasks applies to build-tasks only, not {args.command}")
-    if args.tasks is not None and args.tasks < 1:
-        raise ParameterError(f"--tasks must be >= 1, not {args.tasks}")
-    given = {name: value for name, value in vars(args).items() if value is not None}
-    top = {n: given[n] for n in ("seed", "out_dir", "method", "episode_mode") if n in given}
-    shape = {n: given[n] for n in ("ways", "shots", "queries") if n in given}
-    # rebuilt, not set, so every override passes the config's own checks
-    return replace(config, episodes=replace(config.episodes, **shape), **top)
+def _raw_config(args: argparse.Namespace):
+    """The --config JSON with every given flag laid over it: a flag's dest
+    is the config key it sets, `section.key` inside a section."""
+    raw = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    if not isinstance(raw, dict):
+        return raw  # refused by build_config
+    for dest, value in vars(args).items():
+        if value is None or dest in ("command", "config", "tasks"):
+            continue
+        section, _, key = dest.rpartition(".")
+        target = raw.setdefault(section, {}) if section else raw
+        if isinstance(target, dict):  # any other section value is refused by build_config
+            target[key] = value
+    return raw
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-    except (ParameterError, json.JSONDecodeError, OSError, TypeError) as exc:
+        if args.command == "meta-eval" and getattr(args, "episodes.shots") is not None:
+            raise ParameterError("meta-eval takes its shot counts from eval.shots, not --shots")
+        if args.tasks is not None and args.command != "build-tasks":
+            raise ParameterError(f"--tasks applies to build-tasks only, not {args.command}")
+        if args.tasks is not None and args.tasks < 1:
+            raise ParameterError(f"--tasks must be >= 1, not {args.tasks}")
+        config = build_config(_raw_config(args))
+    except (ParameterError, json.JSONDecodeError, UnicodeDecodeError, OSError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
@@ -469,11 +439,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             manifest = run_pipeline(config, ws)
             print(f"pipeline done: {len(manifest['artifacts'])} artifacts in {ws.root}")
-        elif args.command == "build-tasks":
-            produced = stage_build_tasks(config, ws, count=args.tasks or 100)
-            print(f"{args.command}: wrote {', '.join(produced)}")
         else:
-            produced = _STAGES[args.command](config, ws)
+            count = {"count": args.tasks} if args.tasks is not None else {}
+            produced = _stage(args.command)(config, ws, **count)
             print(f"{args.command}: wrote {', '.join(produced)}")
     except (ParameterError, FormatError) as exc:
         # a malformed input artifact is refused like a bad parameter

@@ -60,6 +60,8 @@ class AugmentConfig:
     mask_prob: float = 0.0
 
     def __post_init__(self):
+        if len(self.scale_range) != 2:
+            raise ParameterError(f"augment.scale_range must be [lo, hi], not {list(self.scale_range)}")
         lo, hi = self.scale_range
         if self.noise_std < 0:
             raise ParameterError("augment.noise_std must be >= 0")

@@ -59,6 +59,10 @@ class MamlConfig:
             raise ParameterError("maml.inner_steps must be >= 1")
         if self.meta_batch_size < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
             raise ParameterError("maml batch/epoch sizes must be positive")
+        if any(width < 1 for width in self.encoder_hidden):
+            raise ParameterError(f"maml.encoder_hidden entries must be >= 1, not {list(self.encoder_hidden)}")
+        if self.encoder_dim < 1:
+            raise ParameterError(f"maml.encoder_dim must be >= 1, not {self.encoder_dim}")
         if self.activation not in ACTIVATIONS:
             raise ParameterError(f"maml.activation must be one of {ACTIVATIONS}, not {self.activation!r}")
 

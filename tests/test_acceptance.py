@@ -24,7 +24,7 @@ from plcfe.cfe import (
     train_cfe,
 )
 from plcfe.cluster import PseudoLabeledDataset, assign_pseudo_labels, kmeans
-from plcfe.data import gen_blobs
+from plcfe.data import AugmentConfig, gen_blobs
 from plcfe.episodes import (
     EpisodeConfig,
     filter_noisy,
@@ -123,7 +123,8 @@ def blob_run():
     ds = gen_blobs(8, 100, 16, 6.0, make_rng(42))
     config = CfeConfig()  # 30 epochs, desk defaults
     initial = EncoderPair.initialize(16, config, make_rng(1))
-    trained, trace = train_cfe(ds.features, config, make_rng(2), initial=initial)
+    augmentation = AugmentConfig(noise_std=1.25, scale_range=(0.9, 1.1))
+    trained, trace = train_cfe(ds.features, config, augmentation, make_rng(2), initial=initial)
     return ds, config, initial, trained, trace
 
 

@@ -47,10 +47,13 @@ def small_config(**overrides):
         learning_rate=0.05,
         hidden_dims=(8,),
         embed_dim=4,
-        augment=AugmentConfig(noise_std=0.2),
     )
     defaults.update(overrides)
     return CfeConfig(**defaults)
+
+
+SMALL_AUGMENT = AugmentConfig(noise_std=0.2)
+DESK_AUGMENT = AugmentConfig(noise_std=1.25, scale_range=(0.9, 1.1))
 
 
 def batch_from_embeddings(z):
@@ -80,28 +83,28 @@ class TestBuildPositiveBatch:
     def test_counts(self):
         rng = make_rng(0)
         config = small_config(batch_positives=2, augments_per_point=2)
-        batch = build_positive_batch(rng.normal(size=(10, 3)), config, rng)
+        batch = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
         assert len(set(batch.original_indices.tolist())) == 2
         assert batch.augmented.shape == (2, 2, 3)
 
     def test_zero_strength_augment_returns_originals(self):
         rng = make_rng(1)
         features = rng.normal(size=(10, 3))
-        config = small_config(augments_per_point=1, augment=AugmentConfig())
-        batch = build_positive_batch(features, config, rng)
+        config = small_config(augments_per_point=1)
+        batch = build_positive_batch(features, config, AugmentConfig(), rng)
         assert np.array_equal(batch.augmented[:, 0, :], features[batch.original_indices])
 
     def test_fixed_seed_reproduces_selection(self):
         features = make_rng(2).normal(size=(20, 3))
         config = small_config()
-        b1 = build_positive_batch(features, config, make_rng(3))
-        b2 = build_positive_batch(features, config, make_rng(3))
+        b1 = build_positive_batch(features, config, SMALL_AUGMENT, make_rng(3))
+        b2 = build_positive_batch(features, config, SMALL_AUGMENT, make_rng(3))
         assert np.array_equal(b1.original_indices, b2.original_indices)
         assert np.array_equal(b1.augmented, b2.augmented)
 
     def test_dataset_too_small(self):
         with pytest.raises(ParameterError):
-            build_positive_batch(np.zeros((3, 2)), small_config(), make_rng(0))
+            build_positive_batch(np.zeros((3, 2)), small_config(), SMALL_AUGMENT, make_rng(0))
 
     def test_one_augment_call_per_batch(self, monkeypatch):
         shapes = []
@@ -112,7 +115,7 @@ class TestBuildPositiveBatch:
 
         monkeypatch.setattr(cfe, "augment", counting_augment)
         config = small_config(batch_positives=5, augments_per_point=3)
-        build_positive_batch(make_rng(4).normal(size=(12, 6)), config, make_rng(5))
+        build_positive_batch(make_rng(4).normal(size=(12, 6)), config, SMALL_AUGMENT, make_rng(5))
         assert shapes == [(5, 3, 6)]
 
 
@@ -121,7 +124,7 @@ class TestAsynchronousEmbed:
         rng = make_rng(0)
         config = small_config()
         pair = EncoderPair.initialize(3, config, rng)
-        batch = build_positive_batch(rng.normal(size=(10, 3)), config, rng)
+        batch = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
         asynchronous_embed(pair, batch)
         flat = batch.augmented.reshape(-1, 3)
         single = l2_normalize(mlp_forward(pair.main, flat)).reshape(batch.embeddings.shape)
@@ -133,7 +136,7 @@ class TestAsynchronousEmbed:
         pair = EncoderPair.initialize(3, config, rng)
         # desynchronize encoders: history becomes garbage
         pair.history.layers[0][0][...] = 99.0
-        batch = build_positive_batch(rng.normal(size=(10, 3)), config, rng)
+        batch = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
         asynchronous_embed(pair, batch)
         expected = l2_normalize(mlp_forward(pair.main, batch.augmented[:, 0, :]))
         assert np.array_equal(batch.embeddings[:, 0, :], expected)
@@ -346,7 +349,7 @@ class TestTrainCfe:
         config = small_config(epochs=0)
         ds = gen_blobs(3, 10, 4, 6.0, make_rng(1))
         initial = EncoderPair.initialize(4, config, make_rng(2))
-        pair, trace = train_cfe(ds.features, config, rng, initial=initial)
+        pair, trace = train_cfe(ds.features, config, SMALL_AUGMENT, rng, initial=initial)
         assert trace == []
         for (w1, _), (w2, _) in zip(pair.main.layers, initial.main.layers):
             assert np.array_equal(w1, w2)
@@ -354,8 +357,8 @@ class TestTrainCfe:
     def test_identical_seed_bitwise_identical(self):
         ds = gen_blobs(3, 12, 4, 6.0, make_rng(1))
         config = small_config(epochs=2)
-        p1, t1 = train_cfe(ds.features, config, make_rng(5))
-        p2, t2 = train_cfe(ds.features, config, make_rng(5))
+        p1, t1 = train_cfe(ds.features, config, SMALL_AUGMENT, make_rng(5))
+        p2, t2 = train_cfe(ds.features, config, SMALL_AUGMENT, make_rng(5))
         assert t1 == t2
         for (w1, b1), (w2, b2) in zip(p1.main.layers, p2.main.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
@@ -371,7 +374,7 @@ class TestTrainCfe:
             hidden_dims=(16,),
             embed_dim=8,
         )
-        _, trace = train_cfe(ds.features, config, make_rng(3))
+        _, trace = train_cfe(ds.features, config, DESK_AUGMENT, make_rng(3))
         assert trace[-1] < trace[0]
 
     def test_similarity_ratio_improves_over_untrained(self):
@@ -387,7 +390,7 @@ class TestTrainCfe:
         before = similarity_ratio(
             PseudoLabeledDataset(encode(initial, ds.features), ds.eval_labels, 4), 0.2
         )
-        pair, _ = train_cfe(ds.features, config, make_rng(6), initial=initial)
+        pair, _ = train_cfe(ds.features, config, DESK_AUGMENT, make_rng(6), initial=initial)
         after = similarity_ratio(
             PseudoLabeledDataset(encode(pair, ds.features), ds.eval_labels, 4), 0.2
         )
@@ -397,7 +400,7 @@ class TestTrainCfe:
         rng = make_rng(7)
         config = small_config(augments_per_point=1)
         pair = EncoderPair.initialize(3, config, rng)
-        batch = build_positive_batch(rng.normal(size=(8, 3)), config, rng)
+        batch = build_positive_batch(rng.normal(size=(8, 3)), config, SMALL_AUGMENT, rng)
         asynchronous_embed(pair, batch)
         vecs = history_queue_vectors(pair, batch)
         expected = l2_normalize(mlp_forward(pair.history, batch.augmented[:, 0, :]))
@@ -413,7 +416,7 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         rng = make_rng(0)
         config = small_config()
-        pair, _ = train_cfe(gen_blobs(3, 10, 4, 6.0, rng).features, config, make_rng(1))
+        pair, _ = train_cfe(gen_blobs(3, 10, 4, 6.0, rng).features, config, SMALL_AUGMENT, make_rng(1))
         path = tmp_path / "pair.plcf"
         save_checkpoint(pair, path)
         back = load_checkpoint(path)

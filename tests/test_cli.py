@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import plcfe
-from plcfe import metalearn
+from plcfe import cfe, data, metalearn
 from plcfe.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -17,6 +18,8 @@ from plcfe.cli import (
     build_config,
     main,
     run_pipeline,
+    stage_gen_data,
+    stage_train_cfe,
     train_test_split,
     _Workspace,
 )
@@ -34,12 +37,23 @@ TINY = {
 }
 
 
+def tiny_json(**extra) -> bytes:
+    return json.dumps({**TINY, **extra}).encode()
+
+
 def write_tiny_config(tmp_path, **extra):
-    raw = json.loads(json.dumps(TINY))
-    raw.update(extra)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path.write_bytes(tiny_json(**extra))
     return path
+
+
+def perfbench_workloads() -> dict:
+    """The WORKLOADS config dict of perfbench/run.py, read without importing it."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "run.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WORKLOADS":
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py defines no WORKLOADS")
 
 
 class TestConfigParsing:
@@ -56,9 +70,22 @@ class TestConfigParsing:
         with pytest.raises(ParameterError, match="episodes.keep_rate"):
             build_config({"episodes": {"keep_rate": 1.2}})
 
-    def test_augment_propagates_into_cfe(self):
-        config = build_config({"augment": {"noise_std": 0.7}})
-        assert config.cfe.augment.noise_std == 0.7
+    def test_augment_propagates_into_cfe(self, tmp_path, monkeypatch):
+        # the augmentation is held once, in the top-level section, and the
+        # CFE stage hands that object to every augment call
+        config = build_config({**TINY, "augment": {"noise_std": 0.7}, "out_dir": str(tmp_path)})
+        assert config.augment == data.AugmentConfig(noise_std=0.7, scale_range=(0.9, 1.1))
+        received = []
+
+        def recording_augment(sample, augmentation, rng):
+            received.append(augmentation)
+            return data.augment(sample, augmentation, rng)
+
+        monkeypatch.setattr(cfe, "augment", recording_augment)
+        ws = _Workspace(config.out_dir)
+        stage_gen_data(config, ws)
+        stage_train_cfe(config, ws)
+        assert received and all(augmentation is config.augment for augmentation in received)
 
     def test_value_types_follow_field_defaults(self):
         config = build_config({"cluster": {"k": None}, "dataset": {"separation": 5}})
@@ -77,6 +104,15 @@ class TestConfigParsing:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
         assert asdict(build_config(json.loads(block))) == asdict(PipelineConfig())
+
+    @pytest.mark.parametrize("workload", ["default", "maml-progressive", "proto-scaled", "maml-eval"])
+    def test_manifest_config_echo_builds_the_run_config(self, tmp_path, workload):
+        # the echo holds every field once, so it is itself a valid --config
+        raw = {} if workload == "default" else perfbench_workloads()[workload]
+        config = build_config({**raw, "seed": 1, "out_dir": str(tmp_path)})
+        run_pipeline(config, _Workspace(config.out_dir))
+        echo = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert asdict(build_config(echo)) == asdict(config)
 
     def test_split_is_deterministic_and_disjoint(self):
         train1, test1 = train_test_split(100, 0.2, seed=5)
@@ -118,24 +154,32 @@ class TestCliValidation:
         assert f"unknown config key: {section}.seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra, message",
+        "content, message",
         [
-            ({"seed": "x"}, 'config key seed must be an integer, not "x"'),
-            ({"cfe": {"hidden_dims": None}}, "config key cfe.hidden_dims must be a list, not null"),
-            ({"dataset": {"per_class": 2.5}}, "config key dataset.per_class must be an integer, not 2.5"),
-            ({"cluster": {"k": "x"}}, 'cluster.k must be null or an integer, not "x"'),
+            (tiny_json(seed="x"), 'config key seed must be an integer, not "x"'),
+            (tiny_json(cfe={"hidden_dims": None}), "config key cfe.hidden_dims must be a list, not null"),
+            (tiny_json(dataset={"per_class": 2.5}), "config key dataset.per_class must be an integer, not 2.5"),
+            (tiny_json(cluster={"k": "x"}), 'cluster.k must be null or an integer, not "x"'),
+            # a config file that is not a JSON object, or not UTF-8
+            (b"[]", "a config must be a JSON object, not []"),
+            (b"null", "a config must be a JSON object, not null"),
+            (b"3", "a config must be a JSON object, not 3"),
+            (b'{"out_dir": "\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
         ],
-        ids=["seed", "hidden_dims", "per_class", "cluster_k"],
+        ids=["seed", "hidden_dims", "per_class", "cluster_k", "list", "null", "number", "latin_1"],
     )
-    def test_ill_typed_value_exits_2(self, tmp_path, capsys, extra, message):
-        path = write_tiny_config(tmp_path, **extra)
-        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    def test_ill_typed_value_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert f"configuration error: {message}" in err and "Traceback" not in err
+        assert not any(out.glob("*"))
 
     def test_augment_inside_cfe_section_exits_2(self, tmp_path, capsys):
-        # augment is set from its top-level section only; inside cfe it was
-        # silently replaced by that section
+        # the augmentation is the top-level section only; CfeConfig has no
+        # augment field
         path = write_tiny_config(tmp_path, cfe={**TINY["cfe"], "augment": {"noise_std": 0.1}})
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert "unknown config key: cfe.augment" in capsys.readouterr().err
@@ -153,14 +197,29 @@ class TestCliValidation:
             # each shot count names its own eval CSV
             ("eval", {"shots": [1, 1]}, "eval.shots"),
             ("eval", {"shots": []}, "eval.shots"),
+            # a scale range is [lo, hi]
+            ("augment", {"scale_range": []}, "augment.scale_range"),
+            ("augment", {"scale_range": [0.9]}, "augment.scale_range"),
+            ("augment", {"scale_range": [0.9, 1.1, 1.2]}, "augment.scale_range"),
+            # every layer has at least one unit
+            ("cfe", {"hidden_dims": [0]}, "cfe.hidden_dims"),
+            ("cfe", {"hidden_dims": [-2]}, "cfe.hidden_dims"),
+            ("maml", {"encoder_hidden": [0]}, "maml.encoder_hidden"),
+            ("maml", {"encoder_hidden": [-1]}, "maml.encoder_hidden"),
+            ("maml", {"encoder_dim": 0}, "maml.encoder_dim"),
+            ("cluster", {"k": 0}, "cluster.k"),
+            ("cluster", {"k": -3}, "cluster.k"),
         ],
         ids=["batch_positives", "queue_capacity", "embed_dim", "cfe_activation", "maml_activation",
-             "cfe_normalize", "repeated_eval_shots", "empty_eval_shots"],
+             "cfe_normalize", "repeated_eval_shots", "empty_eval_shots", "empty_scale_range",
+             "short_scale_range", "long_scale_range", "zero_cfe_hidden", "negative_cfe_hidden",
+             "zero_maml_hidden", "negative_maml_hidden", "zero_maml_encoder_dim", "zero_cluster_k",
+             "negative_cluster_k"],
     )
     def test_config_that_cannot_run_writes_nothing(self, tmp_path, capsys, section, values, field):
         # each of these used to pass the config check, write artifacts and
-        # fail in a later stage
-        path = write_tiny_config(tmp_path, **{section: {**TINY[section], **values}})
+        # fail in a later stage, or fail in the config check with a traceback
+        path = write_tiny_config(tmp_path, **{section: {**TINY.get(section, {}), **values}})
         out = tmp_path / "o"
         code = main(["pipeline", "--config", str(path), "--out", str(out), "--seed", "1"])
         assert code == EXIT_VALIDATION

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcfe import cfe
+from plcfe.data import AugmentConfig
 from plcfe.errors import NumericError, ParameterError, ShapeError, StateError
 from plcfe.numcore import (
     MlpParams,
@@ -241,7 +242,8 @@ class TestFiniteDiffCheck:
         rng = make_rng(9)
         config = cfe.CfeConfig(batch_positives=3, augments_per_point=2, queue_capacity=8)
         pair = cfe.EncoderPair.initialize(4, config, rng)
-        batch = cfe.build_positive_batch(rng.normal(size=(10, 4)), config, rng)
+        augmentation = AugmentConfig(noise_std=1.25, scale_range=(0.9, 1.1))
+        batch = cfe.build_positive_batch(rng.normal(size=(10, 4)), config, augmentation, rng)
         queue = cfe.NegativeQueue(8)
         queue.push(l2_normalize(rng.normal(size=(4, config.embed_dim))))
 
