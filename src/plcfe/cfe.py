@@ -207,16 +207,18 @@ def cfe_loss(
     tau = config.temperature
 
     centers = z.mean(axis=1)  # (n_points, d)
-    compact = np.exp(np.sum(centers * centers, axis=1) / tau)  # intra term per class
-    cen_sim = np.exp(centers @ centers.T / tau)
-    np.fill_diagonal(cen_sim, 0.0)
-    repel = cen_sim.sum(axis=1)
-    neg_matrix = queue.as_matrix()
-    if n_neg:
-        neg_sim = np.exp(centers @ neg_matrix.T / tau)
-        repel = repel + neg_sim.sum(axis=1)
-    ratio = repel / compact
-    terms = np.log((1.0 + ratio) / n_other)
+    # an overflow here makes a term non-finite, which is refused below
+    with np.errstate(all="ignore"):
+        compact = np.exp(np.sum(centers * centers, axis=1) / tau)  # intra term per class
+        cen_sim = np.exp(centers @ centers.T / tau)
+        np.fill_diagonal(cen_sim, 0.0)
+        repel = cen_sim.sum(axis=1)
+        neg_matrix = queue.as_matrix()
+        if n_neg:
+            neg_sim = np.exp(centers @ neg_matrix.T / tau)
+            repel = repel + neg_sim.sum(axis=1)
+        ratio = repel / compact
+        terms = np.log((1.0 + ratio) / n_other)
     if not np.all(np.isfinite(terms)):
         bad = int(np.flatnonzero(~np.isfinite(terms))[0])
         raise NumericError(f"non-finite loss term for positive class {bad}")
@@ -324,10 +326,11 @@ def checkpoint_writer(kind: int, encoder: MlpParams) -> ByteWriter:
     return writer
 
 
-def read_checkpoint(path, kind: int, what: str) -> tuple[ByteReader, str, list[tuple[int, int]]]:
+def read_checkpoint(path, kind: int, what: str) -> tuple[ByteReader, str, list[tuple[int, int, int]]]:
     """Inverse of checkpoint_writer: the reader past the encoder's
-    architecture, its activation and its layer shapes. A checkpoint of
-    another kind is a FormatError that says it is not `what`."""
+    architecture, its activation and its layer shapes as read_shape gives
+    them. A checkpoint of another kind is a FormatError that says it is
+    not `what`."""
     reader, found = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if found != kind:
         raise FormatError(f"checkpoint kind {found} is not {what}", offset=reader.offset - 2)
@@ -335,24 +338,36 @@ def read_checkpoint(path, kind: int, what: str) -> tuple[ByteReader, str, list[t
     code = reader.read_u16("activation code")
     if code not in _ACTIVATION_NAMES:
         raise FormatError(f"unknown activation code {code}", offset=at)
+    at = reader.offset
     n_layers = reader.read_u16("layer count")
-    shapes = []
-    for i in range(n_layers):
-        rows = reader.read_u32(f"layer {i} rows")
-        cols = reader.read_u32(f"layer {i} cols")
-        shapes.append((rows, cols))
-    return reader, _ACTIVATION_NAMES[code], shapes
+    if n_layers < 1:
+        raise FormatError("checkpoint encoder has no layers", offset=at)
+    return reader, _ACTIVATION_NAMES[code], [read_shape(reader, f"layer {i}") for i in range(n_layers)]
 
 
-def read_mlp(reader: ByteReader, activation: str, shapes: list[tuple[int, int]]) -> MlpParams:
+def read_shape(reader: ByteReader, what: str) -> tuple[int, int, int]:
+    """A layer's (rows, cols) u32 pair and the offset it starts at."""
+    at = reader.offset
+    return reader.read_u32(f"{what} rows"), reader.read_u32(f"{what} cols"), at
+
+
+def read_mlp(
+    reader: ByteReader, activation: str, shapes: list[tuple[int, int, int]], linear_output: bool = False
+) -> MlpParams:
     """One network's parameters, in the layout checkpoint_writer's
-    encoder vector was written in."""
+    encoder vector was written in, for layer shapes from read_shape. A
+    layer whose inputs are not its predecessor's outputs is a FormatError
+    at the offset of its shape."""
+    for i in range(1, len(shapes)):
+        (outputs, _, _), (_, cols, at) = shapes[i - 1], shapes[i]
+        if cols != outputs:
+            raise FormatError(f"layer {i} expects {cols} inputs but layer {i - 1} outputs {outputs}", offset=at)
     layers = []
-    for i, (rows, cols) in enumerate(shapes):
+    for i, (rows, cols, _) in enumerate(shapes):
         w = reader.read_f64_array(rows * cols, f"layer {i} weights").reshape(rows, cols)
         b = reader.read_f64_array(rows, f"layer {i} bias")
         layers.append((w, b))
-    return MlpParams(layers, activation)
+    return MlpParams(layers, activation, linear_output)
 
 
 def save_checkpoint(pair: EncoderPair, path) -> None:

@@ -158,11 +158,23 @@ def build_config(raw: dict) -> PipelineConfig:
     return _build(PipelineConfig(), raw)
 
 
+def _test_rows(n: int, test_fraction: float) -> int:
+    return max(1, int(round(n * test_fraction)))
+
+
 def train_test_split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Label-free random split, re-derivable from the seed by any stage."""
     perm = derive_rng(seed, KEY_SPLIT).permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
+    n_test = _test_rows(n, test_fraction)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
+def _refuse_oversized(n_train: int, sizes: dict[str, int]) -> None:
+    """Refuse, before a stage writes, a config size that needs more rows
+    than the training split has."""
+    for name, size in sizes.items():
+        if size > n_train:
+            raise ParameterError(f"{name} is {size}, more than the {n_train} training rows")
 
 
 class _Workspace:
@@ -203,6 +215,7 @@ def stage_gen_data(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds, train_idx, _ = _split_dataset(config, ws, "train-cfe")
+    _refuse_oversized(len(train_idx), {"cfe.batch_positives": config.cfe.batch_positives})
     initial = cfe_mod.EncoderPair.initialize(
         ds.dim, config.cfe, derive_rng(config.seed, KEY_CFE_INIT)
     )
@@ -368,6 +381,12 @@ def _stage(name: str):
 
 def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
     """All stages in order; returns the manifest dict."""
+    n = config.dataset.classes * config.dataset.per_class
+    k = config.cluster.k or 4 * config.dataset.classes  # as stage_cluster picks it
+    _refuse_oversized(
+        n - _test_rows(n, config.dataset.test_fraction),
+        {"cfe.batch_positives": config.cfe.batch_positives, "cluster.k": k},
+    )
     artifacts: dict[str, str] = {}
     for name in STAGES:
         for artifact in _stage(name)(config, ws):

@@ -2,12 +2,15 @@
 
 A small encoder plus linear N-way head is meta-trained with first-order
 MAML, or episodically with a prototype head as a second supervised method.
-Both run a task batch at once: the model is broadcast to a (T, P) stack of
-parameter vectors, and each MAML inner step, prototype loss or evaluation
-block is one batched pass over the T tasks. One evaluation-model type,
-SnapshotEvaluationModel, finetunes a model on a stack of support sets and
-scores samples with it, for held-out evaluation and for the progressive
-episode sampler alike.
+The model is one MlpParams network whose last layer is the linear head
+(linear_output), so a MAML step is the network's own forward and backward
+pass; the prototype method uses only the encoder, every layer but the
+head (encoder_of). Both run a task batch at once: the model is broadcast
+to a (T, P) stack of parameter vectors, and each MAML inner step,
+prototype loss or evaluation block is one batched pass over the T tasks.
+One evaluation-model type, SnapshotEvaluationModel, finetunes a model on
+a stack of support sets and scores samples with it, for held-out
+evaluation and for the progressive episode sampler alike.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ import numpy as np
 
 from . import episodes as episodes_mod
 from ._binio import write_csv
-from .cfe import KIND_FEWSHOT_MODEL, checkpoint_writer, read_checkpoint, read_mlp
+from .cfe import KIND_FEWSHOT_MODEL, checkpoint_writer, read_checkpoint, read_mlp, read_shape
 from .cluster import ClusterModel, PseudoLabeledDataset
-from .errors import NumericError, ParameterError, ShapeError, StateError
+from .errors import NumericError, ParameterError, StateError
 from .numcore import (
     ACTIVATIONS,
     MlpParams,
     group_sums,
     init_mlp,
-    layer_views,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
@@ -67,59 +69,23 @@ class MamlConfig:
             raise ParameterError(f"maml.activation must be one of {ACTIVATIONS}, not {self.activation!r}")
 
 
-class FewShotModel:
-    """Encoder plus linear N-way classification head, held in one flat
-    float64 vector: the encoder's parameters, then head_w (ways,
-    encoder_dim) row-major, then head_b (ways,). encoder, head_w and
-    head_b are views into it. A model wrapped around a (T, P) stack of
-    such vectors (model_with_vector) is T models, one per task, and every
-    view carries the leading task axis."""
-
-    def __init__(self, encoder: MlpParams, head_w: np.ndarray, head_b: np.ndarray):
-        head_w = np.asarray(head_w, dtype=np.float64)
-        head_b = np.asarray(head_b, dtype=np.float64)
-        if head_w.ndim != 2 or head_w.shape[1] != encoder.output_dim:
-            raise ShapeError("head input dim must equal encoder output dim")
-        if head_b.shape != (head_w.shape[0],):
-            raise ShapeError("head bias must have one entry per way")
-        vector = np.concatenate([params_to_vector(encoder), head_w.ravel(), head_b])
-        self._bind(vector, encoder, head_w.shape[0])
-
-    def _bind(self, vector: np.ndarray, encoder: MlpParams, ways: int) -> None:
-        n_encoder = encoder.vector.shape[-1]
-        self.vector = vector
-        self.encoder = vector_to_params(vector[..., :n_encoder], encoder)
-        ((self.head_w, self.head_b),) = layer_views(
-            vector[..., n_encoder:], [(ways, encoder.output_dim)]
-        )
-
-    @property
-    def ways(self) -> int:
-        return self.head_w.shape[-2]
-
-    def clone(self) -> "FewShotModel":
-        return model_with_vector(self, self.vector.copy())
-
-
 def init_fewshot_model(
     input_dim: int, ways: int, config: MamlConfig, rng: np.random.Generator
-) -> FewShotModel:
+) -> MlpParams:
+    """A random encoder followed by a linear head with one output per way."""
     encoder = init_mlp(
         (input_dim, *config.encoder_hidden, config.encoder_dim), config.activation, rng
     )
     head_w = rng.normal(0.0, np.sqrt(1.0 / config.encoder_dim), size=(ways, config.encoder_dim))
     head_b = np.zeros(ways)
-    return FewShotModel(encoder, head_w, head_b)
+    return MlpParams([*encoder.layers, (head_w, head_b)], config.activation, linear_output=True)
 
 
-def _head_scores(model: FewShotModel, hidden: np.ndarray) -> np.ndarray:
-    return hidden @ model.head_w.mT + model.head_b[..., None, :]
-
-
-def model_scores(model: FewShotModel, features: np.ndarray) -> np.ndarray:
-    """N-way logits for a batch of raw feature rows; a model stack scores a
-    (T, n, d) batch, each task with its own model."""
-    return _head_scores(model, mlp_forward(model.encoder, features))
+def encoder_of(model: MlpParams) -> MlpParams:
+    """The few-shot model's encoder, every layer but the head, as a view of
+    the leading part of its vector (or of each row of a stack)."""
+    ways, dim = model.shapes[-1]
+    return MlpParams.view(model.vector[..., : -ways * (dim + 1)], model.shapes[:-1], model.activation)
 
 
 def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
@@ -140,29 +106,19 @@ def _require_finite(loss, what: str) -> None:
         raise NumericError(f"non-finite {what}", task=int(np.argmin(finite)) if finite.ndim else None)
 
 
-def model_with_vector(model: FewShotModel, vector: np.ndarray) -> FewShotModel:
-    """Wrap a vector in FewShotModel's flat layout, without copying, as a
-    model shaped like model."""
-    wrapped = object.__new__(FewShotModel)
-    wrapped._bind(np.asarray(vector, dtype=np.float64), model.encoder, model.ways)
-    return wrapped
-
-
 def model_loss_and_grad(
-    model: FewShotModel, features: np.ndarray, labels: np.ndarray
+    model: MlpParams, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Cross-entropy over (features, labels) and its flat gradient over all
     model parameters. A model stack with (T, n, d) features and (T, n)
     labels gives (T,) losses and (T, P) gradients."""
-    hidden, cache = mlp_forward_cached(model.encoder, features)
-    loss, d_logits = cross_entropy(_head_scores(model, hidden), labels)
-    _require_finite(loss, "cross-entropy loss")
-    g_head_w = d_logits.mT @ hidden
-    g_head_b = d_logits.sum(axis=-2)
-    d_hidden = d_logits @ model.head_w
-    g_encoder = mlp_backward(model.encoder, cache, d_hidden)
-    g_head_w = g_head_w.reshape(g_head_b.shape[:-1] + (-1,))
-    return loss, np.concatenate([g_encoder, g_head_w, g_head_b], axis=-1)
+    # an overflow here leaves a non-finite loss, refused below, or a
+    # non-finite gradient, whose step makes the next loss non-finite
+    with np.errstate(all="ignore"):
+        logits, cache = mlp_forward_cached(model, features)
+        loss, d_logits = cross_entropy(logits, labels)
+        _require_finite(loss, "cross-entropy loss")
+        return loss, mlp_backward(model, cache, d_logits)
 
 
 def sgd_steps(loss_and_grad, theta: np.ndarray, alpha: float, steps: int) -> np.ndarray:
@@ -178,12 +134,12 @@ def sgd_steps(loss_and_grad, theta: np.ndarray, alpha: float, steps: int) -> np.
 
 
 def maml_inner_adapt(
-    model: FewShotModel,
+    model: MlpParams,
     support_x: np.ndarray,
     support_y: np.ndarray,
     alpha: float,
     steps: int,
-) -> FewShotModel:
+) -> MlpParams:
     """Adapt the model to a support set with plain gradient descent on
     cross-entropy; returns a new model and leaves the input untouched. A
     model stack adapts task t to support_x[t] (T, n, d) and support_y[t]
@@ -192,16 +148,16 @@ def maml_inner_adapt(
         raise ParameterError("support set is empty")
 
     def fn(vec):
-        return model_loss_and_grad(model_with_vector(model, vec), support_x, support_y)
+        return model_loss_and_grad(vector_to_params(vec, model), support_x, support_y)
 
-    return model_with_vector(model, sgd_steps(fn, model.vector, alpha, steps))
+    return vector_to_params(sgd_steps(fn, model.vector, alpha, steps), model)
 
 
-def _stacked(model: FewShotModel, support: np.ndarray, query: np.ndarray) -> tuple:
+def _stacked(model: MlpParams, support: np.ndarray, query: np.ndarray) -> tuple:
     """The model broadcast to a read-only stack of one copy per task, and
     the (T, ways, shots) support and (T, ways, queries) query indices as
     (index, way) pairs along the same leading axis."""
-    stack = model_with_vector(model, np.broadcast_to(model.vector, (len(support), model.vector.size)))
+    stack = vector_to_params(np.broadcast_to(model.vector, (len(support), model.vector.size)), model)
     return stack, episodes_mod.way_pairs(support), episodes_mod.way_pairs(query)
 
 
@@ -215,7 +171,7 @@ def _task_mean(losses: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, float
 
 
 def maml_meta_gradient(
-    model: FewShotModel,
+    model: MlpParams,
     features: np.ndarray,
     tasks: list[episodes_mod.FewShotTask],
     config: MamlConfig,
@@ -232,16 +188,16 @@ def maml_meta_gradient(
 
 
 def maml_meta_step(
-    model: FewShotModel,
+    model: MlpParams,
     features: np.ndarray,
     tasks: list[episodes_mod.FewShotTask],
     config: MamlConfig,
-) -> tuple[FewShotModel, float]:
+) -> tuple[MlpParams, float]:
     """Apply one outer update; an empty task batch leaves the model as is."""
     if not tasks:
         return model, float("nan")
     meta_grad, mean_loss = maml_meta_gradient(model, features, tasks, config)
-    return model_with_vector(model, model.vector - config.outer_lr * meta_grad), mean_loss
+    return vector_to_params(model.vector - config.outer_lr * meta_grad, model), mean_loss
 
 
 def way_prototypes(embeddings: np.ndarray, way_labels: np.ndarray) -> np.ndarray:
@@ -268,7 +224,7 @@ def prototype_scores(embeddings: np.ndarray, prototypes: np.ndarray) -> np.ndarr
 
 
 def proto_loss_and_grad(
-    model: FewShotModel,
+    model: MlpParams,
     support_x: np.ndarray,
     support_y: np.ndarray,
     query_x: np.ndarray,
@@ -279,7 +235,8 @@ def proto_loss_and_grad(
     model stack with (T, n, d) inputs and (T, n) labels gives (T,) losses
     and (T, P_encoder) gradients."""
     n_s = support_x.shape[-2]
-    hidden, cache = mlp_forward_cached(model.encoder, np.concatenate([support_x, query_x], axis=-2))
+    encoder = encoder_of(model)
+    hidden, cache = mlp_forward_cached(encoder, np.concatenate([support_x, query_x], axis=-2))
     e_s, e_q = hidden[..., :n_s, :], hidden[..., n_s:, :]
     prototypes = way_prototypes(e_s, support_y)
     loss, d_scores = cross_entropy(prototype_scores(e_q, prototypes), query_y)
@@ -290,15 +247,15 @@ def proto_loss_and_grad(
     # each support row shares its prototype's gradient with its way's shots
     shots = np.sum(support_y[..., :, None] == support_y[..., None, :], axis=-1)
     grad_s = np.take_along_axis(grad_proto, support_y[..., None], axis=-2) / shots[..., None]
-    return loss, mlp_backward(model.encoder, cache, np.concatenate([grad_s, grad_q], axis=-2))
+    return loss, mlp_backward(encoder, cache, np.concatenate([grad_s, grad_q], axis=-2))
 
 
 def proto_meta_step(
-    model: FewShotModel,
+    model: MlpParams,
     features: np.ndarray,
     tasks: list[episodes_mod.FewShotTask],
     lr: float,
-) -> tuple[FewShotModel, float]:
+) -> tuple[MlpParams, float]:
     """Average the episodic prototype gradients over the batch, stacked as
     for maml, and take one encoder step; the linear head is untouched."""
     if not tasks:
@@ -309,7 +266,7 @@ def proto_meta_step(
     mean_grad, mean_loss = _task_mean(losses, grads)
     vector = model.vector.copy()
     vector[: mean_grad.size] -= lr * mean_grad
-    return model_with_vector(model, vector), mean_loss
+    return vector_to_params(vector, model), mean_loss
 
 
 # evaluate_fewshot runs its tasks in stacks of this many. A stack
@@ -344,8 +301,8 @@ def evaluate_fewshot(
     tasks, ways = support.shape[:2]
     if tasks == 0:
         raise ParameterError("need at least one task")
-    if scorer.method == "maml" and scorer.model.ways != ways:
-        raise ParameterError(f"the maml head has {scorer.model.ways} ways, the episodes {ways}")
+    if scorer.method == "maml" and scorer.model.output_dim != ways:
+        raise ParameterError(f"the maml head has {scorer.model.output_dim} ways, the episodes {ways}")
     accs = np.empty(tasks)
     for start in range(0, tasks, EVAL_BLOCK_TASKS):
         block = slice(start, start + EVAL_BLOCK_TASKS)
@@ -378,7 +335,7 @@ class SnapshotEvaluationModel:
     on its own, and the result scores (T, n, d) rows as (T, n, ways).
     """
 
-    model: FewShotModel
+    model: MlpParams
     method: str
     config: MamlConfig
     prototypes: np.ndarray | None = None
@@ -389,27 +346,27 @@ class SnapshotEvaluationModel:
 
     def predict_scores(self, features: np.ndarray) -> np.ndarray:
         if self.method == "maml":
-            return model_scores(self.model, features)
+            return mlp_forward(self.model, features)
         if self.prototypes is None:
             raise StateError("prototype evaluation model must be finetuned on a support set first")
-        return prototype_scores(mlp_forward(self.model.encoder, features), self.prototypes)
+        return prototype_scores(mlp_forward(encoder_of(self.model), features), self.prototypes)
 
     def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> "SnapshotEvaluationModel":
         # an unstacked snapshot is broadcast to one read-only copy per task
         # of a (T, n, d) support; the copy is never written
         lead = support_x.shape[:-2] + self.model.vector.shape[-1:]
-        model = model_with_vector(self.model, np.broadcast_to(self.model.vector, lead))
+        model = vector_to_params(np.broadcast_to(self.model.vector, lead), self.model)
         if self.method == "maml":
             adapted = maml_inner_adapt(
                 model, support_x, support_y, self.config.inner_lr, self.config.inner_steps
             )
             return replace(self, model=adapted)
-        embeddings = mlp_forward(model.encoder, support_x)
+        embeddings = mlp_forward(encoder_of(model), support_x)
         return replace(self, model=model, prototypes=way_prototypes(embeddings, support_y))
 
 
 def snapshot_eval_model(
-    model: FewShotModel, method: str, config: MamlConfig
+    model: MlpParams, method: str, config: MamlConfig
 ) -> SnapshotEvaluationModel:
     """Scorer around a copy of the model; later training never mutates it."""
     return SnapshotEvaluationModel(model.clone(), method, config)
@@ -423,7 +380,7 @@ def meta_train(
     method: str = "maml",
     episode_mode: str = "standard",
     rng: np.random.Generator | None = None,
-) -> tuple[FewShotModel, dict]:
+) -> tuple[MlpParams, dict]:
     """Meta-train on pseudo-labeled episodes.
 
     episode_mode "progressive" switches to the gated entropy-guided sampler
@@ -462,24 +419,22 @@ def meta_train(
     return model, history
 
 
-def save_model(model: FewShotModel, path) -> None:
-    """Few-shot model in the shared versioned checkpoint container."""
-    writer = checkpoint_writer(KIND_FEWSHOT_MODEL, model.encoder)
-    writer.write_u32(model.head_w.shape[0])
-    writer.write_u32(model.head_w.shape[1])
-    writer.write_f64_array(model.vector)  # encoder payload, then head_w, then head_b
+def save_model(model: MlpParams, path) -> None:
+    """Few-shot model in the shared versioned checkpoint container: the
+    encoder's architecture, the head's (ways, input dim), then the whole
+    vector, encoder layers first and the head last."""
+    writer = checkpoint_writer(KIND_FEWSHOT_MODEL, encoder_of(model))
+    for size in model.shapes[-1]:
+        writer.write_u32(size)
+    writer.write_f64_array(params_to_vector(model))
     writer.save(path)
 
 
-def load_model(path) -> FewShotModel:
+def load_model(path) -> MlpParams:
     reader, activation, shapes = read_checkpoint(path, KIND_FEWSHOT_MODEL, "a few-shot model")
-    ways = reader.read_u32("head ways")
-    head_in = reader.read_u32("head input dim")
-    encoder = read_mlp(reader, activation, shapes)
-    head_w = reader.read_f64_array(ways * head_in, "head weights").reshape(ways, head_in)
-    head_b = reader.read_f64_array(ways, "head bias")
+    model = read_mlp(reader, activation, [*shapes, read_shape(reader, "head")], linear_output=True)
     reader.expect_end()
-    return FewShotModel(encoder, head_w, head_b)
+    return model
 
 
 def write_eval_csv(result: EvalResult, ways: int, shots: int, path) -> None:

@@ -58,10 +58,13 @@ class MlpParams:
     row-major, then its bias, shape (fan_out,); layers holds (weight, bias)
     views into it. A network wrapped around a (T, P) stack of vectors (see
     vector_to_params) is T networks with a leading task axis on every view.
-    The activation is applied after every layer, including the last one.
+    The activation follows every layer but, when linear_output is set, the
+    last one: a CFE encoder activates its output, and a few-shot model's
+    last layer is its linear N-way head.
     """
 
-    def __init__(self, layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str = "relu"):
+    def __init__(self, layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str = "relu",
+                 linear_output: bool = False):
         if activation not in ACTIVATIONS:
             raise ParameterError(f"unknown activation {activation!r}")
         if not layers:
@@ -76,12 +79,20 @@ class MlpParams:
                     f"outputs {layers[i - 1][0].shape[0]}"
                 )
         vector = np.concatenate([part for w, b in layers for part in (w.ravel(), b)])
-        self._bind(vector, tuple(w.shape for w, _ in layers), activation)
+        self._bind(vector, tuple(w.shape for w, _ in layers), activation, linear_output)
 
-    def _bind(self, vector: np.ndarray, shapes: tuple[tuple[int, int], ...], activation: str) -> None:
+    @classmethod
+    def view(cls, vector: np.ndarray, shapes, activation: str, linear_output: bool = False) -> "MlpParams":
+        """A network over vector itself, not a copy, with these layer shapes."""
+        params = object.__new__(cls)
+        params._bind(np.asarray(vector, dtype=np.float64), tuple(shapes), activation, linear_output)
+        return params
+
+    def _bind(self, vector: np.ndarray, shapes: tuple, activation: str, linear_output: bool) -> None:
         self.vector = vector
         self.shapes = shapes
         self.activation = activation
+        self.linear_output = linear_output
         self.layers = layer_views(vector, shapes)
 
     @property
@@ -135,12 +146,19 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> np.ndarray:
     """Run the network on a (n, input_dim) batch; returns (n, output_dim).
     A (T, P) network stack takes a (T, n, input_dim) batch and returns
     (T, n, output_dim)."""
-    out, _ = mlp_forward_cached(params, batch)
-    return out
+    return _forward(params, batch, None)
 
 
 def mlp_forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass that also returns the cache mlp_backward needs."""
+    cache = ForwardCache(inputs=np.asarray(batch, dtype=np.float64))
+    return _forward(params, cache.inputs, cache), cache
+
+
+def _forward(params: MlpParams, batch: np.ndarray, cache: ForwardCache | None) -> np.ndarray:
+    """The network's output. Each layer's pre-activation and output are
+    kept in cache when one is given; otherwise they are freed once the
+    next layer has used them."""
     batch = np.asarray(batch, dtype=np.float64)
     tasks = params.vector.shape[:-1]
     if batch.ndim != len(tasks) + 2 or batch.shape[:-2] != tasks or batch.shape[-1] != params.input_dim:
@@ -148,14 +166,15 @@ def mlp_forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray
             f"batch shape {batch.shape} incompatible with encoder input dim "
             f"{params.input_dim} and parameter shape {params.vector.shape}"
         )
-    cache = ForwardCache(inputs=batch)
     x = batch
-    for w, b in params.layers:
+    linear = len(params.layers) - 1 if params.linear_output else -1
+    for i, (w, b) in enumerate(params.layers):
         pre = x @ w.mT + b[..., None, :]
-        x = _activate(pre, params.activation)
-        cache.pre_activations.append(pre)
-        cache.post_activations.append(x)
-    return x, cache
+        x = pre if i == linear else _activate(pre, params.activation)
+        if cache is not None:
+            cache.pre_activations.append(pre)
+            cache.post_activations.append(x)
+    return x
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.ndarray) -> np.ndarray:
@@ -176,12 +195,12 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
     grad = np.empty(params.vector.shape)
     grad_layers = layer_views(grad, params.shapes)
     g = grad_output
+    linear = len(params.layers) - 1 if params.linear_output else -1
     for i in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[i]
-        pre = cache.pre_activations[i]
-        post = cache.post_activations[i]
+        pre, post = cache.pre_activations[i], cache.post_activations[i]
         layer_in = cache.inputs if i == 0 else cache.post_activations[i - 1]
-        g_pre = g * _activate_grad(pre, post, params.activation)
+        g_pre = g if i == linear else g * _activate_grad(pre, post, params.activation)
         gw, gb = grad_layers[i]
         gw[...] = g_pre.mT @ layer_in
         gb[...] = g_pre.sum(axis=-2)
@@ -225,9 +244,7 @@ def vector_to_params(vector: np.ndarray, template: MlpParams) -> MlpParams:
     """Wrap a vector in params_to_vector's layout, without copying, as a
     network shaped like template; a (T, P) stack of such vectors becomes T
     networks with a leading task axis."""
-    params = object.__new__(MlpParams)
-    params._bind(np.asarray(vector, dtype=np.float64), template.shapes, template.activation)
-    return params
+    return MlpParams.view(vector, template.shapes, template.activation, template.linear_output)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

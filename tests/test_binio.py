@@ -1,6 +1,8 @@
 import ast
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plcfe
@@ -8,6 +10,7 @@ from plcfe._binio import artifact_file, write_csv
 from plcfe.cfe import CfeConfig, EncoderPair, load_checkpoint, save_checkpoint
 from plcfe.errors import FormatError
 from plcfe.metalearn import MamlConfig, init_fewshot_model, load_model, save_model
+from plcfe.numcore import MlpParams
 
 from helpers import make_rng
 
@@ -85,3 +88,35 @@ def test_no_module_calls_add_at():
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, ast.Attribute) and node.attr == "at":
                 assert getattr(node.value, "attr", None) != "add", f"{source.name}:{node.lineno}"
+
+
+def test_fewshot_checkpoint_bytes_are_the_documented_layout(tmp_path):
+    # header, the encoder's activation code and layer shapes, the head's
+    # (ways, input dim), then every layer's weight and bias, head last
+    w1, b1 = np.arange(6.0).reshape(3, 2) / 7, np.array([0.5, -0.25, 1.0])
+    w2, b2 = -np.arange(6.0).reshape(2, 3) / 3, np.array([2.0, -1.0])
+    path = tmp_path / "model.plcf"
+    save_model(MlpParams([(w1, b1), (w2, b2)], "tanh", linear_output=True), path)
+    floats = [*w1.ravel(), *b1, *w2.ravel(), *b2]
+    expected = (
+        b"PLCF"
+        + struct.pack("<HHHH", 1, 1, 1, 1)  # version, kind, tanh, one encoder layer
+        + struct.pack("<II", 3, 2)
+        + struct.pack("<II", 2, 3)  # head ways, head input dim
+        + struct.pack(f"<{len(floats)}d", *floats)
+    )
+    assert path.read_bytes() == expected
+    back = load_model(path)
+    assert back.linear_output and back.activation == "tanh" and back.shapes == ((3, 2), (2, 3))
+    assert np.array_equal(back.vector, floats)
+
+
+def test_checkpoint_without_layers_is_format_error(tmp_path):
+    path = tmp_path / "pair.plcf"
+    save_checkpoint(EncoderPair.initialize(3, CfeConfig(), make_rng(1)), path)
+    raw = bytearray(path.read_bytes())
+    raw[10:12] = struct.pack("<H", 0)  # the layer count
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="checkpoint encoder has no layers") as excinfo:
+        load_checkpoint(path)
+    assert excinfo.value.offset == 10

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -390,6 +391,74 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{out / name} {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, stage, at, before, after, message",
+        [
+            ("cfe_trained.plcf", "embed", 20, (8, 16), (1, 135),
+             "layer 1 expects 135 inputs but layer 0 outputs 16"),
+            ("meta_model.plcf", "meta-eval", 28, (3, 16), (17, 2),
+             "layer 2 expects 2 inputs but layer 1 outputs 16"),
+        ],
+        ids=["encoder-layer", "fewshot-head"],
+    )
+    def test_checkpoint_shape_chain_exits_2(self, tmp_path, capsys, name, stage, at, before, after, message):
+        # the rewritten (rows, cols) keeps the float count, so the file
+        # parses to its end and only the layer chain shows it is malformed
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        raw = bytearray((out / name).read_bytes())
+        assert struct.unpack_from("<II", raw, at) == before
+        struct.pack_into("<II", raw, at, *after)
+        (out / name).write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main([stage, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{message} (at byte offset {at})" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [("cfe", {"batch_positives": 81}, "cfe.batch_positives"), ("cluster", {"k": 81}, "cluster.k")],
+    )
+    def test_size_beyond_training_split_writes_nothing(self, tmp_path, capsys, section, values, field):
+        # 4 x 25 rows less the 20-row test split leave 80 training rows;
+        # both used to fail only after earlier stages wrote their artifacts
+        path = write_tiny_config(tmp_path, **{section: {**TINY[section], **values}})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{field} is 81, more than the 80 training rows" in err and "Traceback" not in err
+        assert not any(out.glob("*"))
+
+    def test_train_cfe_refuses_batch_before_writing(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path, cfe={**TINY["cfe"], "batch_positives": 81})
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train-cfe", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "cfe.batch_positives is 81, more than the 80 training rows" in err
+        assert [p.name for p in out.iterdir()] == ["dataset.plds"]
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [("cfe", {"temperature": 1e-6}), ("maml", {"outer_lr": 1e6}), ("maml", {"inner_lr": 1e6})],
+        ids=["cfe-temperature", "maml-outer-lr", "maml-inner-lr"],
+    )
+    def test_overflow_exits_3_with_one_stderr_line(self, tmp_path, section, values):
+        # numpy warnings go to stderr in a plain interpreter, not under
+        # pytest's capture, so the run is a subprocess
+        path = write_tiny_config(tmp_path, **{section: {**TINY[section], **values}})
+        src = str(Path(plcfe.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "plcfe", "pipeline", "--config", str(path), "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_RUNTIME, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "non-finite" in proc.stderr
 
     def test_meta_eval_refuses_split_of_another_seed(self, tmp_path, capsys):
         # with seed 99 the test split overlaps rows the seed-1234 encoder

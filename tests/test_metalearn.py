@@ -7,8 +7,8 @@ from plcfe.episodes import EpisodeConfig, FewShotTask, WayProvenance, way_pairs
 from plcfe.errors import NumericError, ParameterError, StateError
 from plcfe.metalearn import (
     EVAL_BLOCK_TASKS,
-    FewShotModel,
     MamlConfig,
+    encoder_of,
     evaluate_fewshot,
     init_fewshot_model,
     load_model,
@@ -16,8 +16,6 @@ from plcfe.metalearn import (
     maml_meta_gradient,
     maml_meta_step,
     model_loss_and_grad,
-    model_scores,
-    model_with_vector,
     proto_loss_and_grad,
     proto_meta_step,
     save_model,
@@ -89,14 +87,14 @@ class TestInnerAdapt:
         y = np.array([0, 1, 0, 1, 0, 1])
 
         def fn(vec):
-            return model_loss_and_grad(model_with_vector(model, vec), x, y)
+            return model_loss_and_grad(vector_to_params(vec, model), x, y)
 
         assert finite_diff_check(fn, model.vector, eps=1e-6) < 1e-6
 
     def test_adaptation_decreases_support_loss_on_convex_toy(self):
         # single linear layer in its linear regime: convex logistic problem
-        encoder = MlpParams([(np.eye(2), np.array([5.0, 5.0]))], "relu")
-        model = FewShotModel(encoder, np.array([[0.1, 0.0], [0.0, 0.1]]), np.zeros(2))
+        model = MlpParams([(np.eye(2), np.array([5.0, 5.0])), (np.array([[0.1, 0.0], [0.0, 0.1]]), np.zeros(2))],
+                          "relu", linear_output=True)
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.3], [0.3, 2.0]])
         y = np.array([0, 1, 0, 1])
         loss0, _ = model_loss_and_grad(model, x, y)
@@ -162,18 +160,18 @@ class TestMetaStep:
         u1, v1 = u - alpha * gu, v - alpha * gv
         hand_meta = hand_grads(w1, b1, u1, v1, xq, yq)
 
-        encoder = MlpParams([(np.array([[w]]), np.array([b]))], "relu")
-        model = FewShotModel(encoder, u[:, None].copy(), v.copy())
+        model = MlpParams([(np.array([[w]]), np.array([b])), (u[:, None].copy(), v.copy())],
+                          "relu", linear_output=True)
         features = np.array([[xs], [xq]])
 
         def support_fn(vec):
             return model_loss_and_grad(
-                model_with_vector(model, vec), features[[0]], np.array([ys])
+                vector_to_params(vec, model), features[[0]], np.array([ys])
             )
 
         theta = sgd_steps(support_fn, model.vector, alpha, 1)
         _, meta = model_loss_and_grad(
-            model_with_vector(model, theta), features[[1]], np.array([yq])
+            vector_to_params(theta, model), features[[1]], np.array([yq])
         )
         expected = np.concatenate(
             [np.atleast_1d(g).ravel() for g in hand_meta]
@@ -238,13 +236,13 @@ class TestStackedTasks:
         s_idx, s_way = way_pairs(task.support)
         q_idx, q_way = way_pairs(task.query)
         if method == "proto":
-            e_s = mlp_forward(model.encoder, features[s_idx])
-            scores = proto_classify(e_s, s_way, mlp_forward(model.encoder, features[q_idx]))
+            e_s = mlp_forward(encoder_of(model), features[s_idx])
+            scores = proto_classify(e_s, s_way, mlp_forward(encoder_of(model), features[q_idx]))
             return np.mean(np.argmax(scores, axis=1) == q_way)
         adapted = maml_inner_adapt(
             model, features[s_idx], s_way, self.config.inner_lr, self.config.inner_steps
         )
-        return np.mean(np.argmax(model_scores(adapted, features[q_idx]), axis=1) == q_way)
+        return np.mean(np.argmax(mlp_forward(adapted, features[q_idx]), axis=1) == q_way)
 
     def assert_evaluate_matches_loop(self, shots, n_tasks, method):
         model = stack_model()
@@ -287,7 +285,7 @@ class TestStackedTasks:
         features = make_rng(32).normal(size=(200, 6))
         tasks = random_tasks(4, 200, shots=2, seed=33)
         stepped, mean_loss = proto_meta_step(model, features, tasks, lr=0.1)
-        total, total_loss = np.zeros(model.encoder.vector.size), 0.0
+        total, total_loss = np.zeros(encoder_of(model).vector.size), 0.0
         for task in tasks:
             s_idx, s_way = way_pairs(task.support)
             q_idx, q_way = way_pairs(task.query)
@@ -388,10 +386,10 @@ class TestProtoTraining:
         ys, yq = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1, 0, 1])
 
         def fn(vec):
-            m = FewShotModel(vector_to_params(vec, model.encoder), model.head_w, model.head_b)
+            m = vector_to_params(np.concatenate([vec, model.vector[vec.size:]]), model)
             return proto_loss_and_grad(m, xs, ys, xq, yq)
 
-        assert finite_diff_check(fn, params_to_vector(model.encoder), eps=1e-6) < 1e-6
+        assert finite_diff_check(fn, params_to_vector(encoder_of(model)), eps=1e-6) < 1e-6
 
     def test_proto_meta_step_decreases_loss_on_fixed_batch(self):
         model = toy_model(seed=3)
@@ -408,15 +406,15 @@ class TestProtoTraining:
         features = make_rng(6).normal(size=(12, 2))
         task = make_task([[0], [1]], [[2, 3], [4, 5]])
         stepped, _ = proto_meta_step(model, features, [task], lr=0.1)
-        assert np.array_equal(stepped.head_w, model.head_w)
-        assert np.array_equal(stepped.head_b, model.head_b)
+        assert np.array_equal(stepped.layers[-1][0], model.layers[-1][0])
+        assert np.array_equal(stepped.layers[-1][1], model.layers[-1][1])
 
 
 class TestEvaluate:
     def constant_model(self, ways=5):
         # zero encoder output and zero head: constant equal scores
-        encoder = MlpParams([(np.zeros((3, 2)), np.zeros(3))], "relu")
-        return FewShotModel(encoder, np.zeros((ways, 3)), np.zeros(ways))
+        return MlpParams([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((ways, 3)), np.zeros(ways))],
+                         "relu", linear_output=True)
 
     def balanced_tasks(self, n_tasks, ways=5, queries=3, seed=0):
         rng = make_rng(seed)
@@ -427,7 +425,7 @@ class TestEvaluate:
             tasks.append(make_task(support, query))
         return tasks
 
-    def test_constant_model_scores_chance(self):
+    def test_constant_model_gives_chance_accuracy(self):
         model = self.constant_model()
         features = make_rng(1).normal(size=(100, 2))
         tasks = self.balanced_tasks(200)
@@ -463,8 +461,8 @@ class TestEvaluate:
     def test_ci_shrinks_with_task_count(self):
         # pass-through model: scores follow the input coordinates, so
         # per-task accuracy varies and the half-width is meaningful
-        encoder = MlpParams([(np.eye(2), np.array([10.0, 10.0]))], "relu")
-        model = FewShotModel(encoder, np.eye(2), np.zeros(2))
+        model = MlpParams([(np.eye(2), np.array([10.0, 10.0])), (np.eye(2), np.zeros(2))],
+                          "relu", linear_output=True)
         features = make_rng(9).normal(size=(100, 2))
         small = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.0)), features, *task_arrays(self.balanced_tasks(50, ways=2, seed=10)))
         large = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.0)), features, *task_arrays(self.balanced_tasks(800, ways=2, seed=10)))
@@ -483,14 +481,14 @@ class TestSnapshots:
         model = toy_model(seed=11)
         snap = snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.05))
         frozen = snap.model.vector.copy()
-        model.head_w += 1.0  # mutate the live model
+        model.layers[-1][0][...] += 1.0  # mutate the live model
         assert np.array_equal(snap.model.vector, frozen)
 
     def test_maml_snapshot_scores_and_finetunes(self):
         model = toy_model(seed=12)
         snap = snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.1))
         x = make_rng(13).normal(size=(6, 2))
-        assert np.array_equal(snap.predict_scores(x), model_scores(model, x))
+        assert np.array_equal(snap.predict_scores(x), mlp_forward(model, x))
         tuned = snap.finetuned(x, np.array([0, 1, 0, 1, 0, 1]))
         assert tuned is not snap
         assert tuned.predict_scores(x).shape == (6, 2)
@@ -511,7 +509,7 @@ class TestSnapshots:
         support, queries = rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
         labels = np.array([0, 1, 0, 1])
         expected = proto_classify(
-            mlp_forward(model.encoder, support), labels, mlp_forward(model.encoder, queries)
+            mlp_forward(encoder_of(model), support), labels, mlp_forward(encoder_of(model), queries)
         )
         tuned = snap.finetuned(support, labels)
         assert np.array_equal(tuned.predict_scores(queries), expected)

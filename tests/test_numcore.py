@@ -319,3 +319,54 @@ class TestTaskStack:
             mlp_forward(vector_to_params(vectors, template), x[:2])
         with pytest.raises(ShapeError):
             mlp_forward(template, x)
+
+
+class TestLinearOutput:
+    """linear_output leaves the last layer without its activation, as a
+    few-shot model's head."""
+
+    def network(self, activation, seed=40):
+        # random biases keep relu pre-activations away from the exact kink
+        rng = make_rng(seed)
+        layers = init_mlp((4, 6, 5, 3), activation, rng).layers
+        layers = [(w, rng.normal(0.0, 0.5, size=b.shape)) for w, b in layers]
+        return MlpParams(layers, activation, linear_output=True)
+
+    def test_last_layer_skips_the_activation(self):
+        params = self.network("relu")
+        x = make_rng(41).normal(size=(8, 4))
+        hidden = mlp_forward(MlpParams(params.layers[:-1], "relu"), x)
+        w, b = params.layers[-1]
+        out = mlp_forward(params, x)
+        assert np.array_equal(out, hidden @ w.T + b)
+        assert (out < 0).any()
+        assert vector_to_params(params.vector, params).linear_output
+        assert params.clone().linear_output
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_backward_matches_finite_differences(self, activation):
+        params = self.network(activation)
+        x = make_rng(42).normal(size=(5, 4))
+        g_out = make_rng(43).normal(size=(5, 3))
+
+        def fn(vec):
+            p = vector_to_params(vec, params)
+            out, cache = mlp_forward_cached(p, x)
+            return float(np.sum(out * g_out)), mlp_backward(p, cache, g_out)
+
+        assert finite_diff_check(fn, params_to_vector(params), eps=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_stacked_backward_matches_finite_differences(self, activation):
+        params = self.network(activation)
+        tasks = 3
+        vectors = params.vector + make_rng(44).normal(0.0, 0.1, size=(tasks, params.vector.size))
+        x = make_rng(45).normal(size=(tasks, 5, 4))
+        g_out = make_rng(46).normal(size=(tasks, 5, 3))
+
+        def fn(flat):
+            p = vector_to_params(flat.reshape(vectors.shape), params)
+            out, cache = mlp_forward_cached(p, x)
+            return float(np.sum(out * g_out)), mlp_backward(p, cache, g_out).ravel()
+
+        assert finite_diff_check(fn, vectors.ravel(), eps=1e-6) < 1e-6
