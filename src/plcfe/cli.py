@@ -177,6 +177,22 @@ def _refuse_oversized(n_train: int, sizes: dict[str, int]) -> None:
             raise ParameterError(f"{name} is {size}, more than the {n_train} training rows")
 
 
+def _refuse_impossible_episodes(config: PipelineConfig, k: int) -> None:
+    """Refuse, before a stage writes, episodes that no split can supply: a
+    meta-train task's ways are distinct clusters, a meta-eval task's are
+    distinct true classes, and a progressive way chooses among
+    candidate_neighbors clusters other than its base."""
+    ways = config.episodes.ways
+    for name, limit in (("cluster.k", k), ("dataset.classes", config.dataset.classes)):
+        if ways > limit:
+            raise ParameterError(f"episodes.ways is {ways}, more than {name} = {limit}")
+    neighbors = config.episodes.candidate_neighbors
+    if config.episode_mode == "progressive" and neighbors >= k:
+        raise ParameterError(
+            f"episodes.candidate_neighbors is {neighbors}; progressive episodes need it below cluster.k = {k}"
+        )
+
+
 class _Workspace:
     """Artifact paths within one output directory."""
 
@@ -387,6 +403,7 @@ def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
         n - _test_rows(n, config.dataset.test_fraction),
         {"cfe.batch_positives": config.cfe.batch_positives, "cluster.k": k},
     )
+    _refuse_impossible_episodes(config, k)
     artifacts: dict[str, str] = {}
     for name in STAGES:
         for artifact in _stage(name)(config, ws):

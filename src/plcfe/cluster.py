@@ -77,16 +77,21 @@ def _kmeans_pp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _assign(x: np.ndarray, centers: np.ndarray, scores: np.ndarray) -> np.ndarray:
     # argmin over centers of |x - c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2
     # term is the same for every center of a row, so it is left out
-    return np.argmin(x @ (-2.0 * centers).T + np.sum(centers * centers, axis=1), axis=1)
+    np.matmul(x, (-2.0 * centers).T, out=scores)
+    scores += np.sum(centers * centers, axis=1)
+    return np.argmin(scores, axis=1)
 
 
 def _lloyd(
     x: np.ndarray, centers: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    labels = _assign(x, centers)
+    # every _assign of the run writes this (n, k) buffer, so a Lloyd
+    # iteration allocates no large array afresh
+    scores = np.empty((x.shape[0], centers.shape[0]))
+    labels = _assign(x, centers, scores)
     for _ in range(max_iters):
         counts, sums = group_sums(x, labels, centers.shape[0])
         new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
@@ -98,7 +103,7 @@ def _lloyd(
                 far = int(np.argmax(point_d2))
                 new_centers[j] = x[far]
                 point_d2[far] = -1.0  # don't reuse the same point twice
-        new_labels = _assign(x, new_centers)
+        new_labels = _assign(x, new_centers, scores)
         centers = new_centers
         if np.array_equal(new_labels, labels):
             labels = new_labels
@@ -141,18 +146,20 @@ def assign_pseudo_labels(model: ClusterModel, features: np.ndarray) -> PseudoLab
 def nearest_clusters(model: ClusterModel, bases, count: int) -> np.ndarray:
     """For each base cluster, the `count` clusters most similar to it by
     center dot product, most similar first; ties break toward the lower
-    cluster id. A (ways,) array of bases gives a (ways, count) table, a
-    single base a (count,) row."""
+    cluster id. An array of bases of any shape, such as a (T, ways) batch,
+    gives one (count,) row per base, (T, ways, count); a single base gives
+    a (count,) row."""
     bases = np.asarray(bases, dtype=np.int64)
     if np.any((bases < 0) | (bases >= model.k)):
         raise ParameterError(f"base cluster out of range [0, {model.k}): {bases}")
     if count >= model.k:
         raise ParameterError(f"count={count} must be < k={model.k}")
-    sims = (model.centers @ model.centers[bases].T).T
+    flat = bases.reshape(-1)
+    sims = (model.centers @ model.centers[flat].T).T
     # a base is never its own neighbor; a stable sort keeps equal
     # similarities in ascending id order
-    np.put_along_axis(sims, bases[..., None], -np.inf, axis=-1)
-    return np.argsort(-sims, axis=-1, kind="stable")[..., :count]
+    sims[np.arange(flat.size), flat] = -np.inf
+    return np.argsort(-sims, axis=-1, kind="stable")[:, :count].reshape(*bases.shape, count)
 
 
 def write_cluster_csv(

@@ -10,10 +10,13 @@ bases and supports of all T tasks from one kernel draw, finetunes the
 evaluation model on the T supports as one stack, and scores every row of
 the split for every task in one forward pass, (T, N, ways). The argmax
 labels fill one predicted-label count table per task, from which one call
-gives every cluster's entropy, and one log-softmax ranks members for the
-noise filter. Each task then picks each way's query source among the base
-cluster's nearest neighbors by entropy, filters the chosen cluster's
-noisiest members and draws its queries, task after task.
+gives every cluster's entropy. One table of every (task, way)'s nearest
+neighbor clusters and one argmax over their entropies pick each way's final
+cluster, its query source, for the whole batch, and only the final
+clusters' rows get the log-softmax that ranks members for the noise filter.
+Then, task after task and way after way, each final cluster's noisiest
+members are dropped and the way's queries drawn, so the generator is called
+in the same order as by one task at a time.
 """
 
 from __future__ import annotations
@@ -142,17 +145,25 @@ def cluster_entropy(label_counts: np.ndarray) -> np.ndarray:
     return -np.sum(probs * logs, axis=1)
 
 
-def select_final_cluster(candidate_ids, entropy: np.ndarray) -> int:
+def select_final_cluster(candidate_ids, entropy: np.ndarray):
     """Candidate with the highest entropy, read from a per-cluster entropy
     vector; ties go to the earlier (nearer) candidate. An empty cluster's
-    entropy is NaN, and choosing among it is a ParameterError."""
+    entropy is NaN, and choosing among it is a ParameterError.
+
+    A (c,) candidate row gives one cluster id. A (T, ways, c) table with
+    (T, k) entropies, one row per task, gives the (T, ways) choices from
+    one argmax, as would a call per (task, way).
+    """
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
     if candidate_ids.size == 0:
         raise ParameterError("need at least one candidate cluster")
-    values = entropy[candidate_ids]
+    rows = np.atleast_2d(entropy)
+    values = np.take_along_axis(rows, candidate_ids.reshape(rows.shape[0], -1), axis=1)
     if np.isnan(values).any():
         raise ParameterError("every cluster needs at least one member")
-    return int(candidate_ids[np.argmax(values)])
+    best = np.argmax(values.reshape(candidate_ids.shape), axis=-1)
+    finals = np.take_along_axis(candidate_ids, best[..., None], axis=-1)[..., 0]
+    return int(finals) if finals.ndim == 0 else finals
 
 
 def filter_noisy(
@@ -164,9 +175,9 @@ def filter_noisy(
     """Keep the floor(keep_rate * n) members most confidently scored as
     way_index.
 
-    log_probs holds every row's log-softmax over the ways; members are
-    sorted by descending log-probability of way_index with ties resolved
-    by their position in member_indices.
+    log_probs holds log-softmax rows over the ways, indexed by
+    member_indices; members are sorted by descending log-probability of
+    way_index with ties resolved by their position in member_indices.
     """
     if not (0 < keep_rate < 1):
         raise ParameterError("keep_rate must be in (0, 1)")
@@ -179,23 +190,23 @@ def filter_noisy(
 
 def progressive_task(
     pld: PseudoLabeledDataset,
-    cluster_model: ClusterModel,
     config: EpisodeConfig,
     rng: np.random.Generator,
     bases: np.ndarray,
     support: np.ndarray,
-    entropy: np.ndarray,
-    log_probs: np.ndarray,
+    finals: np.ndarray,
+    log_probs: list[np.ndarray],
 ) -> FewShotTask:
-    """One progressive episode from its (ways,) base clusters and (ways,
-    shots) support, given the (k,) cluster entropies and (N, ways)
-    log-softmax rows that the model finetuned on that support produced.
+    """One progressive episode from its (ways,) base clusters, (ways,
+    shots) support and (ways,) final clusters, the highest-entropy
+    candidate neighbor of each base. log_probs[way] holds the log-softmax
+    rows over the ways, (size, ways), of the members of finals[way] in
+    pld.members order, as the model finetuned on that support scored them.
 
-    Each way's queries are drawn from whichever of its base's candidate
-    neighbor clusters has the highest entropy, after dropping that
-    cluster's lowest-scored members. Ways whose filtered pool cannot supply
-    enough fresh queries fall back to their base cluster (recorded in
-    provenance). Support samples are never reused as queries; query
+    Each way's queries are drawn from its final cluster, after dropping
+    that cluster's lowest-scored members. Ways whose filtered pool cannot
+    supply enough fresh queries fall back to their base cluster (recorded
+    in provenance). Support samples are never reused as queries; query
     samples are unique within a task except in the last-resort fallback,
     where a way may share queries with another way's.
     """
@@ -204,10 +215,9 @@ def progressive_task(
     used = is_support.copy()
     query = np.empty((config.ways, config.queries), dtype=np.int64)
     provenance = []
-    neighbors = nearest_clusters(cluster_model, bases, config.candidate_neighbors)
-    for way, (base, candidates) in enumerate(zip(bases, neighbors)):
-        final = select_final_cluster(candidates, entropy)
-        kept = filter_noisy(log_probs, pld.members[final], way, config.keep_rate)
+    for way, (base, final) in enumerate(zip(bases, finals)):
+        members = pld.members[final]
+        kept = members[filter_noisy(log_probs[way], np.arange(members.size), way, config.keep_rate)]
         pool = kept[~used[kept]]
         fallback = pool.size < config.queries
         if fallback:
@@ -249,8 +259,11 @@ def sample_progressive_batch(
     base needs shots + queries members to back a fallback. The evaluation
     model is finetuned once on the (count, ways * shots) support stack and
     scores every row of the split for every task. The (count, N, ways)
-    scores give each task's cluster entropies and log-softmax rows, and
-    progressive_task then draws the tasks' queries in task order.
+    scores give each task's cluster entropies, from which one
+    nearest_clusters table and one argmax pick every (task, way)'s final
+    cluster. Only the final clusters' rows get a log-softmax, and
+    progressive_task then filters and draws the tasks' queries in task
+    order.
 
     eval_model is a SnapshotEvaluationModel or a test double with its two
     methods: finetuned(support_x, support_y) on (count, n, d) support rows
@@ -274,13 +287,23 @@ def sample_progressive_batch(
     entropy = np.full((count, pld.num_clusters), np.nan)
     filled = pld.sizes > 0
     entropy[:, filled] = cluster_entropy(counts[:, filled].reshape(-1, config.ways)).reshape(count, -1)
+    finals = select_final_cluster(
+        nearest_clusters(cluster_model, bases, config.candidate_neighbors), entropy
+    )
+    # the final clusters' score rows, task after task and way after way
+    sizes = pld.sizes[finals]
+    rows = scores[np.repeat(np.arange(count), sizes.sum(axis=1)),
+                  np.concatenate([pld.members[f] for f in finals.ravel()])]
     # logsumexp as max + log1p(rest), which keeps near-1 probabilities apart
-    ordered = np.sort(scores, axis=-1)
-    top = ordered[..., -1:]
-    log_probs = scores - top - np.log1p(np.exp(ordered[..., :-1] - top).sum(axis=-1, keepdims=True))
+    ordered = np.sort(rows, axis=-1)
+    top = ordered[:, -1:]
+    log_probs = np.split(
+        rows - top - np.log1p(np.exp(ordered[:, :-1] - top).sum(axis=-1, keepdims=True)),
+        np.cumsum(sizes.ravel())[:-1],
+    )
     return [
-        progressive_task(pld, cluster_model, config, rng, *task)
-        for task in zip(bases, support, entropy, log_probs)
+        progressive_task(pld, config, rng, *task, log_probs[t * config.ways : (t + 1) * config.ways])
+        for t, task in enumerate(zip(bases, support, finals))
     ]
 
 

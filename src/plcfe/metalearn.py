@@ -220,7 +220,8 @@ def prototype_scores(embeddings: np.ndarray, prototypes: np.ndarray) -> np.ndarr
     """Negative squared distance of each embedding to each prototype;
     (T, n, d) embeddings with (T, ways, d) prototypes give (T, n, ways)."""
     diff = embeddings[..., :, None, :] - prototypes[..., None, :, :]
-    return -np.sum(diff * diff, axis=-1)
+    diff *= diff
+    return -np.sum(diff, axis=-1)
 
 
 def proto_loss_and_grad(

@@ -5,8 +5,11 @@ Matrices are plain 2-D float64 numpy arrays (row-major). The MLP also runs
 T independent networks at once: a (T, P) stack of parameter vectors with a
 (T, n, d) input, each task's slice computed by the same matmul calls as a
 single network, so a stacked run is bit-identical to T separate ones.
-Everything here is a pure function of its explicit inputs, so results are
-bit-reproducible for a fixed seed.
+The forward pass allocates one array per layer, its matmul's result, and
+adds the bias and applies the activation in place; the backward pass reads
+each activation's derivative off the layer's output, so no pre-activation
+is kept. Everything here is a pure function of its explicit inputs, so
+results are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -121,24 +124,21 @@ def init_mlp(layer_dims: Sequence[int], activation: str, rng: np.random.Generato
     return MlpParams(layers, activation)
 
 
-def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
+def _activate_grad(post: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's derivative, read off its output: ReLU's output is
+    positive exactly where its input is, and tanh' = 1 - tanh²."""
     if activation == "relu":
-        return np.maximum(pre, 0.0)
-    return np.tanh(pre)
-
-
-def _activate_grad(pre: np.ndarray, post: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return (post > 0.0).astype(np.float64)
     return 1.0 - post * post
 
 
 @dataclass
 class ForwardCache:
-    """Intermediates kept by mlp_forward_cached for the backward pass."""
+    """What mlp_backward needs of a forward pass: its input batch and
+    each layer's output (activated, or the linear head's scores). The
+    pre-activations are not kept: each layer activates in place."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
     post_activations: list[np.ndarray] = field(default_factory=list)
 
 
@@ -156,9 +156,11 @@ def mlp_forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray
 
 
 def _forward(params: MlpParams, batch: np.ndarray, cache: ForwardCache | None) -> np.ndarray:
-    """The network's output. Each layer's pre-activation and output are
-    kept in cache when one is given; otherwise they are freed once the
-    next layer has used them."""
+    """The network's output. Each layer writes its matmul's fresh result,
+    adds the bias and activates in place, so the caller's batch and every
+    earlier layer's output are never written. Each layer's output is kept
+    in cache when one is given; otherwise it is freed once the next layer
+    has used it."""
     batch = np.asarray(batch, dtype=np.float64)
     tasks = params.vector.shape[:-1]
     if batch.ndim != len(tasks) + 2 or batch.shape[:-2] != tasks or batch.shape[-1] != params.input_dim:
@@ -169,10 +171,13 @@ def _forward(params: MlpParams, batch: np.ndarray, cache: ForwardCache | None) -
     x = batch
     linear = len(params.layers) - 1 if params.linear_output else -1
     for i, (w, b) in enumerate(params.layers):
-        pre = x @ w.mT + b[..., None, :]
-        x = pre if i == linear else _activate(pre, params.activation)
+        x = x @ w.mT
+        x += b[..., None, :]
+        if i != linear and params.activation == "relu":
+            np.maximum(x, 0.0, out=x)
+        elif i != linear:
+            np.tanh(x, out=x)
         if cache is not None:
-            cache.pre_activations.append(pre)
             cache.post_activations.append(x)
     return x
 
@@ -184,7 +189,7 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
     flat gradient in params.vector's layout; for a (T, P) network stack,
     row t is the gradient of task t's loss.
     """
-    if cache is None or not cache.pre_activations:
+    if cache is None or not cache.post_activations:
         raise StateError("mlp_backward requires the cache from mlp_forward_cached")
     grad_output = np.asarray(grad_output, dtype=np.float64)
     if grad_output.shape != cache.post_activations[-1].shape:
@@ -198,9 +203,8 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
     linear = len(params.layers) - 1 if params.linear_output else -1
     for i in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[i]
-        pre, post = cache.pre_activations[i], cache.post_activations[i]
         layer_in = cache.inputs if i == 0 else cache.post_activations[i - 1]
-        g_pre = g if i == linear else g * _activate_grad(pre, post, params.activation)
+        g_pre = g if i == linear else g * _activate_grad(cache.post_activations[i], params.activation)
         gw, gb = grad_layers[i]
         gw[...] = g_pre.mT @ layer_in
         gb[...] = g_pre.sum(axis=-2)

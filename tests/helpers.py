@@ -1,6 +1,7 @@
 """Test-only helpers: a seeded generator, a finite-difference gradient
-checker and three oracles, the pairwise center similarity, prototype
-classification and a few-shot task's structural invariants."""
+checker and four oracles, the pairwise center similarity, prototype
+classification, an MLP pass that keeps its pre-activations and a few-shot
+task's structural invariants."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 from plcfe.episodes import FewShotTask
 from plcfe.errors import ConstructionError, NumericError, ParameterError, ShapeError
 from plcfe.metalearn import prototype_scores, way_prototypes
+from plcfe.numcore import MlpParams, layer_views
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -82,6 +84,43 @@ def proto_classify(
     """Negative squared distance of each query embedding to each way's
     support prototype (per-way mean), per task for stacked inputs."""
     return prototype_scores(query_embeddings, way_prototypes(support_embeddings, support_labels))
+
+
+def oracle_forward_backward(
+    params: MlpParams, batch: np.ndarray, grad_output: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """The MLP forward and backward pass with every intermediate kept in
+    its own array: (pre-activations, layer outputs, flat gradient). The
+    activation's derivative is read off the pre-activation, as the
+    textbook writes it."""
+    x = np.asarray(batch, dtype=np.float64)
+    linear = len(params.layers) - 1 if params.linear_output else -1
+    pres, posts = [], []
+    for i, (w, b) in enumerate(params.layers):
+        pre = x @ w.mT + b[..., None, :]
+        if i == linear:
+            x = pre
+        elif params.activation == "relu":
+            x = np.maximum(pre, 0.0)
+        else:
+            x = np.tanh(pre)
+        pres.append(pre)
+        posts.append(x)
+    grad = np.empty(params.vector.shape)
+    g = np.asarray(grad_output, dtype=np.float64)
+    for i in range(len(params.layers) - 1, -1, -1):
+        if i == linear:
+            g_pre = g
+        elif params.activation == "relu":
+            g_pre = g * (pres[i] > 0.0).astype(np.float64)
+        else:
+            g_pre = g * (1.0 - posts[i] * posts[i])
+        gw, gb = layer_views(grad, params.shapes)[i]
+        gw[...] = g_pre.mT @ (np.asarray(batch, dtype=np.float64) if i == 0 else posts[i - 1])
+        gb[...] = g_pre.sum(axis=-2)
+        if i > 0:
+            g = g_pre @ params.layers[i][0]
+    return pres, posts, grad
 
 
 def validate_structure(task: FewShotTask, n_samples: int) -> None:

@@ -1,0 +1,88 @@
+"""sha256 of every artifact of the usual runs, for byte-identity checks.
+
+    python tests/manifest_hashes.py SRC OUT.json
+
+SRC is the root of a plcfe source checkout. For seeds 1 and 2, the script
+runs `plcfe pipeline` and then `plcfe build-tasks` from SRC/src on seven
+configs: default, proto, progressive, proto progressive, and the workload
+configs of SRC/perfbench/run.py. Each run gets a fresh directory and one
+BLAS thread. OUT.json maps each run name to {artifact: sha256} over every
+file the run leaves, except manifest.json, which also records the output
+directory. Two checkouts are byte-identical on these runs when their
+OUT.json files are equal; the script prints the run and artifact counts.
+
+pytest does not collect this file; it runs 14 pipelines and takes minutes.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2)
+BASE_CONFIGS = {
+    "default": {},
+    "proto": {"method": "proto"},
+    "progressive": {"episode_mode": "progressive"},
+    "proto-progressive": {"method": "proto", "episode_mode": "progressive"},
+}
+
+
+def workload_configs(src: Path) -> dict:
+    """The WORKLOADS config dict of perfbench/run.py, read without importing it."""
+    source = (src / "perfbench" / "run.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WORKLOADS":
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{src / 'perfbench' / 'run.py'} defines no WORKLOADS")
+
+
+def run_hashes(src: Path, config: dict, seed: int, work: Path) -> dict[str, str]:
+    """Artifact sha256s of one pipeline plus build-tasks run in work."""
+    config_path = work / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = work / "out"
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src / "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    for command in ("pipeline", "build-tasks"):
+        subprocess.run(
+            [sys.executable, "-m", "plcfe", command, "--config", str(config_path),
+             "--seed", str(seed), "--out", str(out)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+        if path.name != "manifest.json"
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out_json = Path(argv[0]).resolve(), Path(argv[1])
+    configs = {**BASE_CONFIGS, **workload_configs(src)}
+    hashes = {}
+    for name, config in configs.items():
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory() as work:
+                hashes[f"{name}-seed{seed}"] = run_hashes(src, config, seed, Path(work))
+    out_json.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+    print(f"{len(hashes)} runs, {sum(map(len, hashes.values()))} artifacts -> {out_json}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

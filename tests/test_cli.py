@@ -432,6 +432,32 @@ class TestPipeline:
         assert f"{field} is 81, more than the 80 training rows" in err and "Traceback" not in err
         assert not any(out.glob("*"))
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"episodes": {**TINY["episodes"], "ways": 9}}, "episodes.ways is 9, more than cluster.k = 8"),
+            ({"episodes": {**TINY["episodes"], "ways": 5}}, "episodes.ways is 5, more than dataset.classes = 4"),
+            (
+                {"episode_mode": "progressive", "episodes": {**TINY["episodes"], "candidate_neighbors": 8}},
+                "episodes.candidate_neighbors is 8; progressive episodes need it below cluster.k = 8",
+            ),
+        ],
+        ids=["ways-above-k", "ways-above-classes", "progressive-neighbors-at-k"],
+    )
+    def test_impossible_episodes_write_nothing(self, tmp_path, capsys, extra, message):
+        # each used to exit 2 or 3 only after gen-data, train-cfe and more
+        # had written their artifacts
+        path = write_tiny_config(tmp_path, **extra)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not any(out.glob("*"))
+
+    def test_standard_episodes_ignore_candidate_neighbors(self, tmp_path):
+        path = write_tiny_config(tmp_path, episodes={**TINY["episodes"], "candidate_neighbors": 8})
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+
     def test_train_cfe_refuses_batch_before_writing(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path, cfe={**TINY["cfe"], "batch_positives": 81})
         out = tmp_path / "o"

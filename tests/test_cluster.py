@@ -237,6 +237,18 @@ class TestNearestClusters:
             for base, row in zip(bases, table):
                 assert row.tolist() == nearest_clusters(model, int(base), 4).tolist()
 
+    def test_task_batch_table_matches_per_task_tables(self):
+        rng = make_rng(3)
+        for _ in range(20):
+            centers = rng.normal(size=(12, 4))
+            centers[rng.integers(12, size=3)] = centers[0]
+            model = ClusterModel(12, centers, np.arange(12), 0.0)
+            bases = np.argsort(rng.random((4, 12)), axis=1)[:, :5]
+            table = nearest_clusters(model, bases, 4)
+            assert table.shape == (4, 5, 4)
+            for task_bases, task_table in zip(bases, table):
+                assert np.array_equal(task_table, nearest_clusters(model, task_bases, 4))
+
     def test_base_range_validation(self):
         model = ClusterModel(3, np.zeros((3, 2)), np.arange(3), 0.0)
         with pytest.raises(ParameterError, match="out of range"):

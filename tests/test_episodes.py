@@ -271,6 +271,35 @@ class TestSelectFinalCluster:
         counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
         assert select_final_cluster([2, 0, 1], cluster_entropy(counts)) == 2
 
+    def test_batch_equals_loop_over_tasks_and_ways(self):
+        # entropies from {0, 1, 2} tie often; a NaN outside every
+        # candidate list is never read
+        tasks, ways, k, candidates = 4, 3, 8, 4
+        ties = 0
+        for seed in range(20):
+            rng = make_rng(seed)
+            entropy = rng.integers(0, 3, size=(tasks, k)).astype(float)
+            table = np.argsort(rng.random((tasks, ways, k - 1)), axis=-1)[..., :candidates]
+            entropy[:, k - 1] = np.nan
+            got = select_final_cluster(table, entropy)
+            assert got.shape == (tasks, ways)
+            for t in range(tasks):
+                for way in range(ways):
+                    values = entropy[t, table[t, way]]
+                    ties += int(np.sum(values == values.max()) > 1)
+                    assert got[t, way] == select_final_cluster(table[t, way], entropy[t])
+        assert ties > 0
+
+    def test_batch_refuses_nan_candidate_like_the_loop(self):
+        rng = make_rng(3)
+        entropy = rng.random((2, 6))
+        table = np.argsort(rng.random((2, 3, 6)), axis=-1)[..., :2]
+        entropy[1, table[1, 2, 1]] = np.nan
+        with pytest.raises(ParameterError, match="at least one member"):
+            select_final_cluster(table, entropy)
+        with pytest.raises(ParameterError, match="at least one member"):
+            select_final_cluster(table[1, 2], entropy[1])
+
     def test_matches_bruteforce_oracle(self):
         rng = make_rng(1)
         pld = make_pld([5] * 6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from plcfe.numcore import (
     vector_to_params,
 )
 
-from helpers import finite_diff_check, make_rng
+from helpers import finite_diff_check, make_rng, oracle_forward_backward
 
 
 def single_layer(w, b, activation="relu"):
@@ -370,3 +372,68 @@ class TestLinearOutput:
             return float(np.sum(out * g_out)), mlp_backward(p, cache, g_out).ravel()
 
         assert finite_diff_check(fn, vectors.ravel(), eps=1e-6) < 1e-6
+
+
+class TestInPlaceForward:
+    """Each layer activates its matmul's result in place; caches, outputs
+    and gradients equal a pass that keeps every pre-activation."""
+
+    def network(self, activation, linear_output, tasks):
+        rng = make_rng(50)
+        template = init_mlp((4, 6, 5, 3), activation, rng)
+        template = MlpParams(template.layers, activation, linear_output=linear_output)
+        lead = () if tasks is None else (tasks,)
+        params = vector_to_params(rng.normal(0.0, 0.5, size=(*lead, template.vector.size)), template)
+        # half of each layer's biases are 0, so a zero input row gives
+        # pre-activations of exactly 0 in the first layer
+        for _, b in params.layers:
+            b[..., ::2] = 0.0
+        return params
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("linear_output", [False, True])
+    @pytest.mark.parametrize("tasks", [None, 3], ids=["single", "stack"])
+    @pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
+    def test_equals_pass_keeping_pre_activations(self, activation, linear_output, tasks, read_only):
+        params = self.network(activation, linear_output, tasks)
+        rows = make_rng(51).normal(size=(8, 4))
+        rows[::3] = 0.0
+        if tasks is None:
+            batch = rows.copy()
+            batch.flags.writeable = not read_only
+        elif read_only:
+            batch = np.broadcast_to(rows, (tasks, *rows.shape))
+        else:
+            batch = make_rng(52).normal(size=(tasks, *rows.shape))
+            batch[..., ::3, :] = 0.0
+        before = batch.copy()
+        g_out = make_rng(53).normal(size=(*batch.shape[:-1], 3))
+        pres, posts, grad = oracle_forward_backward(params, batch, g_out)
+        assert (pres[0] == 0.0).any()
+
+        out, cache = mlp_forward_cached(params, batch)
+        assert np.array_equal(cache.inputs, batch)
+        assert len(cache.post_activations) == len(posts)
+        for got, want in zip(cache.post_activations, posts):
+            assert np.array_equal(got, want)
+        assert np.array_equal(out, posts[-1])
+        assert np.array_equal(mlp_forward(params, batch), posts[-1])
+        assert np.array_equal(mlp_backward(params, cache, g_out), grad)
+        assert np.array_equal(batch, before)
+
+    def test_forward_peaks_below_two_hidden_arrays(self):
+        # a (4, P) stack, 32 -> 32 -> 16, on (4, 640, 32) rows: the hidden
+        # layer's output and the last layer's half-width one are alive at
+        # once, 1.5 hidden arrays; a separate pre-activation would add one
+        template = init_mlp((32, 32, 16), "relu", make_rng(54))
+        stack = vector_to_params(template.vector + make_rng(55).normal(0.0, 0.1, size=(4, template.vector.size)),
+                                 template)
+        batch = make_rng(56).normal(size=(4, 640, 32))
+        hidden_bytes = 4 * 640 * 32 * 8
+        tracemalloc.start()
+        try:
+            mlp_forward(stack, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} hidden arrays"
