@@ -4,8 +4,8 @@ Simulates a labeled set by augmenting each sampled point several times,
 routes one view per point through the live encoder and the rest through a
 momentum-averaged history encoder, keeps a FIFO queue of history
 embeddings as negatives, and minimizes the log of the inter- to intra-
-class similarity ratio so that same-point views contract and everything
-else repels.
+class similarity ratio, a cross-entropy over center similarities, so that
+same-point views contract and everything else repels.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .numcore import (
     ACTIVATIONS,
     ForwardCache,
     MlpParams,
+    cross_entropy,
     init_mlp,
     l2_normalize,
     l2_normalize_backward,
@@ -187,56 +188,38 @@ def asynchronous_embed(pair: EncoderPair, batch: PositiveBatch) -> PositiveBatch
 def cfe_loss(
     batch: PositiveBatch, queue: NegativeQueue, config: CfeConfig
 ) -> tuple[float, np.ndarray]:
-    """Log similarity-ratio loss over the batch.
+    """Log similarity-ratio loss over the batch, as a cross-entropy.
 
     Each point's views form one simulated class with center mu_i (mean of
-    its view embeddings). The per-class term compares the class's
-    compactness exp(mu_i . mu_i / tau) against its similarity to the other
-    class centers and to every queued negative. Returns the scalar loss and
-    its gradient with respect to the view-0 embeddings only; history views
-    and queue entries are constants.
+    its view embeddings). Its term log((1 + repel_i / compact_i) / n_other)
+    sets the compactness exp(mu_i . mu_i / tau) against repel_i, the summed
+    exp(mu_i . o / tau) over the other centers and queued negatives o.
+    That is -log softmax(mu_i . [mu; queue]^T / tau)[i] - log n_other: a
+    cross-entropy whose target is the class's own center. Returns the
+    scalar loss and its gradient with respect to the view-0 embeddings
+    only; history views and queue entries are constants.
     """
     if batch.embeddings is None:
         raise StateError("batch must be encoded before cfe_loss")
     z = batch.embeddings
     n_points, n_views, _ = z.shape
-    n_neg = len(queue)
-    n_other = n_points + n_neg - 1
+    n_other = n_points + len(queue) - 1
     if n_other < 1:
         raise ParameterError("need batch_positives + queue length - 1 >= 1")
     tau = config.temperature
 
     centers = z.mean(axis=1)  # (n_points, d)
-    # an overflow here makes a term non-finite, which is refused below
+    others = np.concatenate([centers, queue.as_matrix().reshape(-1, centers.shape[1])])
+    # an overflow here makes the loss non-finite, which is refused below
     with np.errstate(all="ignore"):
-        compact = np.exp(np.sum(centers * centers, axis=1) / tau)  # intra term per class
-        cen_sim = np.exp(centers @ centers.T / tau)
-        np.fill_diagonal(cen_sim, 0.0)
-        repel = cen_sim.sum(axis=1)
-        neg_matrix = queue.as_matrix()
-        if n_neg:
-            neg_sim = np.exp(centers @ neg_matrix.T / tau)
-            repel = repel + neg_sim.sum(axis=1)
-        ratio = repel / compact
-        terms = np.log((1.0 + ratio) / n_other)
-    if not np.all(np.isfinite(terms)):
-        bad = int(np.flatnonzero(~np.isfinite(terms))[0])
-        raise NumericError(f"non-finite loss term for positive class {bad}")
-    loss = float(terms.mean())
-
-    # Backward, treating every embedding except view 0 as a constant.
-    # With term_i = log((1 + repel_i/compact_i)/n_other):
-    #   d term_i / d repel_i   =  1 / (compact_i + repel_i)
-    #   d term_i / d compact_i = -repel_i / (compact_i * (compact_i + repel_i))
-    # and each center depends on its view-0 embedding with factor 1/n_views.
-    weight = 1.0 / (n_points * (compact + repel))  # (n_points,)
-    grad_centers = (weight[:, None] * (cen_sim @ centers)) / tau
-    grad_centers += (cen_sim.T @ (weight[:, None] * centers)) / tau
-    if n_neg:
-        grad_centers += (weight[:, None] * (neg_sim @ neg_matrix)) / tau
-    grad_centers -= (2.0 / tau) * (weight * repel)[:, None] * centers
-    grad_main = grad_centers / n_views
-    return loss, grad_main
+        loss, grad_logits = cross_entropy(centers @ others.T / tau, np.arange(n_points))
+        loss -= math.log(n_other)
+    if not np.isfinite(loss):
+        raise NumericError("non-finite CFE loss")
+    # the centers are both the logits' rows and their first n_points
+    # columns; each center depends on its view-0 embedding with factor 1/n_views
+    grad_centers = grad_logits @ others + grad_logits[:, :n_points].T @ centers
+    return float(loss), grad_centers / tau / n_views
 
 
 def momentum_update(pair: EncoderPair, momentum: float) -> EncoderPair:

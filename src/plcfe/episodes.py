@@ -2,7 +2,9 @@
 
 Every episode starts from one draw kernel, draw_episodes: for a batch of
 tasks it picks each task's ways distinct clusters and each way's distinct
-members as one (tasks, ways, picks) index array. Two samplers build on it:
+members as one (tasks, ways, picks) index array, sorting its random keys
+a block of tasks at a time so a meta-eval draw of thousands of tasks
+stays small. Two samplers build on it:
 a plain one that splits each way's picks into support and query, and a
 progressive one for the small fraction of task batches that pass a random
 gate. The progressive sampler builds its batch support-first: it takes the
@@ -13,7 +15,8 @@ labels fill one predicted-label count table per task, from which one call
 gives every cluster's entropy. One table of every (task, way)'s nearest
 neighbor clusters and one argmax over their entropies pick each way's final
 cluster, its query source, for the whole batch, and only the final
-clusters' rows get the log-softmax that ranks members for the noise filter.
+clusters' rows get numcore.log_softmax, the package's one softmax, which
+ranks members for the noise filter.
 Then, task after task and way after way, each final cluster's noisiest
 members are dropped and the way's queries drawn, so the generator is called
 in the same order as by one task at a time.
@@ -28,6 +31,12 @@ import numpy as np
 from ._binio import write_csv
 from .cluster import ClusterModel, PseudoLabeledDataset, nearest_clusters
 from .errors import ConstructionError, ParameterError
+from .numcore import log_softmax
+
+# draw_episodes pads and argsorts its member keys this many tasks at a
+# time: one argsort of a whole meta-eval draw (thousands of tasks) kept a
+# full int64 copy of the keys and their padding mask alive beside them.
+DRAW_BLOCK_TASKS = 256
 
 
 @dataclass
@@ -94,7 +103,11 @@ def draw_episodes(
     Both draws take the argsort of i.i.d. uniform keys, whose k smallest
     form a uniform random k-subset in random order (the unweighted case of
     Efraimidis & Spirakis, 2006). Member slots past a cluster's size get
-    key +inf, so they sort after every real member.
+    key +inf, so they sort after every real member. Every key is drawn by
+    one rng.random call; the padding and the argsort then run
+    DRAW_BLOCK_TASKS tasks at a time, so only one block's mask and sort
+    order are alive at once, and the result does not depend on the block
+    size.
     """
     sizes = pld.sizes
     eligible = np.flatnonzero(sizes >= picks)
@@ -102,9 +115,14 @@ def draw_episodes(
         raise ConstructionError(f"only {eligible.size} clusters have {picks}+ members, need {ways}")
     clusters = eligible[np.argsort(rng.random((tasks, eligible.size)), axis=1)[:, :ways]]
     keys = rng.random((tasks, ways, int(sizes[eligible].max())))
-    keys[np.arange(keys.shape[-1]) >= sizes[clusters][..., None]] = np.inf
-    positions = np.argsort(keys, axis=-1)[..., :picks]
-    return clusters, pld.flat_members[pld.starts[clusters][..., None] + positions]
+    slots, drawn_sizes = np.arange(keys.shape[-1]), sizes[clusters][..., None]
+    positions = np.empty((tasks, ways, picks), dtype=np.int64)
+    for start in range(0, tasks, DRAW_BLOCK_TASKS):
+        block = slice(start, start + DRAW_BLOCK_TASKS)
+        keys[block][slots >= drawn_sizes[block]] = np.inf
+        positions[block] = np.argsort(keys[block], axis=-1)[..., :picks]
+    positions += pld.starts[clusters][..., None]
+    return clusters, pld.flat_members[positions]
 
 
 def sample_standard_task(
@@ -294,13 +312,7 @@ def sample_progressive_batch(
     sizes = pld.sizes[finals]
     rows = scores[np.repeat(np.arange(count), sizes.sum(axis=1)),
                   np.concatenate([pld.members[f] for f in finals.ravel()])]
-    # logsumexp as max + log1p(rest), which keeps near-1 probabilities apart
-    ordered = np.sort(rows, axis=-1)
-    top = ordered[:, -1:]
-    log_probs = np.split(
-        rows - top - np.log1p(np.exp(ordered[:, :-1] - top).sum(axis=-1, keepdims=True)),
-        np.cumsum(sizes.ravel())[:-1],
-    )
+    log_probs = np.split(log_softmax(rows), np.cumsum(sizes.ravel())[:-1])
     return [
         progressive_task(pld, config, rng, *task, log_probs[t * config.ways : (t + 1) * config.ways])
         for t, task in enumerate(zip(bases, support, finals))

@@ -27,13 +27,13 @@ from .errors import NumericError, ParameterError, StateError
 from .numcore import (
     ACTIVATIONS,
     MlpParams,
+    cross_entropy,
     group_sums,
     init_mlp,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
     params_to_vector,
-    softmax,
     vector_to_params,
 )
 
@@ -86,16 +86,6 @@ def encoder_of(model: MlpParams) -> MlpParams:
     the leading part of its vector (or of each row of a stack)."""
     ways, dim = model.shapes[-1]
     return MlpParams.view(model.vector[..., : -ways * (dim + 1)], model.shapes[:-1], model.activation)
-
-
-def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the scores. (T, n, ways)
-    scores with (T, n) labels give one mean per task, shape (T,)."""
-    probs = softmax(scores)
-    one_hot = labels[..., None] == np.arange(scores.shape[-1])
-    picked = probs[one_hot].reshape(labels.shape)
-    loss = -np.mean(np.log(np.maximum(picked, 1e-300)), axis=-1)
-    return loss, (probs - one_hot) / scores.shape[-2]
 
 
 def _require_finite(loss, what: str) -> None:

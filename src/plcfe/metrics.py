@@ -17,7 +17,7 @@ import numpy as np
 
 from ._binio import write_csv
 from .cluster import PseudoLabeledDataset
-from .errors import DegenerateDataError, ParameterError, ShapeError
+from .errors import DegenerateDataError, NumericError, ParameterError, ShapeError
 from .numcore import group_sums
 
 
@@ -50,7 +50,8 @@ def similarity_ratio(data: PseudoLabeledDataset, tau: float) -> SimilarityReport
     other center are summed and divided by (C-1) times its intra
     similarity exp(mu_i . mu_i / tau), the exp of its members' mean dot
     product with mu_i over tau; the ratio is the mean of those per-class
-    values. Lower means the embedding is friendlier to clustering.
+    values. Lower means the embedding is friendlier to clustering. A
+    temperature so small that a similarity overflows is a NumericError.
     """
     c = data.num_clusters
     if c < 2:
@@ -59,11 +60,15 @@ def similarity_ratio(data: PseudoLabeledDataset, tau: float) -> SimilarityReport
         raise ParameterError("every class id must appear at least once")
     counts, sums = group_sums(data.features, data.pseudo_labels, c)
     centers = sums / counts[:, None]
-    per_class = np.exp(np.sum(centers * centers, axis=1) / tau)
-    inter = np.exp(centers @ centers.T / tau)
-    np.fill_diagonal(inter, 0.0)
-    inter_sum = float(inter.sum())
-    ratio = float(np.mean(inter.sum(axis=1) / ((c - 1) * per_class)))
+    # an overflow here makes the report non-finite, which is refused below
+    with np.errstate(all="ignore"):
+        per_class = np.exp(np.sum(centers * centers, axis=1) / tau)
+        inter = np.exp(centers @ centers.T / tau)
+        np.fill_diagonal(inter, 0.0)
+        intra_sum, inter_sum = float(per_class.sum()), float(inter.sum())
+        ratio = float(np.mean(inter.sum(axis=1) / ((c - 1) * per_class)))
+    if not np.isfinite([intra_sum, inter_sum, ratio]).all():
+        raise NumericError(f"non-finite similarity ratio at temperature {tau:g}")
     mean_class_size = data.features.shape[0] / c
     return SimilarityReport(
         intra_mean=float(per_class.mean()),
@@ -72,7 +77,7 @@ def similarity_ratio(data: PseudoLabeledDataset, tau: float) -> SimilarityReport
         per_class_intra=per_class,
         temperature=tau,
         num_classes=c,
-        intra_sum=float(per_class.sum()),
+        intra_sum=intra_sum,
         inter_sum=inter_sum,
         inter_mean_per_sample=inter_sum / (mean_class_size * c),
     )

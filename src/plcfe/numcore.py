@@ -1,5 +1,6 @@
 """Dense numerical core: a small MLP encoder with exact reverse-mode
-gradients, row normalization, and seeded RNG streams.
+gradients, row normalization, seeded RNG streams, and the one
+log-softmax and cross-entropy behind every loss in the package.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). The MLP also runs
 T independent networks at once: a (T, P) stack of parameter vectors with a
@@ -251,12 +252,36 @@ def vector_to_params(vector: np.ndarray, template: MlpParams) -> MlpParams:
     return MlpParams.view(vector, template.shapes, template.activation, template.linear_output)
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, shifted by each row's max for
-    stability."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def log_softmax(scores: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis: each row minus its max, minus log1p
+    of the other terms' exps. One max term per row is left out of the sum,
+    so tied maxima keep exactly equal values, and where 1 - p underflows the
+    top term is -sum(others), not 0, so a row's log-probabilities stay
+    strictly ordered. (..., c) scores give (..., c) log-probabilities."""
+    scores = np.asarray(scores, dtype=np.float64)
+    flat = scores.reshape(-1, scores.shape[-1])
+    rows = np.arange(flat.shape[0])
+    top = flat.argmax(axis=1)
+    out = flat - flat[rows, top][:, None]
+    rest = np.exp(out)
+    rest[rows, top] = 0.0
+    out -= np.log1p(rest.sum(axis=1, keepdims=True))
+    return out.reshape(scores.shape)
+
+
+def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy of (n,) integer labels under softmax of (n, c)
+    scores, and its gradient w.r.t. the scores. (T, n, c) scores with
+    (T, n) labels give one mean per task, shape (T,)."""
+    grad = log_softmax(scores)
+    n, c = grad.shape[-2:]
+    flat = grad.reshape(-1, c)
+    at_label = (np.arange(flat.shape[0]), labels.ravel())
+    loss = -flat[at_label].reshape(labels.shape).mean(axis=-1)
+    np.exp(flat, out=flat)  # the log-probabilities become probabilities in place
+    flat[at_label] -= 1.0
+    flat /= n
+    return loss, grad
 
 
 def group_sums(rows: np.ndarray, ids: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Test-only helpers: a seeded generator, a finite-difference gradient
-checker and four oracles, the pairwise center similarity, prototype
-classification, an MLP pass that keeps its pre-activations and a few-shot
-task's structural invariants."""
+checker and five oracles, the pairwise center similarity, prototype
+classification, an MLP pass that keeps its pre-activations, the episode
+draw as one argsort and a few-shot task's structural invariants."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from plcfe.cluster import PseudoLabeledDataset
 from plcfe.episodes import FewShotTask
 from plcfe.errors import ConstructionError, NumericError, ParameterError, ShapeError
 from plcfe.metalearn import prototype_scores, way_prototypes
@@ -121,6 +122,21 @@ def oracle_forward_backward(
         if i > 0:
             g = g_pre @ params.layers[i][0]
     return pres, posts, grad
+
+
+def one_argsort_draw(
+    pld: PseudoLabeledDataset, ways: int, picks: int, rng: np.random.Generator, tasks: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """draw_episodes with every task's member keys padded and argsorted at
+    once: the same draws in the same order, holding the whole mask and
+    sort order."""
+    sizes = pld.sizes
+    eligible = np.flatnonzero(sizes >= picks)
+    clusters = eligible[np.argsort(rng.random((tasks, eligible.size)), axis=1)[:, :ways]]
+    keys = rng.random((tasks, ways, int(sizes[eligible].max())))
+    keys[np.arange(keys.shape[-1]) >= sizes[clusters][..., None]] = np.inf
+    positions = np.argsort(keys, axis=-1)[..., :picks]
+    return clusters, pld.flat_members[pld.starts[clusters][..., None] + positions]
 
 
 def validate_structure(task: FewShotTask, n_samples: int) -> None:

@@ -1,6 +1,7 @@
 """sha256 of every artifact of the usual runs, for byte-identity checks.
 
     python tests/manifest_hashes.py SRC OUT.json
+    python tests/manifest_hashes.py --compare PARENT.json CHANGE.json
 
 SRC is the root of a plcfe source checkout. For seeds 1 and 2, the script
 runs `plcfe pipeline` and then `plcfe build-tasks` from SRC/src on seven
@@ -10,6 +11,10 @@ BLAS thread. OUT.json maps each run name to {artifact: sha256} over every
 file the run leaves, except manifest.json, which also records the output
 directory. Two checkouts are byte-identical on these runs when their
 OUT.json files are equal; the script prints the run and artifact counts.
+
+--compare reads two such files and prints, for each artifact name, in how
+many runs its sha256 differs (an artifact or run missing on one side
+differs). It exits 1 if any run differs and 0 if none does.
 
 pytest does not collect this file; it runs 14 pipelines and takes minutes.
 """
@@ -68,7 +73,21 @@ def run_hashes(src: Path, config: dict, seed: int, work: Path) -> dict[str, str]
     }
 
 
+def compare(before: dict, after: dict) -> int:
+    """Print each artifact's count of differing runs; 1 if any differs."""
+    runs = sorted(before.keys() | after.keys())
+    names = sorted({name for side in (before, after) for hashes in side.values() for name in hashes})
+    moved = 0
+    for name in names:
+        differ = sum(before.get(run, {}).get(name) != after.get(run, {}).get(name) for run in runs)
+        moved += differ
+        print(f"{name}: {differ} of {len(runs)} runs differ")
+    return 1 if moved else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(*(json.loads(Path(path).read_text()) for path in argv[1:]))
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2

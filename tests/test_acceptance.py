@@ -37,7 +37,7 @@ from plcfe.episodes import (
 )
 from plcfe.metalearn import MamlConfig, evaluate_fewshot, meta_train, snapshot_eval_model
 from plcfe.metrics import clustering_accuracy, similarity_ratio
-from plcfe.numcore import l2_normalize, softmax
+from plcfe.numcore import l2_normalize, log_softmax
 
 from helpers import finite_diff_check, make_rng, validate_structure
 
@@ -226,7 +226,7 @@ def test_criterion_6_progressive_mechanics():
     for size in range(2, 41):
         pld = index_pld([size])
         scorer = StubScorer(np.zeros(size, dtype=int), 2)
-        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         keep_exact = keep_exact and kept.size == math.floor(0.75 * size)
 
     # argmax selection vs brute force on 100 random candidate sets

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from plcfe.cfe import (
 )
 from plcfe.cluster import PseudoLabeledDataset
 from plcfe.data import AugmentConfig, augment, gen_blobs
-from plcfe.errors import FormatError, ParameterError, ShapeError, StateError
+from plcfe.errors import FormatError, NumericError, ParameterError, ShapeError, StateError
 from plcfe.metrics import similarity_ratio
 from plcfe.numcore import (
     MlpParams,
@@ -234,6 +235,27 @@ class TestCfeLoss:
             loss, _ = cfe_loss(batch_from_embeddings(z), queue, config)
             assert loss >= math.log(1.0 / (4 + 3 - 1))
             assert np.isfinite(loss)
+
+    def tiny_temperature_loss(self, temperature):
+        rng = make_rng(5)
+        config = small_config(batch_positives=3, augments_per_point=2, temperature=temperature)
+        z = l2_normalize(rng.normal(size=(3, 2, 6)))
+        queue = NegativeQueue(8)
+        queue.push(l2_normalize(rng.normal(size=(4, 6))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cfe_loss(batch_from_embeddings(z), queue, config)
+
+    def test_tiny_temperature_is_finite_without_warnings(self):
+        # the similarities exp(mu . o / tau) overflow at tau = 1e-6; their
+        # log-softmax does not
+        loss, grad = self.tiny_temperature_loss(1e-6)
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        assert loss >= math.log(1.0 / (3 + 4 - 1))
+
+    def test_overflowing_logits_are_numeric_error_without_warnings(self):
+        with pytest.raises(NumericError, match="non-finite"):
+            self.tiny_temperature_loss(5e-324)
 
     def test_empty_negatives_with_single_positive_is_error(self):
         config = small_config(batch_positives=2, augments_per_point=1)

@@ -470,8 +470,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "section, values",
-        [("cfe", {"temperature": 1e-6}), ("maml", {"outer_lr": 1e6}), ("maml", {"inner_lr": 1e6})],
-        ids=["cfe-temperature", "maml-outer-lr", "maml-inner-lr"],
+        [("cfe", {"temperature": 1e-6}), ("maml", {"outer_lr": 1e6}), ("maml", {"inner_lr": 1e6}),
+         ("cfe", {"epochs": 0, "temperature": 1e-6})],
+        ids=["cfe-temperature", "maml-outer-lr", "maml-inner-lr", "similarity-temperature"],
     )
     def test_overflow_exits_3_with_one_stderr_line(self, tmp_path, section, values):
         # numpy warnings go to stderr in a plain interpreter, not under

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from plcfe.episodes import (
     write_tasks_csv,
 )
 from plcfe.errors import ConstructionError, ParameterError
-from plcfe.numcore import softmax
+from plcfe.numcore import log_softmax
 
-from helpers import make_rng, validate_structure
+from helpers import make_rng, one_argsort_draw, validate_structure
 
 
 class RowScorer:
@@ -170,6 +171,28 @@ class TestDrawEpisodes:
                 assert np.unique(task_clusters).size == ways
                 assert np.unique(task_samples).size == task_samples.size
             assert np.array_equal(pld.pseudo_labels[samples], np.repeat(clusters[..., None], picks, -1))
+
+    @pytest.mark.parametrize("tasks", [1, 255, 256, 257, 600])
+    def test_blocked_draw_equals_one_argsort(self, tasks):
+        pld = make_pld([6, 2, 9, 4, 7, 8, 5])
+        for picks in (1, 4):
+            got = draw_episodes(pld, 3, picks, make_rng(tasks), tasks)
+            want = one_argsort_draw(pld, 3, picks, make_rng(tasks), tasks)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_meta_eval_draw_stays_small(self):
+        # the held-out class sizes of the maml-eval workload at seed 1: a
+        # 2000-task, 1-shot draw of 6 picks per way, whose keys alone take
+        # 2000 * 5 * 27 * 8 bytes = 2.16 MB
+        pld = make_pld([26, 27, 9, 18, 25, 15, 24, 16])
+        rng = make_rng(7)
+        tracemalloc.start()
+        try:
+            draw_episodes(pld, 5, 6, rng, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_standard_task_is_one_kernel_task(self):
         pld = make_pld([6, 9, 4, 7, 8])
@@ -324,13 +347,13 @@ class TestFilterNoisy:
     def test_keep_count_floor(self):
         pld = make_pld([10])
         scorer = RowScorer(np.linspace(0, 1, 10)[:, None] * np.array([1.0, 0.0]))
-        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         assert kept.size == 7  # floor(0.75 * 10)
 
     def test_equal_scores_keep_lowest_original_indices(self):
         pld = make_pld([8])
         scorer = RowScorer(np.tile([0.5, 0.5], (8, 1)))
-        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         assert kept.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_hand_sorted_example(self):
@@ -338,7 +361,7 @@ class TestFilterNoisy:
         pld = make_pld([4])
         rows = np.array([[0.9, 0.0], [0.1, 0.0], [0.5, 0.0], [0.7, 0.0]])
         scorer = RowScorer(rows)
-        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
         assert kept.tolist() == [0, 3, 2]
 
     def test_scores_non_increasing_and_subset(self):
@@ -346,7 +369,7 @@ class TestFilterNoisy:
         pld = make_pld([12])
         rows = rng.normal(size=(12, 3))
         scorer = RowScorer(rows)
-        kept = filter_noisy(softmax(scorer.predict_scores(pld.features)), pld.members[0], 1, 0.5)
+        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 1, 0.5)
         assert set(kept.tolist()) <= set(range(12))
         probs = np.exp(rows[kept]) / np.exp(rows[kept]).sum(axis=1, keepdims=True)
         way1 = probs[:, 1]
@@ -423,7 +446,7 @@ class TestProgressiveTask:
                     pool = pld.members[prov.base_cluster]
                 else:
                     pool = filter_noisy(
-                        softmax(scorer.predict_scores(pld.features)),
+                        log_softmax(scorer.predict_scores(pld.features)),
                         pld.members[prov.query_cluster],
                         way,
                         0.75,
@@ -438,7 +461,7 @@ class TestProgressiveTask:
         model = make_cluster_model(pld)
         margin = 40.0 + np.arange(30) % 10
         scorer = RowScorer(np.stack([np.zeros(30), -margin], axis=1))
-        assert (softmax(scorer.rows)[:, 0] == 1.0).all()
+        assert (np.exp(log_softmax(scorer.rows))[:, 0] == 1.0).all()
         config = EpisodeConfig(
             ways=2, shots=1, queries=2, candidate_neighbors=1, keep_rate=0.5
         )
@@ -578,7 +601,7 @@ def reference_task(pld, cluster_model, eval_model, config, rng, bases, picks):
         candidates = nearest_clusters(cluster_model, int(base), config.candidate_neighbors)
         final = int(candidates[int(np.argmax([entropy(pld.members[c]) for c in candidates]))])
         members = pld.members[final]
-        way_probs = softmax(adapted.predict_scores(pld.features[members]))[:, way]
+        way_probs = log_softmax(adapted.predict_scores(pld.features[members]))[:, way]
         kept = members[np.argsort(-way_probs, kind="stable")][
             : int(np.floor(config.keep_rate * members.size))
         ]

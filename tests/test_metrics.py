@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from plcfe.cluster import PseudoLabeledDataset
-from plcfe.errors import DegenerateDataError, ParameterError
+from plcfe.errors import DegenerateDataError, NumericError, ParameterError
 from plcfe.metrics import (
     _max_matching_total,
     clustering_accuracy,
@@ -130,6 +131,13 @@ class TestSimilarityRatio:
         report = similarity_ratio(make_labeled(shuffled, labels), 0.2)
         assert report.ratio == pytest.approx(base.ratio, rel=1e-12)
         assert np.allclose(report.per_class_intra, base.per_class_intra)
+
+    def test_overflow_is_numeric_error_without_warnings(self):
+        emb = np.repeat(np.eye(3), 2, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite similarity ratio"):
+                similarity_ratio(make_labeled(emb, [0, 0, 1, 1, 2, 2]), 1e-6)
 
     def test_empty_class_is_refused(self):
         emb = np.repeat(np.eye(3), 2, axis=0)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +11,12 @@ from plcfe.data import AugmentConfig
 from plcfe.errors import NumericError, ParameterError, ShapeError, StateError
 from plcfe.numcore import (
     MlpParams,
+    cross_entropy,
     group_sums,
     init_mlp,
     l2_normalize,
     l2_normalize_backward,
+    log_softmax,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
@@ -437,3 +440,68 @@ class TestInPlaceForward:
         finally:
             tracemalloc.stop()
         assert peak < 2 * hidden_bytes, f"peak {peak / hidden_bytes:.2f} hidden arrays"
+
+
+class TestLogSoftmax:
+    @pytest.mark.parametrize("shape", [(7, 5), (3, 6, 4), (1, 1)])
+    def test_matches_scipy(self, shape):
+        scores = make_rng(60).normal(0.0, 3.0, size=shape)
+        got = log_softmax(scores)
+        assert got.shape == shape
+        assert np.allclose(got, scipy.special.log_softmax(scores, axis=-1), rtol=1e-13, atol=1e-13)
+
+    def test_input_is_not_written(self):
+        scores = make_rng(61).normal(size=(4, 3))
+        before = scores.copy()
+        log_softmax(scores)
+        assert np.array_equal(scores, before)
+
+    def test_tied_maxima_are_exact(self):
+        got = log_softmax(np.array([[2.0, 2.0], [1.0, 1.0], [-3.0, -3.0]]))
+        assert np.array_equal(got, np.full((3, 2), -np.log(2.0)))
+        three = log_softmax(np.array([[5.0, -1.0, 5.0, 5.0]]))[0]
+        assert three[0] == three[2] == three[3]
+        assert three[0] == pytest.approx(-np.log(3.0 + np.exp(-6.0)), rel=1e-15)
+
+    def test_saturated_rows_stay_ordered(self):
+        # every other term is below 2^-53 of the top one, so 1 - p rounds
+        # away in the probabilities but not in the log-probabilities
+        scores = np.stack([np.zeros(10), -(40.0 + np.arange(10)), -(45.0 + np.arange(10))], axis=1)
+        got = log_softmax(scores)
+        assert (np.exp(got[:, 0]) == 1.0).all()
+        others = np.exp(scores[:, 1:]).sum(axis=1)
+        assert np.allclose(got[:, 0], -others, rtol=1e-12, atol=0.0)
+        assert (got[:, 0] < 0.0).all()
+        assert (np.diff(got[:, 0]) > 0.0).all()
+
+
+class TestCrossEntropy:
+    def test_single_set_loss_and_gradient(self):
+        rng = make_rng(62)
+        scores, labels = rng.normal(size=(6, 4)), rng.integers(0, 4, size=6)
+        loss, grad = cross_entropy(scores, labels)
+        log_probs = scipy.special.log_softmax(scores, axis=-1)
+        assert loss == pytest.approx(-log_probs[np.arange(6), labels].mean(), rel=1e-13)
+        one_hot = np.eye(4)[labels]
+        assert np.allclose(grad, (np.exp(log_probs) - one_hot) / 6, rtol=1e-12, atol=1e-15)
+
+    def test_stack_matches_finite_differences(self):
+        rng = make_rng(63)
+        scores, labels = rng.normal(size=(3, 5, 4)), rng.integers(0, 4, size=(3, 5))
+        losses, grad = cross_entropy(scores, labels)
+        assert losses.shape == (3,) and grad.shape == scores.shape
+        for t in range(3):
+            assert losses[t] == cross_entropy(scores[t], labels[t])[0]
+
+        def total(flat):
+            loss, g = cross_entropy(flat.reshape(scores.shape), labels)
+            return float(loss.sum()), g.ravel()
+
+        assert finite_diff_check(total, scores.ravel().copy()) < 1e-7
+
+    def test_broadcast_labels(self):
+        scores = make_rng(64).normal(size=(2, 6, 3))
+        labels = np.broadcast_to(np.repeat(np.arange(3), 2), (2, 6))
+        loss, grad = cross_entropy(scores, labels)
+        want_loss, want_grad = cross_entropy(scores, np.ascontiguousarray(labels))
+        assert np.array_equal(loss, want_loss) and np.array_equal(grad, want_grad)
