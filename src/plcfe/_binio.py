@@ -60,7 +60,7 @@ def read_container(path, magic: bytes, version: int) -> tuple["ByteReader", int]
     at = reader.offset
     found = reader.read_u16("version")
     if found != version:
-        raise FormatError(f"unsupported format version {found}", offset=at)
+        raise FormatError(f"unsupported format version {found}, expected {version}", offset=at)
     return reader, reader.read_u16("kind or flags")
 
 

@@ -33,7 +33,7 @@ from .numcore import (
 )
 
 CHECKPOINT_MAGIC = b"PLCF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 KIND_ENCODER_PAIR = 0
 KIND_FEWSHOT_MODEL = 1
 _ACTIVATION_CODES = {"relu": 0, "tanh": 1}
@@ -297,23 +297,23 @@ def encode(params: MlpParams | EncoderPair, features: np.ndarray) -> np.ndarray:
     return l2_normalize(mlp_forward(mlp, np.asarray(features, dtype=np.float64)))
 
 
-def checkpoint_writer(kind: int, encoder: MlpParams) -> ByteWriter:
-    """A checkpoint container of this kind, opened with the encoder's
-    activation and layer shapes."""
+def checkpoint_writer(kind: int, network: MlpParams) -> ByteWriter:
+    """A checkpoint container of this kind, opened with the network's
+    activation and layer shapes, a few-shot model's head last."""
     writer = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, kind)
-    writer.write_u16(_ACTIVATION_CODES[encoder.activation])
-    writer.write_u16(len(encoder.shapes))
-    for rows, cols in encoder.shapes:
+    writer.write_u16(_ACTIVATION_CODES[network.activation])
+    writer.write_u16(len(network.shapes))
+    for rows, cols in network.shapes:
         writer.write_u32(rows)
         writer.write_u32(cols)
     return writer
 
 
 def read_checkpoint(path, kind: int, what: str) -> tuple[ByteReader, str, list[tuple[int, int, int]]]:
-    """Inverse of checkpoint_writer: the reader past the encoder's
-    architecture, its activation and its layer shapes as read_shape gives
-    them. A checkpoint of another kind is a FormatError that says it is
-    not `what`."""
+    """Inverse of checkpoint_writer: the reader past the header, the
+    activation, and each layer's (rows, cols, offset of the pair). Another
+    kind is a FormatError saying it is not `what`; so is another version,
+    such as version 1, whose networks activated their last layer."""
     reader, found = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if found != kind:
         raise FormatError(f"checkpoint kind {found} is not {what}", offset=reader.offset - 2)
@@ -325,22 +325,17 @@ def read_checkpoint(path, kind: int, what: str) -> tuple[ByteReader, str, list[t
     n_layers = reader.read_u16("layer count")
     if n_layers < 1:
         raise FormatError("checkpoint encoder has no layers", offset=at)
-    return reader, _ACTIVATION_NAMES[code], [read_shape(reader, f"layer {i}") for i in range(n_layers)]
+    shapes = []
+    for i in range(n_layers):
+        at = reader.offset
+        shapes.append((reader.read_u32(f"layer {i} rows"), reader.read_u32(f"layer {i} cols"), at))
+    return reader, _ACTIVATION_NAMES[code], shapes
 
 
-def read_shape(reader: ByteReader, what: str) -> tuple[int, int, int]:
-    """A layer's (rows, cols) u32 pair and the offset it starts at."""
-    at = reader.offset
-    return reader.read_u32(f"{what} rows"), reader.read_u32(f"{what} cols"), at
-
-
-def read_mlp(
-    reader: ByteReader, activation: str, shapes: list[tuple[int, int, int]], linear_output: bool = False
-) -> MlpParams:
-    """One network's parameters, in the layout checkpoint_writer's
-    encoder vector was written in, for layer shapes from read_shape. A
-    layer whose inputs are not its predecessor's outputs is a FormatError
-    at the offset of its shape."""
+def read_mlp(reader: ByteReader, activation: str, shapes: list[tuple[int, int, int]]) -> MlpParams:
+    """One network's vector, as written after checkpoint_writer's header,
+    for layer shapes from read_checkpoint. A layer whose inputs are not its
+    predecessor's outputs is a FormatError at the offset of its shape."""
     for i in range(1, len(shapes)):
         (outputs, _, _), (_, cols, at) = shapes[i - 1], shapes[i]
         if cols != outputs:
@@ -350,7 +345,7 @@ def read_mlp(
         w = reader.read_f64_array(rows * cols, f"layer {i} weights").reshape(rows, cols)
         b = reader.read_f64_array(rows, f"layer {i} bias")
         layers.append((w, b))
-    return MlpParams(layers, activation, linear_output)
+    return MlpParams(layers, activation)
 
 
 def save_checkpoint(pair: EncoderPair, path) -> None:

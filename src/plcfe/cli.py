@@ -169,23 +169,28 @@ def train_test_split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarra
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def _refuse_oversized(n_train: int, sizes: dict[str, int]) -> None:
+def _refuse_oversized(rows: int, sizes: dict[str, int], split: str = "training") -> None:
     """Refuse, before a stage writes, a config size that needs more rows
-    than the training split has."""
+    than the split has."""
     for name, size in sizes.items():
-        if size > n_train:
-            raise ParameterError(f"{name} is {size}, more than the {n_train} training rows")
+        if size > rows:
+            raise ParameterError(f"{name} is {size}, more than the {rows} {split} rows")
 
 
-def _refuse_impossible_episodes(config: PipelineConfig, k: int) -> None:
+def _refuse_impossible_episodes(config: PipelineConfig, k: int, n_train: int, n_test: int) -> None:
     """Refuse, before a stage writes, episodes that no split can supply: a
     meta-train task's ways are distinct clusters, a meta-eval task's are
-    distinct true classes, and a progressive way chooses among
+    distinct true classes, a task takes shots + queries distinct rows per
+    way from its split, and a progressive way chooses among
     candidate_neighbors clusters other than its base."""
-    ways = config.episodes.ways
+    ways, queries = config.episodes.ways, config.episodes.queries
     for name, limit in (("cluster.k", k), ("dataset.classes", config.dataset.classes)):
         if ways > limit:
             raise ParameterError(f"episodes.ways is {ways}, more than {name} = {limit}")
+    task = "episodes.ways x ({} + episodes.queries)"
+    _refuse_oversized(n_train, {task.format("episodes.shots"): ways * (config.episodes.shots + queries)})
+    held_out = {task.format(f"eval.shots entry {s}"): ways * (s + queries) for s in config.eval.shots}
+    _refuse_oversized(n_test, held_out, "held-out")
     neighbors = config.episodes.candidate_neighbors
     if config.episode_mode == "progressive" and neighbors >= k:
         raise ParameterError(
@@ -360,7 +365,8 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     for shot_i, shots in enumerate(config.eval.shots):
         need = shots + config.episodes.queries
         rng = derive_rng(config.seed, KEY_EVAL, shot_i)
-        _, picks = episodes_mod.draw_episodes(pld, config.episodes.ways, need, rng, config.eval.tasks)
+        _, picks = episodes_mod.draw_episodes(pld, config.episodes.ways, need, rng, config.eval.tasks,
+                                              "held-out classes")
         result = meta_mod.evaluate_fewshot(
             scorer, pld.features, picks[..., :shots], picks[..., shots:]
         )
@@ -398,12 +404,10 @@ def _stage(name: str):
 def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
     """All stages in order; returns the manifest dict."""
     n = config.dataset.classes * config.dataset.per_class
+    n_test = _test_rows(n, config.dataset.test_fraction)
     k = config.cluster.k or 4 * config.dataset.classes  # as stage_cluster picks it
-    _refuse_oversized(
-        n - _test_rows(n, config.dataset.test_fraction),
-        {"cfe.batch_positives": config.cfe.batch_positives, "cluster.k": k},
-    )
-    _refuse_impossible_episodes(config, k)
+    _refuse_oversized(n - n_test, {"cfe.batch_positives": config.cfe.batch_positives, "cluster.k": k})
+    _refuse_impossible_episodes(config, k, n - n_test, n_test)
     artifacts: dict[str, str] = {}
     for name in STAGES:
         for artifact in _stage(name)(config, ws):

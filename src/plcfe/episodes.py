@@ -93,12 +93,14 @@ def way_pairs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def draw_episodes(
-    pld: PseudoLabeledDataset, ways: int, picks: int, rng: np.random.Generator, tasks: int = 1
+    pld: PseudoLabeledDataset, ways: int, picks: int, rng: np.random.Generator, tasks: int = 1,
+    groups: str = "clusters",
 ) -> tuple[np.ndarray, np.ndarray]:
     """(tasks, ways) cluster ids and (tasks, ways, picks) sample indices:
     each task's ways are distinct clusters drawn uniformly among those with
     at least picks members, and each way's picks are distinct members of
-    its cluster drawn uniformly, both in random order.
+    its cluster drawn uniformly, both in random order. Too few such
+    clusters is a ConstructionError that calls them `groups`.
 
     Both draws take the argsort of i.i.d. uniform keys, whose k smallest
     form a uniform random k-subset in random order (the unweighted case of
@@ -112,7 +114,7 @@ def draw_episodes(
     sizes = pld.sizes
     eligible = np.flatnonzero(sizes >= picks)
     if eligible.size < ways:
-        raise ConstructionError(f"only {eligible.size} clusters have {picks}+ members, need {ways}")
+        raise ConstructionError(f"only {eligible.size} {groups} have {picks}+ members, need {ways}")
     clusters = eligible[np.argsort(rng.random((tasks, eligible.size)), axis=1)[:, :ways]]
     keys = rng.random((tasks, ways, int(sizes[eligible].max())))
     slots, drawn_sizes = np.arange(keys.shape[-1]), sizes[clusters][..., None]

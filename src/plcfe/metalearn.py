@@ -2,12 +2,13 @@
 
 A small encoder plus linear N-way head is meta-trained with first-order
 MAML, or episodically with a prototype head as a second supervised method.
-The model is one MlpParams network whose last layer is the linear head
-(linear_output), so a MAML step is the network's own forward and backward
-pass; the prototype method uses only the encoder, every layer but the
-head (encoder_of). Both run a task batch at once: the model is broadcast
-to a (T, P) stack of parameter vectors, and each MAML inner step,
-prototype loss or evaluation block is one batched pass over the T tasks.
+The model is one MlpParams network whose last layer, linear as in every
+network, is the head, so a MAML step is the network's own forward and
+backward pass; the prototype method uses only the encoder, every layer
+but the head (encoder_of), which ends linearly too. Both run a task batch
+at once: the model is broadcast to a (T, P) stack of parameter vectors,
+and each MAML inner step, prototype loss or evaluation block is one
+batched pass over the T tasks.
 One evaluation-model type, SnapshotEvaluationModel, finetunes a model on
 a stack of support sets and scores samples with it, for held-out
 evaluation and for the progressive episode sampler alike.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import episodes as episodes_mod
 from ._binio import write_csv
-from .cfe import KIND_FEWSHOT_MODEL, checkpoint_writer, read_checkpoint, read_mlp, read_shape
+from .cfe import KIND_FEWSHOT_MODEL, checkpoint_writer, read_checkpoint, read_mlp
 from .cluster import ClusterModel, PseudoLabeledDataset
 from .errors import NumericError, ParameterError, StateError
 from .numcore import (
@@ -78,12 +79,13 @@ def init_fewshot_model(
     )
     head_w = rng.normal(0.0, np.sqrt(1.0 / config.encoder_dim), size=(ways, config.encoder_dim))
     head_b = np.zeros(ways)
-    return MlpParams([*encoder.layers, (head_w, head_b)], config.activation, linear_output=True)
+    return MlpParams([*encoder.layers, (head_w, head_b)], config.activation)
 
 
 def encoder_of(model: MlpParams) -> MlpParams:
     """The few-shot model's encoder, every layer but the head, as a view of
-    the leading part of its vector (or of each row of a stack)."""
+    the leading part of its vector (or of each row of a stack); as every
+    network does, it ends in a linear layer."""
     ways, dim = model.shapes[-1]
     return MlpParams.view(model.vector[..., : -ways * (dim + 1)], model.shapes[:-1], model.activation)
 
@@ -411,19 +413,16 @@ def meta_train(
 
 
 def save_model(model: MlpParams, path) -> None:
-    """Few-shot model in the shared versioned checkpoint container: the
-    encoder's architecture, the head's (ways, input dim), then the whole
-    vector, encoder layers first and the head last."""
-    writer = checkpoint_writer(KIND_FEWSHOT_MODEL, encoder_of(model))
-    for size in model.shapes[-1]:
-        writer.write_u32(size)
+    """Few-shot model in the shared versioned checkpoint container: its
+    architecture, every layer with the head last, then its vector."""
+    writer = checkpoint_writer(KIND_FEWSHOT_MODEL, model)
     writer.write_f64_array(params_to_vector(model))
     writer.save(path)
 
 
 def load_model(path) -> MlpParams:
     reader, activation, shapes = read_checkpoint(path, KIND_FEWSHOT_MODEL, "a few-shot model")
-    model = read_mlp(reader, activation, [*shapes, read_shape(reader, "head")], linear_output=True)
+    model = read_mlp(reader, activation, shapes)
     reader.expect_end()
     return model
 

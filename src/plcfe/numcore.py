@@ -7,7 +7,7 @@ T independent networks at once: a (T, P) stack of parameter vectors with a
 (T, n, d) input, each task's slice computed by the same matmul calls as a
 single network, so a stacked run is bit-identical to T separate ones.
 The forward pass allocates one array per layer, its matmul's result, and
-adds the bias and applies the activation in place; the backward pass reads
+adds the bias and applies any activation in place; the backward pass reads
 each activation's derivative off the layer's output, so no pre-activation
 is kept. Everything here is a pure function of its explicit inputs, so
 results are bit-reproducible for a fixed seed.
@@ -62,13 +62,12 @@ class MlpParams:
     row-major, then its bias, shape (fan_out,); layers holds (weight, bias)
     views into it. A network wrapped around a (T, P) stack of vectors (see
     vector_to_params) is T networks with a leading task axis on every view.
-    The activation follows every layer but, when linear_output is set, the
-    last one: a CFE encoder activates its output, and a few-shot model's
-    last layer is its linear N-way head.
+    The activation follows every layer but the last, which is linear: a
+    CFE encoder's output is l2-normalized as it is, and a few-shot model's
+    last layer is its N-way head.
     """
 
-    def __init__(self, layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str = "relu",
-                 linear_output: bool = False):
+    def __init__(self, layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str = "relu"):
         if activation not in ACTIVATIONS:
             raise ParameterError(f"unknown activation {activation!r}")
         if not layers:
@@ -83,20 +82,19 @@ class MlpParams:
                     f"outputs {layers[i - 1][0].shape[0]}"
                 )
         vector = np.concatenate([part for w, b in layers for part in (w.ravel(), b)])
-        self._bind(vector, tuple(w.shape for w, _ in layers), activation, linear_output)
+        self._bind(vector, tuple(w.shape for w, _ in layers), activation)
 
     @classmethod
-    def view(cls, vector: np.ndarray, shapes, activation: str, linear_output: bool = False) -> "MlpParams":
+    def view(cls, vector: np.ndarray, shapes, activation: str) -> "MlpParams":
         """A network over vector itself, not a copy, with these layer shapes."""
         params = object.__new__(cls)
-        params._bind(np.asarray(vector, dtype=np.float64), tuple(shapes), activation, linear_output)
+        params._bind(np.asarray(vector, dtype=np.float64), tuple(shapes), activation)
         return params
 
-    def _bind(self, vector: np.ndarray, shapes: tuple, activation: str, linear_output: bool) -> None:
+    def _bind(self, vector: np.ndarray, shapes: tuple, activation: str) -> None:
         self.vector = vector
         self.shapes = shapes
         self.activation = activation
-        self.linear_output = linear_output
         self.layers = layer_views(vector, shapes)
 
     @property
@@ -136,8 +134,8 @@ def _activate_grad(post: np.ndarray, activation: str) -> np.ndarray:
 @dataclass
 class ForwardCache:
     """What mlp_backward needs of a forward pass: its input batch and
-    each layer's output (activated, or the linear head's scores). The
-    pre-activations are not kept: each layer activates in place."""
+    each layer's output (activated, or the last layer's linear output). The
+    pre-activations are not kept: each hidden layer activates in place."""
 
     inputs: np.ndarray
     post_activations: list[np.ndarray] = field(default_factory=list)
@@ -158,10 +156,10 @@ def mlp_forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray
 
 def _forward(params: MlpParams, batch: np.ndarray, cache: ForwardCache | None) -> np.ndarray:
     """The network's output. Each layer writes its matmul's fresh result,
-    adds the bias and activates in place, so the caller's batch and every
-    earlier layer's output are never written. Each layer's output is kept
-    in cache when one is given; otherwise it is freed once the next layer
-    has used it."""
+    adds the bias and, but for the last, activates in place, so the
+    caller's batch and every earlier layer's output are never written. Each
+    layer's output is kept in cache when one is given; otherwise it is
+    freed once the next layer has used it."""
     batch = np.asarray(batch, dtype=np.float64)
     tasks = params.vector.shape[:-1]
     if batch.ndim != len(tasks) + 2 or batch.shape[:-2] != tasks or batch.shape[-1] != params.input_dim:
@@ -170,13 +168,13 @@ def _forward(params: MlpParams, batch: np.ndarray, cache: ForwardCache | None) -
             f"{params.input_dim} and parameter shape {params.vector.shape}"
         )
     x = batch
-    linear = len(params.layers) - 1 if params.linear_output else -1
+    last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
         x = x @ w.mT
         x += b[..., None, :]
-        if i != linear and params.activation == "relu":
+        if i != last and params.activation == "relu":
             np.maximum(x, 0.0, out=x)
-        elif i != linear:
+        elif i != last:
             np.tanh(x, out=x)
         if cache is not None:
             cache.post_activations.append(x)
@@ -201,11 +199,11 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
     grad = np.empty(params.vector.shape)
     grad_layers = layer_views(grad, params.shapes)
     g = grad_output
-    linear = len(params.layers) - 1 if params.linear_output else -1
-    for i in range(len(params.layers) - 1, -1, -1):
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
         w, _ = params.layers[i]
         layer_in = cache.inputs if i == 0 else cache.post_activations[i - 1]
-        g_pre = g if i == linear else g * _activate_grad(cache.post_activations[i], params.activation)
+        g_pre = g if i == last else g * _activate_grad(cache.post_activations[i], params.activation)
         gw, gb = grad_layers[i]
         gw[...] = g_pre.mT @ layer_in
         gb[...] = g_pre.sum(axis=-2)
@@ -249,7 +247,7 @@ def vector_to_params(vector: np.ndarray, template: MlpParams) -> MlpParams:
     """Wrap a vector in params_to_vector's layout, without copying, as a
     network shaped like template; a (T, P) stack of such vectors becomes T
     networks with a leading task axis."""
-    return MlpParams.view(vector, template.shapes, template.activation, template.linear_output)
+    return MlpParams.view(vector, template.shapes, template.activation)
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:

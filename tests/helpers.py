@@ -95,11 +95,11 @@ def oracle_forward_backward(
     activation's derivative is read off the pre-activation, as the
     textbook writes it."""
     x = np.asarray(batch, dtype=np.float64)
-    linear = len(params.layers) - 1 if params.linear_output else -1
+    last = len(params.layers) - 1
     pres, posts = [], []
     for i, (w, b) in enumerate(params.layers):
         pre = x @ w.mT + b[..., None, :]
-        if i == linear:
+        if i == last:
             x = pre
         elif params.activation == "relu":
             x = np.maximum(pre, 0.0)
@@ -109,8 +109,8 @@ def oracle_forward_backward(
         posts.append(x)
     grad = np.empty(params.vector.shape)
     g = np.asarray(grad_output, dtype=np.float64)
-    for i in range(len(params.layers) - 1, -1, -1):
-        if i == linear:
+    for i in range(last, -1, -1):
+        if i == last:
             g_pre = g
         elif params.activation == "relu":
             g_pre = g * (pres[i] > 0.0).astype(np.float64)

@@ -91,23 +91,23 @@ def test_no_module_calls_add_at():
 
 
 def test_fewshot_checkpoint_bytes_are_the_documented_layout(tmp_path):
-    # header, the encoder's activation code and layer shapes, the head's
-    # (ways, input dim), then every layer's weight and bias, head last
+    # header, the activation code and every layer's shape, the head's
+    # (ways, input dim) last, then every layer's weight and bias, head last
     w1, b1 = np.arange(6.0).reshape(3, 2) / 7, np.array([0.5, -0.25, 1.0])
     w2, b2 = -np.arange(6.0).reshape(2, 3) / 3, np.array([2.0, -1.0])
     path = tmp_path / "model.plcf"
-    save_model(MlpParams([(w1, b1), (w2, b2)], "tanh", linear_output=True), path)
+    save_model(MlpParams([(w1, b1), (w2, b2)], "tanh"), path)
     floats = [*w1.ravel(), *b1, *w2.ravel(), *b2]
     expected = (
         b"PLCF"
-        + struct.pack("<HHHH", 1, 1, 1, 1)  # version, kind, tanh, one encoder layer
+        + struct.pack("<HHHH", 2, 1, 1, 2)  # version, kind, tanh, two layers
         + struct.pack("<II", 3, 2)
-        + struct.pack("<II", 2, 3)  # head ways, head input dim
+        + struct.pack("<II", 2, 3)  # the head: ways, input dim
         + struct.pack(f"<{len(floats)}d", *floats)
     )
     assert path.read_bytes() == expected
     back = load_model(path)
-    assert back.linear_output and back.activation == "tanh" and back.shapes == ((3, 2), (2, 3))
+    assert back.activation == "tanh" and back.shapes == ((3, 2), (2, 3))
     assert np.array_equal(back.vector, floats)
 
 

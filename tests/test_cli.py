@@ -441,8 +441,22 @@ class TestPipeline:
                 {"episode_mode": "progressive", "episodes": {**TINY["episodes"], "candidate_neighbors": 8}},
                 "episodes.candidate_neighbors is 8; progressive episodes need it below cluster.k = 8",
             ),
+            # 4 x 25 rows: 80 training rows and a 20-row held-out split
+            (
+                {"episodes": {**TINY["episodes"], "queries": 30}},
+                "episodes.ways x (episodes.shots + episodes.queries) is 93, more than the 80 training rows",
+            ),
+            (
+                {"eval": {**TINY["eval"], "shots": [1, 4]}},
+                "episodes.ways x (eval.shots entry 4 + episodes.queries) is 21, more than the 20 held-out rows",
+            ),
+            (
+                {"dataset": {**TINY["dataset"], "test_fraction": 0.01}},
+                "episodes.ways x (eval.shots entry 1 + episodes.queries) is 12, more than the 1 held-out rows",
+            ),
         ],
-        ids=["ways-above-k", "ways-above-classes", "progressive-neighbors-at-k"],
+        ids=["ways-above-k", "ways-above-classes", "progressive-neighbors-at-k", "task-beyond-training-rows",
+             "eval-task-beyond-held-out-rows", "held-out-split-below-one-task"],
     )
     def test_impossible_episodes_write_nothing(self, tmp_path, capsys, extra, message):
         # each used to exit 2 or 3 only after gen-data, train-cfe and more
@@ -453,6 +467,42 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not any(out.glob("*"))
+
+    def test_meta_eval_draw_failure_names_held_out_classes(self, tmp_path, capsys):
+        # 18 of the 20 held-out rows fit the size check, but the held-out
+        # classes have 7, 5, 6 and 2 rows, so only two can give 6 rows
+        path = write_tiny_config(tmp_path, eval={**TINY["eval"], "shots": [3]})
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "only 2 held-out classes have 6+ members, need 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, stage, outputs, head_field",
+        [("cfe_trained.plcf", "embed", "embeddings.plem", False),
+         ("meta_model.plcf", "meta-eval", "eval_*.csv", True)],
+        ids=["encoder-pair", "fewshot-model"],
+    )
+    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys, name, stage, outputs, head_field):
+        # version 1 activated every encoder's last layer, so its networks
+        # must not be read as this version's, which end linearly; a
+        # version-1 few-shot model listed only its encoder's layers, and
+        # its head's shape after them
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        for produced in out.glob(outputs):
+            produced.unlink()
+        raw = bytearray((out / name).read_bytes())
+        layers = struct.unpack_from("<H", raw, 10)[0]
+        struct.pack_into("<HH", raw, 4, 1, *struct.unpack_from("<H", raw, 6))
+        struct.pack_into("<H", raw, 10, layers - head_field)
+        (out / name).write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main([stage, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "unsupported format version 1, expected 2" in err and "Traceback" not in err
+        assert not list(out.glob(outputs))
 
     def test_standard_episodes_ignore_candidate_neighbors(self, tmp_path):
         path = write_tiny_config(tmp_path, episodes={**TINY["episodes"], "candidate_neighbors": 8})
@@ -596,6 +646,26 @@ def test_run_pipeline_returns_manifest(tmp_path):
     assert set(manifest["stages"]) == {
         "gen-data", "train-cfe", "embed", "metrics", "cluster", "meta-train", "meta-eval"
     }
+
+
+def test_setup_loads_neither_numpy_random_nor_scipy():
+    # the benchmark's setup_s times exactly this, in a fresh interpreter:
+    # the import of plcfe.cli and the build of a workload's config
+    raws = [{**raw, "seed": 1, "out_dir": "unused"} for raw in perfbench_workloads().values()]
+    script = (
+        "import json, sys\n"
+        "import plcfe.cli\n"
+        f"for raw in {raws!r}:\n"
+        "    plcfe.cli.build_config(raw)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))))\n"
+    )
+    src = str(Path(plcfe.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_pipeline_never_loads_scipy(tmp_path):

@@ -94,7 +94,7 @@ class TestInnerAdapt:
     def test_adaptation_decreases_support_loss_on_convex_toy(self):
         # single linear layer in its linear regime: convex logistic problem
         model = MlpParams([(np.eye(2), np.array([5.0, 5.0])), (np.array([[0.1, 0.0], [0.0, 0.1]]), np.zeros(2))],
-                          "relu", linear_output=True)
+                          "relu")
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.3], [0.3, 2.0]])
         y = np.array([0, 1, 0, 1])
         loss0, _ = model_loss_and_grad(model, x, y)
@@ -161,7 +161,7 @@ class TestMetaStep:
         hand_meta = hand_grads(w1, b1, u1, v1, xq, yq)
 
         model = MlpParams([(np.array([[w]]), np.array([b])), (u[:, None].copy(), v.copy())],
-                          "relu", linear_output=True)
+                          "relu")
         features = np.array([[xs], [xq]])
 
         def support_fn(vec):
@@ -414,7 +414,7 @@ class TestEvaluate:
     def constant_model(self, ways=5):
         # zero encoder output and zero head: constant equal scores
         return MlpParams([(np.zeros((3, 2)), np.zeros(3)), (np.zeros((ways, 3)), np.zeros(ways))],
-                         "relu", linear_output=True)
+                         "relu")
 
     def balanced_tasks(self, n_tasks, ways=5, queries=3, seed=0):
         rng = make_rng(seed)
@@ -462,7 +462,7 @@ class TestEvaluate:
         # pass-through model: scores follow the input coordinates, so
         # per-task accuracy varies and the half-width is meaningful
         model = MlpParams([(np.eye(2), np.array([10.0, 10.0])), (np.eye(2), np.zeros(2))],
-                          "relu", linear_output=True)
+                          "relu")
         features = make_rng(9).normal(size=(100, 2))
         small = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.0)), features, *task_arrays(self.balanced_tasks(50, ways=2, seed=10)))
         large = evaluate_fewshot(snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.0)), features, *task_arrays(self.balanced_tasks(800, ways=2, seed=10)))

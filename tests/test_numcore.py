@@ -33,20 +33,22 @@ def single_layer(w, b, activation="relu"):
 
 class TestMlpForward:
     def test_identity_relu(self):
-        params = single_layer(np.eye(2), [0.0, 0.0])
-        out = mlp_forward(params, np.array([[1.0, -2.0]]))
-        assert np.array_equal(out, [[1.0, 0.0]])
+        # the hidden layer's relu zeroes the negative coordinate, and the
+        # last layer passes it on linearly
+        params = MlpParams([(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))], "relu")
+        assert np.array_equal(mlp_forward(params, np.array([[1.0, -2.0]])), [[1.0, 0.0]])
+        assert np.array_equal(mlp_forward(single_layer(np.eye(2), [0.0, 0.0]), np.array([[1.0, -2.0]])),
+                              [[1.0, -2.0]])
 
     def test_zero_weights_give_activated_bias(self):
         rng = make_rng(0)
         params = init_mlp((3, 4, 2), "tanh", rng)
-        zeroed = MlpParams(
-            [(np.zeros_like(w), b.copy()) for w, b in params.layers], "tanh"
-        )
-        # with zero weights the last layer sees activation(b) regardless of input
-        zeroed.layers[-1][1][:] = [0.3, -0.7]
+        (w0, b0), (w1, b1) = params.layers
+        zeroed = MlpParams([(np.zeros_like(w0), np.array([0.3, -0.7, 0.1, 0.5])), (w1, b1)], "tanh")
+        # with zero first-layer weights the last layer sees activation(b)
+        # regardless of input, and maps it linearly
         out = mlp_forward(zeroed, rng.normal(size=(5, 3)))
-        expected = np.tanh(np.array([0.3, -0.7]))
+        expected = np.tanh(np.array([0.3, -0.7, 0.1, 0.5])) @ w1.T + b1
         assert np.allclose(out, np.tile(expected, (5, 1)), atol=0)
 
     def test_matches_elementwise_oracle(self):
@@ -57,13 +59,14 @@ class TestMlpForward:
 
         def oracle_row(row):
             h = row
-            for w, b in params.layers:
+            for layer, (w, b) in enumerate(params.layers):
                 nxt = np.empty(w.shape[0])
                 for i in range(w.shape[0]):
                     acc = b[i]
                     for j in range(w.shape[1]):
                         acc += w[i, j] * h[j]
-                    nxt[i] = np.tanh(acc)
+                    # the last layer is linear
+                    nxt[i] = np.tanh(acc) if layer < len(params.layers) - 1 else acc
                 h = nxt
             return h
 
@@ -327,26 +330,28 @@ class TestTaskStack:
 
 
 class TestLinearOutput:
-    """linear_output leaves the last layer without its activation, as a
-    few-shot model's head."""
+    """Every network's last layer is linear: a few-shot model's head, and
+    a CFE encoder's output before the l2 normalization."""
 
     def network(self, activation, seed=40):
         # random biases keep relu pre-activations away from the exact kink
         rng = make_rng(seed)
         layers = init_mlp((4, 6, 5, 3), activation, rng).layers
         layers = [(w, rng.normal(0.0, 0.5, size=b.shape)) for w, b in layers]
-        return MlpParams(layers, activation, linear_output=True)
+        return MlpParams(layers, activation)
 
     def test_last_layer_skips_the_activation(self):
         params = self.network("relu")
         x = make_rng(41).normal(size=(8, 4))
-        hidden = mlp_forward(MlpParams(params.layers[:-1], "relu"), x)
+        # the first two layers as a network of their own end linearly, so
+        # the hidden activation of the second is applied here
+        hidden = np.maximum(mlp_forward(MlpParams(params.layers[:-1], "relu"), x), 0.0)
         w, b = params.layers[-1]
         out = mlp_forward(params, x)
         assert np.array_equal(out, hidden @ w.T + b)
         assert (out < 0).any()
-        assert vector_to_params(params.vector, params).linear_output
-        assert params.clone().linear_output
+        assert np.array_equal(mlp_forward(vector_to_params(params.vector, params), x), out)
+        assert np.array_equal(mlp_forward(params.clone(), x), out)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_backward_matches_finite_differences(self, activation):
@@ -381,10 +386,9 @@ class TestInPlaceForward:
     """Each layer activates its matmul's result in place; caches, outputs
     and gradients equal a pass that keeps every pre-activation."""
 
-    def network(self, activation, linear_output, tasks):
+    def network(self, activation, hidden, tasks):
         rng = make_rng(50)
-        template = init_mlp((4, 6, 5, 3), activation, rng)
-        template = MlpParams(template.layers, activation, linear_output=linear_output)
+        template = init_mlp((4, 6, 5, 3) if hidden else (4, 3), activation, rng)
         lead = () if tasks is None else (tasks,)
         params = vector_to_params(rng.normal(0.0, 0.5, size=(*lead, template.vector.size)), template)
         # half of each layer's biases are 0, so a zero input row gives
@@ -394,11 +398,13 @@ class TestInPlaceForward:
         return params
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("linear_output", [False, True])
+    # hidden: two activated hidden layers and the linear last one, or the
+    # linear layer alone
+    @pytest.mark.parametrize("hidden", [False, True])
     @pytest.mark.parametrize("tasks", [None, 3], ids=["single", "stack"])
     @pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
-    def test_equals_pass_keeping_pre_activations(self, activation, linear_output, tasks, read_only):
-        params = self.network(activation, linear_output, tasks)
+    def test_equals_pass_keeping_pre_activations(self, activation, hidden, tasks, read_only):
+        params = self.network(activation, hidden, tasks)
         rows = make_rng(51).normal(size=(8, 4))
         rows[::3] = 0.0
         if tasks is None:
