@@ -4,8 +4,8 @@ Each stage is independently runnable from the previous stage's artifacts
 on disk, and `pipeline` chains them all: generate data, train the
 embedding, embed, report similarity metrics, cluster, meta-train on
 pseudo-labeled episodes, and evaluate on held-out true-label tasks. Every
-run is reproducible from (config, seed); the manifest records the config
-echo and a hash of every artifact.
+run is reproducible from (config, seed). Every stage runs through
+`run_stage`, which checks it against manifest.json and records it there.
 """
 
 from __future__ import annotations
@@ -169,30 +169,32 @@ def train_test_split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarra
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def _refuse_oversized(rows: int, sizes: dict[str, int], split: str = "training") -> None:
-    """Refuse, before a stage writes, a config size that needs more rows
-    than the split has."""
-    for name, size in sizes.items():
-        if size > rows:
-            raise ParameterError(f"{name} is {size}, more than the {rows} {split} rows")
-
-
-def _refuse_impossible_episodes(config: PipelineConfig, k: int, n_train: int, n_test: int) -> None:
-    """Refuse, before a stage writes, episodes that no split can supply: a
-    meta-train task's ways are distinct clusters, a meta-eval task's are
-    distinct true classes, a task takes shots + queries distinct rows per
-    way from its split, and a progressive way chooses among
-    candidate_neighbors clusters other than its base."""
-    ways, queries = config.episodes.ways, config.episodes.queries
-    for name, limit in (("cluster.k", k), ("dataset.classes", config.dataset.classes)):
-        if ways > limit:
-            raise ParameterError(f"episodes.ways is {ways}, more than {name} = {limit}")
+def _refuse_sizes(name: str, config: PipelineConfig) -> None:
+    """Refuse a size that stage `name`'s split cannot supply, read from the
+    config, which the dataset check holds dataset.plds to: a meta-train
+    task's ways are distinct clusters, a meta-eval task's distinct true
+    classes, a task takes shots + queries distinct rows per way, and a
+    progressive way chooses among candidate_neighbors other clusters."""
+    n = config.dataset.classes * config.dataset.per_class
+    n_test = _test_rows(n, config.dataset.test_fraction)
+    training, held_out = (n - n_test, f"the {n - n_test} training rows"), (n_test, f"the {n_test} held-out rows")
+    k = config.cluster.k or 4 * config.dataset.classes  # as stage_cluster picks it
+    ways, queries, classes = config.episodes.ways, config.episodes.queries, config.dataset.classes
     task = "episodes.ways x ({} + episodes.queries)"
-    _refuse_oversized(n_train, {task.format("episodes.shots"): ways * (config.episodes.shots + queries)})
-    held_out = {task.format(f"eval.shots entry {s}"): ways * (s + queries) for s in config.eval.shots}
-    _refuse_oversized(n_test, held_out, "held-out")
+    limits = {  # per stage: (size name, size, limit, the limit's description)
+        "train-cfe": [("cfe.batch_positives", config.cfe.batch_positives, *training)],
+        "cluster": [("cluster.k", k, *training)],
+        "meta-train": [("episodes.ways", ways, k, f"cluster.k = {k}"),
+                       (task.format("episodes.shots"), ways * (config.episodes.shots + queries), *training)],
+        "meta-eval": [("episodes.ways", ways, classes, f"dataset.classes = {classes}")]
+        + [(task.format(f"eval.shots entry {s}"), ways * (s + queries), *held_out) for s in config.eval.shots],
+    }
+    drawn_as = "meta-train" if name == "build-tasks" else name  # build-tasks draws meta-train's tasks
+    for size_name, size, limit, what in limits.get(drawn_as, ()):
+        if size > limit:
+            raise ParameterError(f"{size_name} is {size}, more than {what}")
     neighbors = config.episodes.candidate_neighbors
-    if config.episode_mode == "progressive" and neighbors >= k:
+    if drawn_as == "meta-train" and config.episode_mode == "progressive" and neighbors >= k:
         raise ParameterError(
             f"episodes.candidate_neighbors is {neighbors}; progressive episodes need it below cluster.k = {k}"
         )
@@ -209,16 +211,9 @@ class _Workspace:
         return self.root / name
 
 
-def _require(ws: _Workspace, name: str, stage: str) -> Path:
-    p = ws.path(name)
-    if not p.exists():
-        raise ParameterError(f"stage {stage!r} needs missing artifact {p}")
-    return p
-
-
-def _split_dataset(config: PipelineConfig, ws: _Workspace, stage: str):
+def _split_dataset(config: PipelineConfig, ws: _Workspace):
     """This run's dataset and its train and test row indices."""
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", stage))
+    ds = data_mod.read_dataset(ws.path("dataset.plds"))
     return (ds, *train_test_split(ds.n, config.dataset.test_fraction, config.seed))
 
 
@@ -235,8 +230,7 @@ def stage_gen_data(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds, train_idx, _ = _split_dataset(config, ws, "train-cfe")
-    _refuse_oversized(len(train_idx), {"cfe.batch_positives": config.cfe.batch_positives})
+    ds, train_idx, _ = _split_dataset(config, ws)
     initial = cfe_mod.EncoderPair.initialize(
         ds.dim, config.cfe, derive_rng(config.seed, KEY_CFE_INIT)
     )
@@ -254,8 +248,8 @@ def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_embed(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds = data_mod.read_dataset(_require(ws, "dataset.plds", "embed"))
-    pair = cfe_mod.load_checkpoint(_require(ws, "cfe_trained.plcf", "embed"))
+    ds = data_mod.read_dataset(ws.path("dataset.plds"))
+    pair = cfe_mod.load_checkpoint(ws.path("cfe_trained.plcf"))
     embeddings = cfe_mod.encode(pair, ds.features)
     data_mod.write_embeddings(embeddings, ws.path("embeddings.plem"))
     return ["embeddings.plem"]
@@ -264,14 +258,14 @@ def stage_embed(config: PipelineConfig, ws: _Workspace) -> list[str]:
 def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
     """Similarity reports and 2-D projections for the initial and trained
     encoders, over the training split with true labels (evaluation path)."""
-    ds, train_idx, _ = _split_dataset(config, ws, "metrics")
+    ds, train_idx, _ = _split_dataset(config, ws)
     if ds.eval_labels is None:
         raise ParameterError("metrics stage needs a labeled dataset")
     features = ds.features[train_idx]
     labels = ds.eval_labels[train_idx]
     out = []
     for tag, ckpt in (("initial", "cfe_initial.plcf"), ("trained", "cfe_trained.plcf")):
-        pair = cfe_mod.load_checkpoint(_require(ws, ckpt, "metrics"))
+        pair = cfe_mod.load_checkpoint(ws.path(ckpt))
         emb = cfe_mod.encode(pair, features)
         report = metrics_mod.similarity_ratio(
             cluster_mod.PseudoLabeledDataset(emb, labels, ds.classes),
@@ -285,8 +279,8 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds, train_idx, _ = _split_dataset(config, ws, "cluster")
-    embeddings = data_mod.read_embeddings(_require(ws, "embeddings.plem", "cluster"))
+    ds, train_idx, _ = _split_dataset(config, ws)
+    embeddings = data_mod.read_embeddings(ws.path("embeddings.plem"))
     k = config.cluster.k if config.cluster.k is not None else 4 * ds.classes
     model = cluster_mod.kmeans(
         embeddings[train_idx],
@@ -313,20 +307,18 @@ def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
     return out
 
 
-def _pseudo_labeled_train_split(config: PipelineConfig, ws: _Workspace, stage: str):
+def _pseudo_labeled_train_split(config: PipelineConfig, ws: _Workspace):
     """The training split's cluster model, refused unless it covers exactly
     this split, and its pseudo-labeled dataset."""
-    ds, train_idx, _ = _split_dataset(config, ws, stage)
+    ds, train_idx, _ = _split_dataset(config, ws)
     model = cluster_mod.read_cluster_csv(
-        _require(ws, "clusters_assignment.csv", stage),
-        _require(ws, "clusters_centers.csv", stage),
-        sample_indices=train_idx,
+        ws.path("clusters_assignment.csv"), ws.path("clusters_centers.csv"), sample_indices=train_idx
     )
     return model, cluster_mod.assign_pseudo_labels(model, ds.features[train_idx])
 
 
 def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    model, pld = _pseudo_labeled_train_split(config, ws, "meta-train")
+    model, pld = _pseudo_labeled_train_split(config, ws)
     fs_model, history = meta_mod.meta_train(
         pld,
         model,
@@ -347,17 +339,10 @@ def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
-    ds, train_idx, test_idx = _split_dataset(config, ws, "meta-eval")
+    ds, _, test_idx = _split_dataset(config, ws)
     if ds.eval_labels is None:
         raise ParameterError("meta-eval needs a labeled dataset")
-    # the encoder and the model were trained on the clustered rows, so a
-    # split drawn with another seed would test on some of them
-    cluster_mod.read_cluster_csv(
-        _require(ws, "clusters_assignment.csv", "meta-eval"),
-        _require(ws, "clusters_centers.csv", "meta-eval"),
-        sample_indices=train_idx,
-    )
-    fs_model = meta_mod.load_model(_require(ws, "meta_model.plcf", "meta-eval"))
+    fs_model = meta_mod.load_model(ws.path("meta_model.plcf"))
     scorer = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
     # evaluation-only: the held-out split grouped by its true labels
     pld = cluster_mod.PseudoLabeledDataset(ds.features[test_idx], ds.eval_labels[test_idx], ds.classes)
@@ -377,11 +362,11 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
 
 
 def stage_build_tasks(config: PipelineConfig, ws: _Workspace, count: int = 100) -> list[str]:
-    model, pld = _pseudo_labeled_train_split(config, ws, "build-tasks")
+    model, pld = _pseudo_labeled_train_split(config, ws)
     rng = derive_rng(config.seed, KEY_TASKS)
     eval_model = None
     if config.episode_mode == "progressive":
-        fs_model = meta_mod.load_model(_require(ws, "meta_model.plcf", "build-tasks"))
+        fs_model = meta_mod.load_model(ws.path("meta_model.plcf"))
         eval_model = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
     tasks = [
         task
@@ -392,35 +377,79 @@ def stage_build_tasks(config: PipelineConfig, ws: _Workspace, count: int = 100) 
     return ["tasks.csv"]
 
 
-# what `pipeline` runs, in order; build-tasks is an audit dump outside it
-STAGES = ("gen-data", "train-cfe", "embed", "metrics", "cluster", "meta-train", "meta-eval")
+# each stage's input artifacts, in pipeline order; `pipeline` runs all but build-tasks
+STAGES = {
+    "gen-data": (),
+    "train-cfe": ("dataset.plds",),
+    "embed": ("dataset.plds", "cfe_trained.plcf"),
+    "metrics": ("dataset.plds", "cfe_initial.plcf", "cfe_trained.plcf"),
+    "cluster": ("dataset.plds", "embeddings.plem"),
+    "meta-train": ("dataset.plds", "clusters_assignment.csv", "clusters_centers.csv"),
+    "meta-eval": ("dataset.plds", "meta_model.plcf"),
+    "build-tasks": ("dataset.plds", "clusters_assignment.csv", "clusters_centers.csv"),
+}
+PIPELINE = tuple(STAGES)[:-1]
+MANIFEST_FORMAT = 2
 
 
-def _stage(name: str):
-    # looked up when called, so a wrapper bound over stage_<name> runs too
-    return globals()["stage_" + name.replace("-", "_")]
-
-
-def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
-    """All stages in order; returns the manifest dict."""
-    n = config.dataset.classes * config.dataset.per_class
-    n_test = _test_rows(n, config.dataset.test_fraction)
-    k = config.cluster.k or 4 * config.dataset.classes  # as stage_cluster picks it
-    _refuse_oversized(n - n_test, {"cfe.batch_positives": config.cfe.batch_positives, "cluster.k": k})
-    _refuse_impossible_episodes(config, k, n - n_test, n_test)
-    artifacts: dict[str, str] = {}
-    for name in STAGES:
-        for artifact in _stage(name)(config, ws):
-            artifacts[artifact] = hashlib.sha256(ws.path(artifact).read_bytes()).hexdigest()
-    manifest = {
-        "config": asdict(config),
-        "seed": config.seed,
-        "stages": list(STAGES),
-        "artifacts": artifacts,
-    }
+def _write_manifest(ws: _Workspace, manifest: dict) -> None:
     with artifact_file(ws.path("manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def run_stage(name: str, config: PipelineConfig, ws: _Workspace, **options) -> dict:
+    """Run stage `name` in ws, checked against manifest.json and then
+    recorded in it; returns the manifest. gen-data, from which every
+    artifact descends, starts a new manifest."""
+    inputs = STAGES[name] + ("meta_model.plcf",) * (name == "build-tasks" and config.episode_mode == "progressive")
+    manifest = {"format": MANIFEST_FORMAT, "stages": {}, "artifacts": {}}
+    if inputs:
+        try:
+            manifest = json.loads(ws.path("manifest.json").read_bytes())
+        except (FileNotFoundError, ValueError):  # missing, not JSON or not UTF-8
+            manifest = None
+        if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+            raise FormatError(f"{ws.path('manifest.json')} is missing or not a format-{MANIFEST_FORMAT} "
+                              "manifest; rerun from gen-data")
+        for artifact in inputs:
+            if artifact not in manifest["artifacts"] or not ws.path(artifact).exists():
+                raise ParameterError(f"stage {name!r} needs {ws.path(artifact)}, which is missing or "
+                                     "was made stale by a rerun upstream")
+        echo = manifest["config"]
+        method = manifest["stages"]["meta-train"]["method"] if "meta_model.plcf" in inputs else config.method
+        for key, made, mine in [("seed", echo["seed"], config.seed), ("method", method, config.method),
+                                *((f"dataset.{k}", v, getattr(config.dataset, k)) for k, v in echo["dataset"].items())]:
+            if made != mine:
+                raise ParameterError(f"stage {name!r} runs with {key} {json.dumps(mine)}, but its inputs "
+                                     f"in {ws.root} were made with {json.dumps(made)}")
+    _refuse_sizes(name, config)
+    stages = manifest["stages"]
+    if name in stages:
+        gone = set(stages.pop(name)["outputs"])
+        for other in STAGES:  # pipeline order: a stage's inputs come from earlier stages
+            if other in stages and gone.intersection(stages[other]["inputs"]):
+                gone.update(stages.pop(other)["outputs"])
+        manifest["artifacts"] = {a: h for a, h in manifest["artifacts"].items() if a not in gone}
+        _write_manifest(ws, manifest)  # so a failing rerun leaves none of them listed
+    # looked up when called, so a wrapper bound over stage_<name> runs too
+    outputs = globals()["stage_" + name.replace("-", "_")](config, ws, **options)
+    stages[name] = {"inputs": list(inputs), "outputs": outputs}
+    if name == "meta-train":
+        stages[name]["method"] = config.method
+    manifest["artifacts"].update({a: hashlib.sha256(ws.path(a).read_bytes()).hexdigest() for a in outputs})
+    manifest.update(config=asdict(config), seed=config.seed)
+    _write_manifest(ws, manifest)
+    return manifest
+
+
+def run_pipeline(config: PipelineConfig, ws: _Workspace) -> dict:
+    """Every stage's size refusals, so a bad config writes nothing, then
+    every stage in order; returns the manifest."""
+    for name in PIPELINE:
+        _refuse_sizes(name, config)
+    for name in PIPELINE:
+        manifest = run_stage(name, config, ws)
     return manifest
 
 
@@ -429,7 +458,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="plcfe",
         description="Pseudo-labeling with clustering-friendly embeddings: pipeline driver.",
     )
-    parser.add_argument("command", choices=[*STAGES, "build-tasks", "pipeline"])
+    parser.add_argument("command", choices=[*STAGES, "pipeline"])
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override the global seed")
     parser.add_argument("--out", dest="out_dir", help="output directory")
@@ -481,8 +510,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pipeline done: {len(manifest['artifacts'])} artifacts in {ws.root}")
         else:
             count = {"count": args.tasks} if args.tasks is not None else {}
-            produced = _stage(args.command)(config, ws, **count)
-            print(f"{args.command}: wrote {', '.join(produced)}")
+            manifest = run_stage(args.command, config, ws, **count)
+            print(f"{args.command}: wrote {', '.join(manifest['stages'][args.command]['outputs'])}")
     except (ParameterError, FormatError) as exc:
         # a malformed input artifact is refused like a bad parameter
         print(f"validation error in {args.command}: {exc}", file=sys.stderr)

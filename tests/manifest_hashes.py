@@ -8,9 +8,11 @@ runs `plcfe pipeline` and then `plcfe build-tasks` from SRC/src on seven
 configs: default, proto, progressive, proto progressive, and the workload
 configs of SRC/perfbench/run.py. Each run gets a fresh directory and one
 BLAS thread. OUT.json maps each run name to {artifact: sha256} over every
-file the run leaves, except manifest.json, which also records the output
-directory. Two checkouts are byte-identical on these runs when their
-OUT.json files are equal; the script prints the run and artifact counts.
+file the run leaves, except manifest.json, whose format may change between
+checkouts. Each run's manifest.json `artifacts` must match the files, as
+perfbench/child.py `verified_hashes` checks; a stale entry stops the
+script. Two checkouts are byte-identical on these runs when their OUT.json
+files are equal; the script prints the run and artifact counts.
 
 --compare reads two such files and prints, for each artifact name, in how
 many runs its sha256 differs (an artifact or run missing on one side
@@ -49,7 +51,8 @@ def workload_configs(src: Path) -> dict:
 
 
 def run_hashes(src: Path, config: dict, seed: int, work: Path) -> dict[str, str]:
-    """Artifact sha256s of one pipeline plus build-tasks run in work."""
+    """Artifact sha256s of one pipeline plus build-tasks run in work,
+    after checking the run's manifest against them."""
     config_path = work / "config.json"
     config_path.write_text(json.dumps(config))
     out = work / "out"
@@ -66,11 +69,16 @@ def run_hashes(src: Path, config: dict, seed: int, work: Path) -> dict[str, str]
              "--seed", str(seed), "--out", str(out)],
             env=env, check=True, capture_output=True, text=True,
         )
-    return {
+    hashes = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
         if path.name != "manifest.json"
     }
+    recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
+    stale = sorted(name for name, digest in recorded.items() if hashes.get(name) != digest)
+    if stale:
+        raise RuntimeError(f"manifest.json sha256 differs from the file for {', '.join(stale)}")
+    return hashes
 
 
 def compare(before: dict, after: dict) -> int:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import struct
@@ -46,6 +47,11 @@ def write_tiny_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_bytes(tiny_json(**extra))
     return path
+
+
+def snapshot(out) -> dict:
+    """Every file in a run directory, by name, with its bytes."""
+    return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
 def perfbench_workloads() -> dict:
@@ -313,6 +319,7 @@ class TestPipeline:
         manifest = json.loads((whole / "manifest.json").read_text())
         for name in manifest["artifacts"]:
             assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
+        assert json.loads((staged / "manifest.json").read_text())["artifacts"] == manifest["artifacts"]
 
     def test_meta_train_does_not_need_embeddings(self, tmp_path):
         path = write_tiny_config(tmp_path)
@@ -334,7 +341,18 @@ class TestPipeline:
             capsys.readouterr()
             assert main([stage, "--config", str(path), "--out", str(out),
                          "--seed", "99"]) == EXIT_VALIDATION
-            assert "sample_index column" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"runs with seed 99, but its inputs in {out} were made with 1234" in err
+            assert "Traceback" not in err
+        # a sample_index column edited by hand passes the manifest check,
+        # and the cluster reader refuses it
+        assignment = out / "clusters_assignment.csv"
+        header, first, second, *rest = assignment.read_text().splitlines()
+        assignment.write_text("\n".join([header, second, first, *rest]) + "\n")
+        assert main(["meta-train", "--config", str(path), "--out", str(out),
+                     "--seed", "1234"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "sample_index column" in err and "Traceback" not in err
 
     def test_out_of_range_cluster_id_exits_2(self, tmp_path, capsys):
         # a row outside [0, k) must be refused, not dropped from the index
@@ -512,11 +530,12 @@ class TestPipeline:
         path = write_tiny_config(tmp_path, cfe={**TINY["cfe"], "batch_positives": 81})
         out = tmp_path / "o"
         assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        before = snapshot(out)
         capsys.readouterr()
         assert main(["train-cfe", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "cfe.batch_positives is 81, more than the 80 training rows" in err
-        assert [p.name for p in out.iterdir()] == ["dataset.plds"]
+        assert snapshot(out) == before
 
     @pytest.mark.parametrize(
         "section, values",
@@ -547,7 +566,9 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["meta-eval", "--config", str(path), "--out", str(out),
                      "--seed", "99"]) == EXIT_VALIDATION
-        assert "sample_index column" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"runs with seed 99, but its inputs in {out} were made with 1234" in err
+        assert "Traceback" not in err
 
     def test_meta_eval_ways_must_match_maml_head(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path)
@@ -637,6 +658,130 @@ class TestPipeline:
         # overrides validated: bad ways rejected
         assert main(["gen-data", "--config", str(path), "--out", str(out),
                      "--ways", "1"]) == EXIT_VALIDATION
+
+
+class TestStageRunner:
+    """Every stage, run alone or inside `pipeline`, is checked against
+    manifest.json before it writes and recorded in it after."""
+
+    @staticmethod
+    def run(tmp_path, **extra):
+        """A TINY pipeline run, and a config file with `extra` over TINY."""
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(write_tiny_config(tmp_path)), "--out", str(out)]) == EXIT_OK
+        return write_tiny_config(tmp_path, **extra), out
+
+    @staticmethod
+    def manifest(out) -> dict:
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_rerun_records_its_outputs_and_drops_what_was_made_from_them(self, tmp_path):
+        path, out = self.run(tmp_path)
+        assert main(["meta-train", "--config", str(path), "--out", str(out), "--queries", "2"]) == EXIT_OK
+        manifest = self.manifest(out)
+        for name, digest in manifest["artifacts"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert "meta_model.plcf" in manifest["artifacts"]
+        assert not [name for name in manifest["artifacts"] if name.startswith("eval_")]
+        assert "meta-eval" not in manifest["stages"]
+        # a rerun drops every entry made from its outputs, directly or not
+        assert main(["train-cfe", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert set(self.manifest(out)["artifacts"]) == {
+            "dataset.plds", "cfe_initial.plcf", "cfe_trained.plcf", "cfe_loss_trace.csv"
+        }
+        # gen-data starts the manifest afresh
+        assert main(["gen-data", "--config", str(path), "--out", str(out), "--seed", "5"]) == EXIT_OK
+        assert set(self.manifest(out)["artifacts"]) == {"dataset.plds"}
+
+    def test_failed_rerun_leaves_its_old_entries_unlisted(self, tmp_path):
+        # the held-out classes cannot give 3 ways of 6 rows, so meta-eval
+        # fails after the runner has dropped its old entries
+        path, out = self.run(tmp_path, eval={**TINY["eval"], "shots": [3]})
+        assert main(["meta-eval", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        manifest = self.manifest(out)
+        assert "meta-eval" not in manifest["stages"]
+        assert not [name for name in manifest["artifacts"] if name.startswith("eval_")]
+
+    def test_model_of_replaced_clusters_is_refused(self, tmp_path, capsys):
+        path, out = self.run(tmp_path, cluster={"k": 6})
+        assert main(["cluster", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["meta-eval", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"needs {out / 'meta_model.plcf'}, which is missing or was made stale" in err
+        assert "Traceback" not in err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"dataset": {**TINY["dataset"], "separation": 5.0}}, "runs with dataset.separation 5.0, but"),
+            # 3 ways x (6 shots + 3 queries) of the 20 held-out rows
+            ({"eval": {**TINY["eval"], "shots": [1, 6]}},
+             "episodes.ways x (eval.shots entry 6 + episodes.queries) is 27, more than the 20 held-out rows"),
+        ],
+        ids=["dataset-section", "eval-shots-beyond-held-out"],
+    )
+    def test_meta_eval_refusal_writes_nothing(self, tmp_path, capsys, extra, message):
+        path, out = self.run(tmp_path, **extra)
+        for produced in out.glob("eval_*.csv"):
+            produced.unlink()
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["meta-eval", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1, err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("stage", ["meta-eval", "build-tasks"])
+    def test_method_other_than_the_models_is_refused(self, tmp_path, capsys, stage):
+        path, out = self.run(tmp_path)
+        before = snapshot(out)
+        capsys.readouterr()
+        code = main([stage, "--config", str(path), "--out", str(out),
+                     "--method", "proto", "--episodes", "progressive"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"stage '{stage}' runs with method \"proto\", but its inputs in {out} were made with \"maml\"" in err
+        assert len(err.splitlines()) == 1, err
+        assert snapshot(out) == before
+
+    def test_standard_build_tasks_reads_no_model(self, tmp_path):
+        path, out = self.run(tmp_path)
+        assert main(["build-tasks", "--config", str(path), "--out", str(out),
+                     "--method", "proto", "--tasks", "2"]) == EXIT_OK
+        assert "tasks.csv" in self.manifest(out)["artifacts"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: None,
+            lambda text: text[: len(text) // 2],
+            lambda text: "not json\n",
+            lambda text: json.dumps({**json.loads(text), "format": None}),
+            # the format written before the stage runner: no format field,
+            # and the stages as a list
+            lambda text: json.dumps({key: value for key, value in json.loads(text).items() if key != "format"}
+                                    | {"stages": list(json.loads(text)["stages"])}),
+        ],
+        ids=["missing", "truncated", "not-json", "no-format", "older-format"],
+    )
+    def test_bad_manifest_exits_2(self, tmp_path, capsys, edit):
+        path, out = self.run(tmp_path)
+        manifest = out / "manifest.json"
+        text = edit(manifest.read_text())
+        if text is None:
+            manifest.unlink()
+        else:
+            manifest.write_text(text)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["meta-eval", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"{manifest} is missing or not a format-2 manifest; rerun from gen-data" in err
+        assert snapshot(out) == before
 
 
 def test_run_pipeline_returns_manifest(tmp_path):
