@@ -3,7 +3,7 @@
 Desk-scale toolkit for unsupervised meta-learning: train an encoder that
 minimizes the inter- to intra-class similarity ratio, pseudo-label data
 with k-means, build few-shot episodes (optionally with an entropy-guided
-progressive sampler), and meta-train/evaluate MAML or a prototype head on
+progressive sampler), and meta-train/evaluate MAML or a prototype classifier on
 them.
 """
 

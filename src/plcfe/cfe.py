@@ -299,7 +299,7 @@ def encode(params: MlpParams | EncoderPair, features: np.ndarray) -> np.ndarray:
 
 def checkpoint_writer(kind: int, network: MlpParams) -> ByteWriter:
     """A checkpoint container of this kind, opened with the network's
-    activation and layer shapes, a few-shot model's head last."""
+    activation and layer shapes, a maml model's head last."""
     writer = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, kind)
     writer.write_u16(_ACTIVATION_CODES[network.activation])
     writer.write_u16(len(network.shapes))

@@ -172,19 +172,21 @@ def train_test_split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarra
 def _refuse_sizes(name: str, config: PipelineConfig) -> None:
     """Refuse a size that stage `name`'s split cannot supply, read from the
     config, which the dataset check holds dataset.plds to: a meta-train
-    task's ways are distinct clusters, a meta-eval task's distinct true
-    classes, a task takes shots + queries distinct rows per way, and a
-    progressive way chooses among candidate_neighbors other clusters."""
+    task's ways are distinct clusters, so cluster refuses a k below them
+    too, a meta-eval task's distinct true classes, a task takes shots +
+    queries distinct rows per way, and a progressive way chooses among
+    candidate_neighbors other clusters."""
     n = config.dataset.classes * config.dataset.per_class
     n_test = _test_rows(n, config.dataset.test_fraction)
     training, held_out = (n - n_test, f"the {n - n_test} training rows"), (n_test, f"the {n_test} held-out rows")
     k = config.cluster.k or 4 * config.dataset.classes  # as stage_cluster picks it
     ways, queries, classes = config.episodes.ways, config.episodes.queries, config.dataset.classes
     task = "episodes.ways x ({} + episodes.queries)"
+    ways_in_k = ("episodes.ways", ways, k, f"cluster.k = {k}")
     limits = {  # per stage: (size name, size, limit, the limit's description)
         "train-cfe": [("cfe.batch_positives", config.cfe.batch_positives, *training)],
-        "cluster": [("cluster.k", k, *training)],
-        "meta-train": [("episodes.ways", ways, k, f"cluster.k = {k}"),
+        "cluster": [("cluster.k", k, *training), ways_in_k],
+        "meta-train": [ways_in_k,
                        (task.format("episodes.shots"), ways * (config.episodes.shots + queries), *training)],
         "meta-eval": [("episodes.ways", ways, classes, f"dataset.classes = {classes}")]
         + [(task.format(f"eval.shots entry {s}"), ways * (s + queries), *held_out) for s in config.eval.shots],

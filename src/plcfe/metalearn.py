@@ -1,14 +1,14 @@
 """Gradient-based meta-learning over few-shot episodes.
 
-A small encoder plus linear N-way head is meta-trained with first-order
-MAML, or episodically with a prototype head as a second supervised method.
-The model is one MlpParams network whose last layer, linear as in every
-network, is the head, so a MAML step is the network's own forward and
-backward pass; the prototype method uses only the encoder, every layer
-but the head (encoder_of), which ends linearly too. Both run a task batch
-at once: the model is broadcast to a (T, P) stack of parameter vectors,
-and each MAML inner step, prototype loss or evaluation block is one
-batched pass over the T tasks.
+A small encoder is meta-trained with first-order MAML, followed by a
+linear N-way head, or episodically as a prototype classifier, the second
+supervised method, whose model is the encoder alone: it scores by
+distance to the support's way means and has no output layer. Either
+model is one MlpParams network ending in a linear layer, so a MAML step
+is the network's own forward and backward pass, and so is a prototype
+step. Both run a task batch at once: the model is broadcast to a (T, P)
+stack of parameter vectors (_stacked), and each MAML inner step,
+prototype loss or evaluation block is one batched pass over the T tasks.
 One evaluation-model type, SnapshotEvaluationModel, finetunes a model on
 a stack of support sets and scores samples with it, for held-out
 evaluation and for the progressive episode sampler alike.
@@ -71,23 +71,18 @@ class MamlConfig:
 
 
 def init_fewshot_model(
-    input_dim: int, ways: int, config: MamlConfig, rng: np.random.Generator
+    input_dim: int, ways: int | None, config: MamlConfig, rng: np.random.Generator
 ) -> MlpParams:
-    """A random encoder followed by a linear head with one output per way."""
+    """A random encoder followed by a linear head with one output per way,
+    a maml model; with ways None, the encoder alone, a proto model."""
     encoder = init_mlp(
         (input_dim, *config.encoder_hidden, config.encoder_dim), config.activation, rng
     )
+    if ways is None:
+        return encoder
     head_w = rng.normal(0.0, np.sqrt(1.0 / config.encoder_dim), size=(ways, config.encoder_dim))
     head_b = np.zeros(ways)
     return MlpParams([*encoder.layers, (head_w, head_b)], config.activation)
-
-
-def encoder_of(model: MlpParams) -> MlpParams:
-    """The few-shot model's encoder, every layer but the head, as a view of
-    the leading part of its vector (or of each row of a stack); as every
-    network does, it ends in a linear layer."""
-    ways, dim = model.shapes[-1]
-    return MlpParams.view(model.vector[..., : -ways * (dim + 1)], model.shapes[:-1], model.activation)
 
 
 def _require_finite(loss, what: str) -> None:
@@ -113,18 +108,6 @@ def model_loss_and_grad(
         return loss, mlp_backward(model, cache, d_logits)
 
 
-def sgd_steps(loss_and_grad, theta: np.ndarray, alpha: float, steps: int) -> np.ndarray:
-    """Generic inner-loop engine: `steps` gradient-descent updates of a flat
-    parameter vector, or of every row of a (T, P) stack at once;
-    loss_and_grad maps theta to (loss, gradient), with one loss per row
-    for a stack. theta itself is not written."""
-    for _ in range(steps):
-        loss, grad = loss_and_grad(theta)
-        _require_finite(loss, "loss during adaptation")
-        theta = theta - alpha * grad
-    return theta
-
-
 def maml_inner_adapt(
     model: MlpParams,
     support_x: np.ndarray,
@@ -132,25 +115,23 @@ def maml_inner_adapt(
     alpha: float,
     steps: int,
 ) -> MlpParams:
-    """Adapt the model to a support set with plain gradient descent on
-    cross-entropy; returns a new model and leaves the input untouched. A
-    model stack adapts task t to support_x[t] (T, n, d) and support_y[t]
-    (T, n), all tasks in the same steps."""
+    """Adapt the model to a support set with `steps` plain gradient-descent
+    steps on cross-entropy; returns a new model and leaves the input
+    untouched. A model stack adapts task t to support_x[t] (T, n, d) and
+    support_y[t] (T, n), all tasks in the same steps."""
     if support_x.shape[-2] == 0:
         raise ParameterError("support set is empty")
+    for _ in range(steps):
+        loss, grad = model_loss_and_grad(model, support_x, support_y)
+        _require_finite(loss, "loss during adaptation")
+        model = vector_to_params(model.vector - alpha * grad, model)
+    return model
 
-    def fn(vec):
-        return model_loss_and_grad(vector_to_params(vec, model), support_x, support_y)
 
-    return vector_to_params(sgd_steps(fn, model.vector, alpha, steps), model)
-
-
-def _stacked(model: MlpParams, support: np.ndarray, query: np.ndarray) -> tuple:
-    """The model broadcast to a read-only stack of one copy per task, and
-    the (T, ways, shots) support and (T, ways, queries) query indices as
-    (index, way) pairs along the same leading axis."""
-    stack = vector_to_params(np.broadcast_to(model.vector, (len(support), model.vector.size)), model)
-    return stack, episodes_mod.way_pairs(support), episodes_mod.way_pairs(query)
+def _stacked(model: MlpParams, lead: tuple[int, ...]) -> MlpParams:
+    """The model broadcast to a read-only stack of one copy per task, of
+    leading shape lead (() leaves it unstacked); no copy is ever written."""
+    return vector_to_params(np.broadcast_to(model.vector, lead + model.vector.shape[-1:]), model)
 
 
 def _task_mean(losses: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, float]:
@@ -173,7 +154,8 @@ def maml_meta_gradient(
     gradient at its adapted parameters. The whole batch adapts as one
     model stack."""
     support, query = np.stack([t.support for t in tasks]), np.stack([t.query for t in tasks])
-    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, support, query)
+    (s_idx, s_way), (q_idx, q_way) = episodes_mod.way_pairs(support), episodes_mod.way_pairs(query)
+    stack = _stacked(model, (len(tasks),))
     adapted = maml_inner_adapt(stack, features[s_idx], s_way, config.inner_lr, config.inner_steps)
     q_loss, q_grad = model_loss_and_grad(adapted, features[q_idx], q_way)
     return _task_mean(q_loss, q_grad)
@@ -224,12 +206,11 @@ def proto_loss_and_grad(
     query_y: np.ndarray,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Episodic prototype loss: cross-entropy of queries against softmaxed
-    negative distances, with the flat gradient for the encoder only. A
-    model stack with (T, n, d) inputs and (T, n) labels gives (T,) losses
-    and (T, P_encoder) gradients."""
+    negative distances, with its flat gradient over all model parameters.
+    A model stack with (T, n, d) inputs and (T, n) labels gives (T,)
+    losses and (T, P) gradients."""
     n_s = support_x.shape[-2]
-    encoder = encoder_of(model)
-    hidden, cache = mlp_forward_cached(encoder, np.concatenate([support_x, query_x], axis=-2))
+    hidden, cache = mlp_forward_cached(model, np.concatenate([support_x, query_x], axis=-2))
     e_s, e_q = hidden[..., :n_s, :], hidden[..., n_s:, :]
     prototypes = way_prototypes(e_s, support_y)
     loss, d_scores = cross_entropy(prototype_scores(e_q, prototypes), query_y)
@@ -240,7 +221,7 @@ def proto_loss_and_grad(
     # each support row shares its prototype's gradient with its way's shots
     shots = np.sum(support_y[..., :, None] == support_y[..., None, :], axis=-1)
     grad_s = np.take_along_axis(grad_proto, support_y[..., None], axis=-2) / shots[..., None]
-    return loss, mlp_backward(encoder, cache, np.concatenate([grad_s, grad_q], axis=-2))
+    return loss, mlp_backward(model, cache, np.concatenate([grad_s, grad_q], axis=-2))
 
 
 def proto_meta_step(
@@ -250,16 +231,16 @@ def proto_meta_step(
     lr: float,
 ) -> tuple[MlpParams, float]:
     """Average the episodic prototype gradients over the batch, stacked as
-    for maml, and take one encoder step; the linear head is untouched."""
+    for maml, and take one step; an empty task batch leaves the model as
+    is."""
     if not tasks:
         return model, float("nan")
     support, query = np.stack([t.support for t in tasks]), np.stack([t.query for t in tasks])
-    stack, (s_idx, s_way), (q_idx, q_way) = _stacked(model, support, query)
+    (s_idx, s_way), (q_idx, q_way) = episodes_mod.way_pairs(support), episodes_mod.way_pairs(query)
+    stack = _stacked(model, (len(tasks),))
     losses, grads = proto_loss_and_grad(stack, features[s_idx], s_way, features[q_idx], q_way)
     mean_grad, mean_loss = _task_mean(losses, grads)
-    vector = model.vector.copy()
-    vector[: mean_grad.size] -= lr * mean_grad
-    return vector_to_params(vector, model), mean_loss
+    return vector_to_params(model.vector - lr * mean_grad, model), mean_loss
 
 
 # evaluate_fewshot runs its tasks in stacks of this many. A stack
@@ -321,11 +302,12 @@ class SnapshotEvaluationModel:
 
     For maml, finetuning runs the meta-learner's inner adaptation with
     config.inner_lr and config.inner_steps, and scores are the head's
-    logits. For proto, scores are negative squared distances to the
-    support prototypes that finetuning computes, so scoring before
-    finetuning is a StateError. Finetuning on a (T, n, d) stack of support
-    sets broadcasts the model to T copies first, so each task is finetuned
-    on its own, and the result scores (T, n, d) rows as (T, n, ways).
+    logits. For proto, the model is the encoder, and scores are negative
+    squared distances of its embeddings to the support prototypes that
+    finetuning computes, so scoring before finetuning is a StateError.
+    Finetuning on a (T, n, d) stack of support sets broadcasts the model
+    to T copies first (_stacked), so each task is finetuned on its own,
+    and the result scores (T, n, d) rows as (T, n, ways).
     """
 
     model: MlpParams
@@ -342,19 +324,16 @@ class SnapshotEvaluationModel:
             return mlp_forward(self.model, features)
         if self.prototypes is None:
             raise StateError("prototype evaluation model must be finetuned on a support set first")
-        return prototype_scores(mlp_forward(encoder_of(self.model), features), self.prototypes)
+        return prototype_scores(mlp_forward(self.model, features), self.prototypes)
 
     def finetuned(self, support_x: np.ndarray, support_y: np.ndarray) -> "SnapshotEvaluationModel":
-        # an unstacked snapshot is broadcast to one read-only copy per task
-        # of a (T, n, d) support; the copy is never written
-        lead = support_x.shape[:-2] + self.model.vector.shape[-1:]
-        model = vector_to_params(np.broadcast_to(self.model.vector, lead), self.model)
+        model = _stacked(self.model, support_x.shape[:-2])
         if self.method == "maml":
             adapted = maml_inner_adapt(
                 model, support_x, support_y, self.config.inner_lr, self.config.inner_steps
             )
             return replace(self, model=adapted)
-        embeddings = mlp_forward(encoder_of(model), support_x)
+        embeddings = mlp_forward(model, support_x)
         return replace(self, model=model, prototypes=way_prototypes(embeddings, support_y))
 
 
@@ -379,7 +358,8 @@ def meta_train(
     episode_mode "progressive" switches to the gated entropy-guided sampler
     once the first epoch-end snapshot exists; before that, tasks are
     standard. Returns the model and a history dict with, per epoch, the
-    mean query loss and the fraction of progressive tasks.
+    mean query loss and the fraction of progressive tasks. A maml model
+    ends in an episode_config.ways-way head; a proto model is the encoder.
     """
     if method not in ("maml", "proto"):
         raise ParameterError(f"unknown method {method!r}")
@@ -387,7 +367,8 @@ def meta_train(
         raise ParameterError(f"unknown episode mode {episode_mode!r}")
     if rng is None:
         raise ParameterError("meta_train requires an explicit generator")
-    model = init_fewshot_model(pld.features.shape[1], episode_config.ways, config, rng)
+    ways = episode_config.ways if method == "maml" else None
+    model = init_fewshot_model(pld.features.shape[1], ways, config, rng)
     eval_model = None
     epoch_losses: list[float] = []
     epoch_fractions: list[float] = []
@@ -414,7 +395,7 @@ def meta_train(
 
 def save_model(model: MlpParams, path) -> None:
     """Few-shot model in the shared versioned checkpoint container: its
-    architecture, every layer with the head last, then its vector."""
+    architecture, every layer, a maml model's head last, then its vector."""
     writer = checkpoint_writer(KIND_FEWSHOT_MODEL, model)
     writer.write_f64_array(params_to_vector(model))
     writer.save(path)

@@ -63,8 +63,8 @@ class MlpParams:
     views into it. A network wrapped around a (T, P) stack of vectors (see
     vector_to_params) is T networks with a leading task axis on every view.
     The activation follows every layer but the last, which is linear: a
-    CFE encoder's output is l2-normalized as it is, and a few-shot model's
-    last layer is its N-way head.
+    CFE encoder's output is l2-normalized as it is, and a maml model's last
+    layer is its N-way head (a proto model is an encoder alone).
     """
 
     def __init__(self, layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str = "relu"):
@@ -83,13 +83,6 @@ class MlpParams:
                 )
         vector = np.concatenate([part for w, b in layers for part in (w.ravel(), b)])
         self._bind(vector, tuple(w.shape for w, _ in layers), activation)
-
-    @classmethod
-    def view(cls, vector: np.ndarray, shapes, activation: str) -> "MlpParams":
-        """A network over vector itself, not a copy, with these layer shapes."""
-        params = object.__new__(cls)
-        params._bind(np.asarray(vector, dtype=np.float64), tuple(shapes), activation)
-        return params
 
     def _bind(self, vector: np.ndarray, shapes: tuple, activation: str) -> None:
         self.vector = vector
@@ -247,7 +240,9 @@ def vector_to_params(vector: np.ndarray, template: MlpParams) -> MlpParams:
     """Wrap a vector in params_to_vector's layout, without copying, as a
     network shaped like template; a (T, P) stack of such vectors becomes T
     networks with a leading task axis."""
-    return MlpParams.view(vector, template.shapes, template.activation)
+    params = object.__new__(MlpParams)
+    params._bind(np.asarray(vector, dtype=np.float64), template.shapes, template.activation)
+    return params
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:

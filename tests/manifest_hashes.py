@@ -16,7 +16,8 @@ files are equal; the script prints the run and artifact counts.
 
 --compare reads two such files and prints, for each artifact name, in how
 many runs its sha256 differs (an artifact or run missing on one side
-differs). It exits 1 if any run differs and 0 if none does.
+differs) and the names of those runs. It exits 1 if any run differs and 0
+if none does.
 
 pytest does not collect this file; it runs 14 pipelines and takes minutes.
 """
@@ -82,14 +83,15 @@ def run_hashes(src: Path, config: dict, seed: int, work: Path) -> dict[str, str]
 
 
 def compare(before: dict, after: dict) -> int:
-    """Print each artifact's count of differing runs; 1 if any differs."""
+    """Print each artifact's count and names of differing runs; 1 if any
+    differs."""
     runs = sorted(before.keys() | after.keys())
     names = sorted({name for side in (before, after) for hashes in side.values() for name in hashes})
     moved = 0
     for name in names:
-        differ = sum(before.get(run, {}).get(name) != after.get(run, {}).get(name) for run in runs)
-        moved += differ
-        print(f"{name}: {differ} of {len(runs)} runs differ")
+        differ = [run for run in runs if before.get(run, {}).get(name) != after.get(run, {}).get(name)]
+        moved += len(differ)
+        print(f"{name}: {len(differ)} of {len(runs)} runs differ" + (f": {', '.join(differ)}" if differ else ""))
     return 1 if moved else 0
 
 

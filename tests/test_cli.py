@@ -713,6 +713,17 @@ class TestStageRunner:
         assert "Traceback" not in err
         assert snapshot(out) == before
 
+    def test_cluster_refuses_k_below_ways_before_writing(self, tmp_path, capsys):
+        # no 3-way task can be drawn from 2 clusters; cluster used to exit 0
+        # here, and meta-train with the run's own k of 8 then exited 3
+        path, out = self.run(tmp_path, cluster={"k": 2})
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["cluster", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "episodes.ways is 3, more than cluster.k = 2" in err and len(err.splitlines()) == 1, err
+        assert snapshot(out) == before
+
     @pytest.mark.parametrize(
         "extra, message",
         [

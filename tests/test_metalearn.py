@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from plcfe import metalearn
+from plcfe.cfe import KIND_FEWSHOT_MODEL, read_checkpoint
 from plcfe.cluster import assign_pseudo_labels, kmeans
 from plcfe.episodes import EpisodeConfig, FewShotTask, WayProvenance, way_pairs
 from plcfe.errors import NumericError, ParameterError, StateError
 from plcfe.metalearn import (
     EVAL_BLOCK_TASKS,
     MamlConfig,
-    encoder_of,
     evaluate_fewshot,
     init_fewshot_model,
     load_model,
@@ -19,7 +19,6 @@ from plcfe.metalearn import (
     proto_loss_and_grad,
     proto_meta_step,
     save_model,
-    sgd_steps,
     snapshot_eval_model,
     way_prototypes,
 )
@@ -46,19 +45,11 @@ def task_arrays(tasks):
 
 
 def toy_model(seed=0, input_dim=2, ways=2):
+    """A maml model with a ways-way head; ways None gives a proto model,
+    the encoder alone."""
     return init_fewshot_model(
         input_dim, ways, MamlConfig(encoder_hidden=(4,), encoder_dim=3), make_rng(seed)
     )
-
-
-class TestSgdSteps:
-    def test_quadratic_one_step(self):
-        theta = sgd_steps(lambda t: (float(t[0] ** 2), 2 * t), np.array([1.0]), 0.1, 1)
-        assert theta[0] == pytest.approx(0.8, abs=1e-15)
-
-    def test_quadratic_two_steps(self):
-        theta = sgd_steps(lambda t: (float(t[0] ** 2), 2 * t), np.array([1.0]), 0.1, 2)
-        assert theta[0] == pytest.approx(0.64, abs=1e-15)
 
 
 class TestInnerAdapt:
@@ -78,6 +69,17 @@ class TestInnerAdapt:
         adapted = maml_inner_adapt(model, x, y, 0.05, 1)
         expected = model.vector - 0.05 * grad
         assert np.allclose(adapted.vector, expected, atol=0)
+
+    def test_second_step_uses_gradient_at_first_step(self):
+        model = toy_model(seed=2)
+        x = make_rng(3).normal(size=(4, 2))
+        y = np.array([0, 1, 1, 0])
+        expected = model.vector
+        for _ in range(2):
+            _, grad = model_loss_and_grad(vector_to_params(expected, model), x, y)
+            expected = expected - 0.05 * grad
+        adapted = maml_inner_adapt(model, x, y, 0.05, 2)
+        assert np.array_equal(adapted.vector, expected)
 
     def test_loss_gradient_matches_finite_differences(self):
         model = init_fewshot_model(
@@ -164,12 +166,8 @@ class TestMetaStep:
                           "relu")
         features = np.array([[xs], [xq]])
 
-        def support_fn(vec):
-            return model_loss_and_grad(
-                vector_to_params(vec, model), features[[0]], np.array([ys])
-            )
-
-        theta = sgd_steps(support_fn, model.vector, alpha, 1)
+        _, support_grad = model_loss_and_grad(model, features[[0]], np.array([ys]))
+        theta = model.vector - alpha * support_grad
         _, meta = model_loss_and_grad(
             vector_to_params(theta, model), features[[1]], np.array([yq])
         )
@@ -222,6 +220,7 @@ def with_nan_rows(features, task, role):
 
 
 def stack_model(seed=20, input_dim=6, ways=5):
+    """As toy_model: ways None gives a proto model."""
     return init_fewshot_model(
         input_dim, ways, MamlConfig(encoder_hidden=(8,), encoder_dim=4), make_rng(seed)
     )
@@ -236,8 +235,8 @@ class TestStackedTasks:
         s_idx, s_way = way_pairs(task.support)
         q_idx, q_way = way_pairs(task.query)
         if method == "proto":
-            e_s = mlp_forward(encoder_of(model), features[s_idx])
-            scores = proto_classify(e_s, s_way, mlp_forward(encoder_of(model), features[q_idx]))
+            e_s = mlp_forward(model, features[s_idx])
+            scores = proto_classify(e_s, s_way, mlp_forward(model, features[q_idx]))
             return np.mean(np.argmax(scores, axis=1) == q_way)
         adapted = maml_inner_adapt(
             model, features[s_idx], s_way, self.config.inner_lr, self.config.inner_steps
@@ -245,7 +244,7 @@ class TestStackedTasks:
         return np.mean(np.argmax(mlp_forward(adapted, features[q_idx]), axis=1) == q_way)
 
     def assert_evaluate_matches_loop(self, shots, n_tasks, method):
-        model = stack_model()
+        model = stack_model(ways=5 if method == "maml" else None)
         features = make_rng(21).normal(size=(200, 6))
         tasks = random_tasks(n_tasks, 200, shots=shots, seed=22)
         result = evaluate_fewshot(snapshot_eval_model(model, method, self.config), features, *task_arrays(tasks))
@@ -281,20 +280,18 @@ class TestStackedTasks:
         assert mean_loss == total_loss / 4
 
     def test_proto_meta_step_is_exact_mean_of_task_gradients(self):
-        model = stack_model(seed=31)
+        model = stack_model(seed=31, ways=None)
         features = make_rng(32).normal(size=(200, 6))
         tasks = random_tasks(4, 200, shots=2, seed=33)
         stepped, mean_loss = proto_meta_step(model, features, tasks, lr=0.1)
-        total, total_loss = np.zeros(encoder_of(model).vector.size), 0.0
+        total, total_loss = np.zeros_like(model.vector), 0.0
         for task in tasks:
             s_idx, s_way = way_pairs(task.support)
             q_idx, q_way = way_pairs(task.query)
             loss, grad = proto_loss_and_grad(model, features[s_idx], s_way, features[q_idx], q_way)
             total += grad
             total_loss += loss
-        n_enc = total.size
-        assert np.array_equal(stepped.vector[:n_enc], model.vector[:n_enc] - 0.1 * (total / 4))
-        assert np.array_equal(stepped.vector[n_enc:], model.vector[n_enc:])
+        assert np.array_equal(stepped.vector, model.vector - 0.1 * (total / 4))
         assert mean_loss == total_loss / 4
 
     def test_stacked_prototypes_match_per_task_calls(self):
@@ -379,20 +376,19 @@ class TestProtoClassify:
 class TestProtoTraining:
     def test_gradient_matches_finite_differences(self):
         model = init_fewshot_model(
-            2, 2, MamlConfig(encoder_hidden=(4,), encoder_dim=3, activation="tanh"), make_rng(1)
+            2, None, MamlConfig(encoder_hidden=(4,), encoder_dim=3, activation="tanh"), make_rng(1)
         )
         rng = make_rng(2)
         xs, xq = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
         ys, yq = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1, 0, 1])
 
         def fn(vec):
-            m = vector_to_params(np.concatenate([vec, model.vector[vec.size:]]), model)
-            return proto_loss_and_grad(m, xs, ys, xq, yq)
+            return proto_loss_and_grad(vector_to_params(vec, model), xs, ys, xq, yq)
 
-        assert finite_diff_check(fn, params_to_vector(encoder_of(model)), eps=1e-6) < 1e-6
+        assert finite_diff_check(fn, params_to_vector(model), eps=1e-6) < 1e-6
 
     def test_proto_meta_step_decreases_loss_on_fixed_batch(self):
-        model = toy_model(seed=3)
+        model = toy_model(seed=3, ways=None)
         rng = make_rng(4)
         features = np.vstack([rng.normal(size=(10, 2)) - 5, rng.normal(size=(10, 2)) + 5])
         task = make_task([[0, 1], [10, 11]], [[2, 3, 4], [12, 13, 14]])
@@ -401,13 +397,25 @@ class TestProtoTraining:
             m, loss = proto_meta_step(m, features, [task], lr=0.05)
         assert loss < loss0
 
-    def test_head_untouched(self):
-        model = toy_model(seed=5)
-        features = make_rng(6).normal(size=(12, 2))
-        task = make_task([[0], [1]], [[2, 3], [4, 5]])
-        stepped, _ = proto_meta_step(model, features, [task], lr=0.1)
-        assert np.array_equal(stepped.layers[-1][0], model.layers[-1][0])
-        assert np.array_equal(stepped.layers[-1][1], model.layers[-1][1])
+    @pytest.mark.parametrize("method, head", [("maml", [(2, 5)]), ("proto", [])])
+    def test_meta_trained_proto_model_is_its_encoder(self, tmp_path, method, head):
+        # a prototype classifier has no output layer, in memory or in its
+        # checkpoint; a maml model's head comes last
+        features = make_rng(7).normal(size=(60, 2))
+        cluster_model = kmeans(features, 6, rng=make_rng(8))
+        config = MamlConfig(epochs=1, steps_per_epoch=2, encoder_hidden=(4, 3), encoder_dim=5)
+        model, _ = metalearn.meta_train(
+            assign_pseudo_labels(cluster_model, features), cluster_model,
+            EpisodeConfig(ways=2, shots=1, queries=2), config, method=method, rng=make_rng(9),
+        )
+        encoder = [(4, 2), (3, 4), (5, 3)]
+        assert model.shapes == tuple(encoder + head)
+        if method == "proto":
+            assert len(model.shapes) == len(config.encoder_hidden) + 1
+            assert model.output_dim == config.encoder_dim
+        save_model(model, tmp_path / "meta_model.plcf")
+        _, _, shapes = read_checkpoint(tmp_path / "meta_model.plcf", KIND_FEWSHOT_MODEL, "a few-shot model")
+        assert [(rows, cols) for rows, cols, _ in shapes] == encoder + head
 
 
 class TestEvaluate:
@@ -448,7 +456,8 @@ class TestEvaluate:
         config = MamlConfig(inner_lr=0.5, inner_steps=50)
         result = evaluate_fewshot(snapshot_eval_model(model, "maml", config), features, *task_arrays(tasks))
         assert result.mean_accuracy == 1.0
-        proto_result = evaluate_fewshot(snapshot_eval_model(model, "proto", MamlConfig()), features, *task_arrays(tasks))
+        encoder = init_fewshot_model(2, None, MamlConfig(encoder_hidden=(8,), encoder_dim=4), make_rng(3))
+        proto_result = evaluate_fewshot(snapshot_eval_model(encoder, "proto", MamlConfig()), features, *task_arrays(tasks))
         assert proto_result.mean_accuracy == 1.0
 
     def test_fixed_seed_replay(self):
@@ -494,7 +503,7 @@ class TestSnapshots:
         assert tuned.predict_scores(x).shape == (6, 2)
 
     def test_proto_snapshot_requires_finetune(self):
-        model = toy_model(seed=14)
+        model = toy_model(seed=14, ways=None)
         snap = snapshot_eval_model(model, "proto", MamlConfig())
         x = make_rng(15).normal(size=(4, 2))
         with pytest.raises(StateError):
@@ -503,14 +512,12 @@ class TestSnapshots:
         assert tuned.predict_scores(x).shape == (4, 2)
 
     def test_proto_snapshot_scores_match_proto_classify(self):
-        model = toy_model(seed=17)
+        model = toy_model(seed=17, ways=None)
         snap = snapshot_eval_model(model, "proto", MamlConfig())
         rng = make_rng(18)
         support, queries = rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
         labels = np.array([0, 1, 0, 1])
-        expected = proto_classify(
-            mlp_forward(encoder_of(model), support), labels, mlp_forward(encoder_of(model), queries)
-        )
+        expected = proto_classify(mlp_forward(model, support), labels, mlp_forward(model, queries))
         tuned = snap.finetuned(support, labels)
         assert np.array_equal(tuned.predict_scores(queries), expected)
         with pytest.raises(StateError):
@@ -520,7 +527,8 @@ class TestSnapshots:
     def test_stacked_finetune_equals_single_task_runs(self, method):
         # T supports finetuned as one stack, then every row scored for every
         # task, against each task finetuned and scored alone
-        snap = snapshot_eval_model(stack_model(seed=22), method, MamlConfig(inner_lr=0.1))
+        model = stack_model(seed=22, ways=5 if method == "maml" else None)
+        snap = snapshot_eval_model(model, method, MamlConfig(inner_lr=0.1))
         rng = make_rng(23)
         features = rng.normal(size=(40, 6))
         support = rng.choice(40, size=(4, 10))
