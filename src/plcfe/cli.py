@@ -158,14 +158,10 @@ def build_config(raw: dict) -> PipelineConfig:
     return _build(PipelineConfig(), raw)
 
 
-def _test_rows(n: int, test_fraction: float) -> int:
-    return max(1, int(round(n * test_fraction)))
-
-
 def train_test_split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Label-free random split, re-derivable from the seed by any stage."""
     perm = derive_rng(seed, KEY_SPLIT).permutation(n)
-    n_test = _test_rows(n, test_fraction)
+    n_test = max(1, int(round(n * test_fraction)))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
@@ -173,23 +169,25 @@ def _refuse_sizes(name: str, config: PipelineConfig) -> None:
     """Refuse a size that stage `name`'s split cannot supply, read from the
     config, which the dataset check holds dataset.plds to: a meta-train
     task's ways are distinct clusters, so cluster refuses a k below them
-    too, a meta-eval task's distinct true classes, a task takes shots +
-    queries distinct rows per way, and a progressive way chooses among
+    too, a task takes shots + queries distinct rows per way, a meta-eval
+    way is a held-out class with that many rows, counted from the split
+    of gen_blobs' rows, and a progressive way chooses among
     candidate_neighbors other clusters."""
     n = config.dataset.classes * config.dataset.per_class
-    n_test = _test_rows(n, config.dataset.test_fraction)
-    training, held_out = (n - n_test, f"the {n - n_test} training rows"), (n_test, f"the {n_test} held-out rows")
+    train_idx, test_idx = train_test_split(n, config.dataset.test_fraction, config.seed)
+    training = (train_idx.size, f"the {train_idx.size} training rows")
     k = config.cluster.k or 4 * config.dataset.classes  # as stage_cluster picks it
-    ways, queries, classes = config.episodes.ways, config.episodes.queries, config.dataset.classes
-    task = "episodes.ways x ({} + episodes.queries)"
+    ways, queries = config.episodes.ways, config.episodes.queries
+    held_out = np.bincount(data_mod.blob_labels(config.dataset.classes, config.dataset.per_class)[test_idx])
+    eligible = [(s, int(np.sum(held_out >= s + queries))) for s in config.eval.shots]
     ways_in_k = ("episodes.ways", ways, k, f"cluster.k = {k}")
     limits = {  # per stage: (size name, size, limit, the limit's description)
         "train-cfe": [("cfe.batch_positives", config.cfe.batch_positives, *training)],
         "cluster": [("cluster.k", k, *training), ways_in_k],
-        "meta-train": [ways_in_k,
-                       (task.format("episodes.shots"), ways * (config.episodes.shots + queries), *training)],
-        "meta-eval": [("episodes.ways", ways, classes, f"dataset.classes = {classes}")]
-        + [(task.format(f"eval.shots entry {s}"), ways * (s + queries), *held_out) for s in config.eval.shots],
+        "meta-train": [ways_in_k, ("episodes.ways x (episodes.shots + episodes.queries)",
+                                   ways * (config.episodes.shots + queries), *training)],
+        "meta-eval": [("episodes.ways", ways, have, f"the {have} held-out classes with eval.shots entry {s} "
+                       f"+ episodes.queries = {s + queries} or more rows") for s, have in eligible],
     }
     drawn_as = "meta-train" if name == "build-tasks" else name  # build-tasks draws meta-train's tasks
     for size_name, size, limit, what in limits.get(drawn_as, ()):

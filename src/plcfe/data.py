@@ -71,6 +71,12 @@ class AugmentConfig:
             raise ParameterError("augment.mask_prob must be in [0, 1]")
 
 
+def blob_labels(classes: int, per_class: int) -> np.ndarray:
+    """The class of each gen_blobs row: per_class rows of class 0, then of
+    class 1, and so on."""
+    return np.repeat(np.arange(classes), per_class)
+
+
 def gen_blobs(
     classes: int,
     per_class: int,
@@ -106,7 +112,7 @@ def gen_blobs(
             continue
         means[placed] = candidate
         placed += 1
-    labels = np.repeat(np.arange(classes), per_class)
+    labels = blob_labels(classes, per_class)
     noise = rng.normal(size=(classes * per_class, dim))
     features = means[labels] + noise
     return Dataset(features, labels, classes, class_means=means)

@@ -245,9 +245,13 @@ def proto_meta_step(
 
 # evaluate_fewshot runs its tasks in stacks of this many. A stack
 # amortizes the Python overhead of the small matmuls over its tasks, but
-# all their activations and gradients are alive at once: on the benchmark's
-# maml-eval pipeline, one stack of all 2,000 tasks peaked at 236 MiB of RSS
-# against 86 MiB for one task at a time, and stacks of 32 at 89 MiB.
+# all their activations and gradients are alive at once. The benchmark's
+# maml-eval pipeline peaks near 43 MiB of RSS with stacks of 32; stacks of
+# 64 to 256 were no faster. Its speed also rests on glibc's allocator:
+# freeing draw_episodes' 2.16 MB key array lifts glibc's mmap and trim
+# thresholds, so each stack's ~296 KB arrays come from the heap. Drawing
+# the keys block by block kept the thresholds low, and the stage then took
+# 38k-90k minor page faults in place of 0.2k-1.9k and ran 50% slower.
 EVAL_BLOCK_TASKS = 32
 
 
@@ -283,9 +287,12 @@ def evaluate_fewshot(
         s_idx, s_way = episodes_mod.way_pairs(support[block])
         q_idx, q_way = episodes_mod.way_pairs(query[block])
         # one expression: the block's adapted model dies with it, so it is
-        # freed before the next block adapts instead of adding to peak memory
+        # freed before the next block adapts instead of adding to peak
+        # memory; an overflow leaves non-finite scores, refused below
         try:
-            scores = scorer.finetuned(features[s_idx], s_way).predict_scores(features[q_idx])
+            with np.errstate(all="ignore"):
+                scores = scorer.finetuned(features[s_idx], s_way).predict_scores(features[q_idx])
+                _require_finite(scores.sum(axis=(-2, -1)), "query scores")
         except NumericError as exc:
             raise NumericError(exc.reason, task=start + exc.task) from exc
         accs[block] = np.mean(np.argmax(scores, axis=-1) == q_way, axis=-1)

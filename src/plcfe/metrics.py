@@ -4,9 +4,11 @@ Measures how clustering-friendly an embedding space is: classes whose
 samples sit close to their own center (high intra-similarity) and whose
 centers sit far from other centers (low inter-similarity) get a low
 inter/intra ratio, and a simple clustering algorithm will recover them.
-Cluster ids are scored against class ids by the best one-to-one matching,
-found by rectangular assignment with shortest augmenting paths (Crouse,
-"On implementing 2D rectangular assignment algorithms", IEEE TAES 2016).
+The ratio is read off one log-softmax of the class-center similarities,
+so it stays finite at the small temperatures CFE trains at. Cluster ids
+are scored against class ids by the best one-to-one matching, found by
+rectangular assignment with shortest augmenting paths (Crouse, "On
+implementing 2D rectangular assignment algorithms", IEEE TAES 2016).
 """
 
 from __future__ import annotations
@@ -18,40 +20,33 @@ import numpy as np
 from ._binio import write_csv
 from .cluster import PseudoLabeledDataset
 from .errors import DegenerateDataError, NumericError, ParameterError, ShapeError
-from .numcore import group_sums
+from .numcore import group_sums, log_softmax
 
 
 @dataclass
 class SimilarityReport:
-    """Dataset-level similarity summary.
+    """The inter- to intra-class similarity ratio of each class, and their
+    mean, which is the measure the paper's clustering-friendly property
+    names."""
 
-    inter_mean averages over ordered center pairs, i.e. inter_sum divided
-    by C*(C-1); inter_mean_per_sample divides the same sum by C times the
-    mean class size instead. Both are reported because either normalization
-    is defensible; the ratio is what drives conclusions.
-    """
-
-    intra_mean: float
-    inter_mean: float
     ratio: float
-    per_class_intra: np.ndarray
+    per_class_ratio: np.ndarray
     temperature: float
     num_classes: int
-    intra_sum: float
-    inter_sum: float
-    inter_mean_per_sample: float
 
 
 def similarity_ratio(data: PseudoLabeledDataset, tau: float) -> SimilarityReport:
     """Average inter- to intra-class similarity ratio over all classes.
 
     data holds the embeddings as features and the true classes as labels.
-    For each class i with center mu_i, the inter similarities to every
-    other center are summed and divided by (C-1) times its intra
-    similarity exp(mu_i . mu_i / tau), the exp of its members' mean dot
-    product with mu_i over tau; the ratio is the mean of those per-class
-    values. Lower means the embedding is friendlier to clustering. A
-    temperature so small that a similarity overflows is a NumericError.
+    With class centers mu and S = mu mu^T / tau, class i's ratio is the sum
+    of exp(S_ij) over the other centers j, divided by (C-1) times its intra
+    similarity exp(S_ii), the exp of its members' mean dot product with
+    mu_i over tau. That is expm1(-log_softmax(S)_ii) / (C-1), computed from
+    numcore's log-softmax, so no similarity is exponentiated on its own; a
+    ratio below the float64 range is 0. Lower means the embedding is
+    friendlier to clustering. A ratio above the float64 range, which needs
+    a tau below about 3.5e-4 on the unit sphere, is a NumericError.
     """
     c = data.num_clusters
     if c < 2:
@@ -60,27 +55,14 @@ def similarity_ratio(data: PseudoLabeledDataset, tau: float) -> SimilarityReport
         raise ParameterError("every class id must appear at least once")
     counts, sums = group_sums(data.features, data.pseudo_labels, c)
     centers = sums / counts[:, None]
-    # an overflow here makes the report non-finite, which is refused below
+    # an overflow here makes the ratio non-finite, which is refused below;
+    # log_softmax(S)_ii <= 0, so its abs is -log p_ii, +0 where p_ii is 1
     with np.errstate(all="ignore"):
-        per_class = np.exp(np.sum(centers * centers, axis=1) / tau)
-        inter = np.exp(centers @ centers.T / tau)
-        np.fill_diagonal(inter, 0.0)
-        intra_sum, inter_sum = float(per_class.sum()), float(inter.sum())
-        ratio = float(np.mean(inter.sum(axis=1) / ((c - 1) * per_class)))
-    if not np.isfinite([intra_sum, inter_sum, ratio]).all():
+        per_class = np.expm1(np.abs(np.diagonal(log_softmax(centers @ centers.T / tau)))) / (c - 1)
+        ratio = float(per_class.mean())
+    if not np.isfinite(ratio):
         raise NumericError(f"non-finite similarity ratio at temperature {tau:g}")
-    mean_class_size = data.features.shape[0] / c
-    return SimilarityReport(
-        intra_mean=float(per_class.mean()),
-        inter_mean=inter_sum / (c * (c - 1)),
-        ratio=ratio,
-        per_class_intra=per_class,
-        temperature=tau,
-        num_classes=c,
-        intra_sum=intra_sum,
-        inter_sum=inter_sum,
-        inter_mean_per_sample=inter_sum / (mean_class_size * c),
-    )
+    return SimilarityReport(ratio=ratio, per_class_ratio=per_class, temperature=tau, num_classes=c)
 
 
 def pca_project_2d(embeddings: np.ndarray) -> np.ndarray:
@@ -172,12 +154,9 @@ def clustering_accuracy(pseudo_labels, true_labels) -> float:
 
 def write_similarity_csv(report: SimilarityReport, path) -> None:
     """Long-format CSV of the report, 6 significant digits."""
-    fields = (
-        "intra_mean", "inter_mean", "inter_mean_per_sample", "ratio", "intra_sum", "inter_sum", "temperature"
-    )
-    rows = [[name, f"{getattr(report, name):.6g}"] for name in fields]
-    rows.append(["num_classes", str(report.num_classes)])
-    rows += ([f"intra_class_{i}", f"{value:.6g}"] for i, value in enumerate(report.per_class_intra))
+    rows = [["ratio", f"{report.ratio:.6g}"], ["temperature", f"{report.temperature:.6g}"],
+            ["num_classes", str(report.num_classes)]]
+    rows += ([f"ratio_class_{i}", f"{value:.6g}"] for i, value in enumerate(report.per_class_ratio))
     write_csv(path, ["field", "value"], rows)
 
 

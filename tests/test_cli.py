@@ -454,7 +454,10 @@ class TestPipeline:
         "extra, message",
         [
             ({"episodes": {**TINY["episodes"], "ways": 9}}, "episodes.ways is 9, more than cluster.k = 8"),
-            ({"episodes": {**TINY["episodes"], "ways": 5}}, "episodes.ways is 5, more than dataset.classes = 4"),
+            # the 20 held-out rows fall 7, 5, 6 and 2 into the 4 classes
+            ({"episodes": {**TINY["episodes"], "ways": 5}},
+             "episodes.ways is 5, more than the 3 held-out classes with eval.shots entry 1 + episodes.queries = 4 "
+             "or more rows"),
             (
                 {"episode_mode": "progressive", "episodes": {**TINY["episodes"], "candidate_neighbors": 8}},
                 "episodes.candidate_neighbors is 8; progressive episodes need it below cluster.k = 8",
@@ -466,11 +469,13 @@ class TestPipeline:
             ),
             (
                 {"eval": {**TINY["eval"], "shots": [1, 4]}},
-                "episodes.ways x (eval.shots entry 4 + episodes.queries) is 21, more than the 20 held-out rows",
+                "episodes.ways is 3, more than the 1 held-out classes with eval.shots entry 4 + episodes.queries "
+                "= 7 or more rows",
             ),
             (
                 {"dataset": {**TINY["dataset"], "test_fraction": 0.01}},
-                "episodes.ways x (eval.shots entry 1 + episodes.queries) is 12, more than the 1 held-out rows",
+                "episodes.ways is 3, more than the 0 held-out classes with eval.shots entry 1 + episodes.queries "
+                "= 4 or more rows",
             ),
         ],
         ids=["ways-above-k", "ways-above-classes", "progressive-neighbors-at-k", "task-beyond-training-rows",
@@ -487,12 +492,46 @@ class TestPipeline:
         assert not any(out.glob("*"))
 
     def test_meta_eval_draw_failure_names_held_out_classes(self, tmp_path, capsys):
-        # 18 of the 20 held-out rows fit the size check, but the held-out
-        # classes have 7, 5, 6 and 2 rows, so only two can give 6 rows
+        # 18 of the 20 held-out rows would do, but the held-out classes have
+        # 7, 5, 6 and 2 rows, so only two can give 6 rows; meta-eval used to
+        # draw its tasks, and exit 3, after every other stage had written
         path = write_tiny_config(tmp_path, eval={**TINY["eval"], "shots": [3]})
-        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "only 2 held-out classes have 6+ members, need 3" in err and "Traceback" not in err
+        assert ("episodes.ways is 3, more than the 2 held-out classes with eval.shots entry 3 + "
+                "episodes.queries = 6 or more rows") in err and "Traceback" not in err
+        assert not any(out.glob("*"))
+
+    def test_held_out_classes_too_small_for_a_task_write_nothing(self, tmp_path):
+        # seed 1's held-out classes have 26, 27, 9, 18, 25, 15, 24 and 16
+        # rows, so only 4 give 15 shots + 5 queries to the 5 ways; this ran
+        # every stage, wrote 14 artifacts and exited 3 in meta-eval
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"eval": {"shots": [15]}}))
+        out = tmp_path / "o"
+        src = str(Path(plcfe.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "plcfe", "pipeline", "--config", str(path), "--out", str(out), "--seed", "1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "validation error in pipeline: episodes.ways is 5, more than the 4 held-out classes with "
+            "eval.shots entry 15 + episodes.queries = 20 or more rows"
+        ]
+        assert not any(out.glob("*"))
+
+    def test_small_temperature_runs_to_a_finite_ratio(self, tmp_path):
+        # exp(mu . mu / tau) overflows at tau = 0.001, so metrics used to
+        # exit 3 after train-cfe and embed had written
+        path = write_tiny_config(tmp_path, cfe={**TINY["cfe"], "temperature": 0.001})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        for tag in ("initial", "trained"):
+            rows = dict(line.split(",") for line in (out / f"similarity_{tag}.csv").read_text().splitlines())
+            assert rows["temperature"] == "0.001"
+            assert 0.0 < float(rows["ratio"]) < float("inf"), (tag, rows["ratio"])
 
     @pytest.mark.parametrize(
         "name, stage, outputs, head_field",
@@ -539,8 +578,11 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "section, values",
-        [("cfe", {"temperature": 1e-6}), ("maml", {"outer_lr": 1e6}), ("maml", {"inner_lr": 1e6}),
-         ("cfe", {"epochs": 0, "temperature": 1e-6})],
+        # the similarity ratio overflows where a class center is shorter than
+        # another and points along it: after CFE training at 1e-8, and with
+        # these two-layer encoders untrained
+        [("cfe", {"temperature": 1e-8}), ("maml", {"outer_lr": 1e6}), ("maml", {"inner_lr": 1e6}),
+         ("cfe", {"epochs": 0, "hidden_dims": [16, 16], "temperature": 1e-6})],
         ids=["cfe-temperature", "maml-outer-lr", "maml-inner-lr", "similarity-temperature"],
     )
     def test_overflow_exits_3_with_one_stderr_line(self, tmp_path, section, values):
@@ -693,11 +735,12 @@ class TestStageRunner:
         assert main(["gen-data", "--config", str(path), "--out", str(out), "--seed", "5"]) == EXIT_OK
         assert set(self.manifest(out)["artifacts"]) == {"dataset.plds"}
 
-    def test_failed_rerun_leaves_its_old_entries_unlisted(self, tmp_path):
-        # the held-out classes cannot give 3 ways of 6 rows, so meta-eval
+    def test_failed_rerun_leaves_its_old_entries_unlisted(self, tmp_path, capsys):
+        # finetuning at this inner_lr overflows the query scores, so meta-eval
         # fails after the runner has dropped its old entries
-        path, out = self.run(tmp_path, eval={**TINY["eval"], "shots": [3]})
+        path, out = self.run(tmp_path, maml={**TINY["maml"], "inner_lr": 1e6})
         assert main(["meta-eval", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        assert "non-finite query scores" in capsys.readouterr().err
         manifest = self.manifest(out)
         assert "meta-eval" not in manifest["stages"]
         assert not [name for name in manifest["artifacts"] if name.startswith("eval_")]
@@ -728,9 +771,9 @@ class TestStageRunner:
         "extra, message",
         [
             ({"dataset": {**TINY["dataset"], "separation": 5.0}}, "runs with dataset.separation 5.0, but"),
-            # 3 ways x (6 shots + 3 queries) of the 20 held-out rows
+            # no held-out class has 6 shots + 3 queries of rows
             ({"eval": {**TINY["eval"], "shots": [1, 6]}},
-             "episodes.ways x (eval.shots entry 6 + episodes.queries) is 27, more than the 20 held-out rows"),
+             "episodes.ways is 3, more than the 0 held-out classes with eval.shots entry 6 + episodes.queries = 9"),
         ],
         ids=["dataset-section", "eval-shots-beyond-held-out"],
     )

@@ -103,12 +103,38 @@ class TestSimilarityRatio:
         assert abs(report.ratio - total / 3) < 1e-10
 
     def test_per_class_intra_matches_oracle(self):
+        # each class's inter similarities over (C-1) times its intra one
         rng = make_rng(6)
         emb = l2_normalize(rng.normal(size=(40, 6)))
         labels = rng.permutation(np.repeat(np.arange(5), [3, 7, 10, 12, 8]))
         report = similarity_ratio(make_labeled(emb, labels), 0.2)
+        centers = [emb[labels == c].mean(axis=0) for c in range(5)]
         for c in range(5):
-            assert abs(report.per_class_intra[c] - intra_similarity(emb[labels == c], 0.2)) < 1e-12
+            inter = sum(inter_similarity(centers[c], centers[j], 0.2) for j in range(5) if j != c)
+            oracle = inter / (4 * intra_similarity(emb[labels == c], 0.2))
+            assert report.per_class_ratio[c] == pytest.approx(oracle, rel=1e-12)
+        assert report.ratio == pytest.approx(np.mean(report.per_class_ratio), rel=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.001])
+    def test_small_temperature_matches_log_sum_exp_oracle(self, tau):
+        # tight classes around directions at cosines of 0.98 to 0.997: the
+        # centers are 0.999 long, so exp(mu . mu / tau) overflows at 0.001,
+        # while every class's ratio stays between 1e-4 and 1
+        rng = make_rng(7)
+        directions = l2_normalize(1.0 + 0.3 * l2_normalize(rng.normal(size=(4, 8))))
+        labels = np.repeat(np.arange(4), 5)
+        emb = l2_normalize(directions[labels] + 0.02 * rng.normal(size=(20, 8)))
+        report = similarity_ratio(make_labeled(emb, labels), tau)
+        rows = emb.tolist()
+        centers = [[sum(r[d] for r, lab in zip(rows, labels) if lab == c) / 5 for d in range(8)] for c in range(4)]
+        for i in range(4):
+            scores = [sum(a * b for a, b in zip(centers[i], centers[j])) / tau for j in range(4)]
+            top = max(scores)
+            inter = sum(math.exp(s - top) for j, s in enumerate(scores) if j != i)
+            oracle = inter / (3 * math.exp(scores[i] - top))
+            assert 0.0 < oracle < 1.0
+            assert report.per_class_ratio[i] == pytest.approx(oracle, rel=1e-9)
+        assert report.ratio == pytest.approx(np.mean(report.per_class_ratio), rel=1e-15)
 
     def test_rotation_invariance(self):
         rng = make_rng(3)
@@ -118,8 +144,7 @@ class TestSimilarityRatio:
         base = similarity_ratio(make_labeled(emb, labels), 0.2)
         rotated = similarity_ratio(make_labeled(emb @ q, labels), 0.2)
         assert rotated.ratio == pytest.approx(base.ratio, rel=1e-10)
-        assert rotated.intra_mean == pytest.approx(base.intra_mean, rel=1e-10)
-        assert rotated.inter_mean == pytest.approx(base.inter_mean, rel=1e-10)
+        assert np.allclose(rotated.per_class_ratio, base.per_class_ratio, rtol=1e-10, atol=0.0)
 
     def test_within_class_permutation_invariance(self):
         rng = make_rng(4)
@@ -130,14 +155,28 @@ class TestSimilarityRatio:
         shuffled[0:5] = emb[[3, 1, 4, 0, 2]]
         report = similarity_ratio(make_labeled(shuffled, labels), 0.2)
         assert report.ratio == pytest.approx(base.ratio, rel=1e-12)
-        assert np.allclose(report.per_class_intra, base.per_class_intra)
+        assert np.allclose(report.per_class_ratio, base.per_class_ratio)
 
     def test_overflow_is_numeric_error_without_warnings(self):
-        emb = np.repeat(np.eye(3), 2, axis=0)
+        # class 1's center, [0.5, 0], is half as long as class 0's and points
+        # along it: its ratio is exp((0.5 - 0.25) / tau) / 1, above float64
+        half = math.sqrt(0.75)
+        emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, half], [0.5, -half]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="non-finite similarity ratio"):
-                similarity_ratio(make_labeled(emb, [0, 0, 1, 1, 2, 2]), 1e-6)
+                similarity_ratio(make_labeled(emb, [0, 0, 1, 1]), 1e-6)
+
+    def test_underflow_is_zero(self, tmp_path):
+        # orthogonal unit centers: each ratio is exp(-1 / tau), below float64
+        emb = np.repeat(np.eye(3), 2, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = similarity_ratio(make_labeled(emb, [0, 0, 1, 1, 2, 2]), 1e-6)
+        assert report.ratio == 0.0 and not report.per_class_ratio.any()
+        write_similarity_csv(report, tmp_path / "sim.csv")
+        rows = dict(csv.reader(open(tmp_path / "sim.csv")))
+        assert rows["ratio"] == rows["ratio_class_0"] == rows["ratio_class_2"] == "0"
 
     def test_empty_class_is_refused(self):
         emb = np.repeat(np.eye(3), 2, axis=0)
@@ -289,7 +328,9 @@ class TestCsvExports:
         assert rows[0] == ["field", "value"]
         as_dict = {r[0]: r[1] for r in rows[1:]}
         assert float(as_dict["ratio"]) == pytest.approx(report.ratio, rel=1e-5)
-        assert "intra_class_2" in as_dict
+        assert float(as_dict["ratio_class_2"]) == pytest.approx(report.per_class_ratio[2], rel=1e-5)
+        assert set(as_dict) == {"ratio", "temperature", "num_classes", "ratio_class_0", "ratio_class_1",
+                                "ratio_class_2"}
 
     def test_projection_csv(self, tmp_path):
         pts = np.array([[1.234567, -2.0], [0.0, 3.5]])
