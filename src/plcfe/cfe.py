@@ -276,16 +276,17 @@ def train_cfe(
         epoch_losses = np.empty(steps_per_epoch)
         for step in range(steps_per_epoch):
             batch = build_positive_batch(features, config, augmentation, rng)
-            asynchronous_embed(pair, batch)
-            try:
-                loss, grad_embed = cfe_loss(batch, queue, config)
+            try:  # an overflow leaves a non-finite norm or loss, refused inside
+                with np.errstate(all="ignore"):
+                    asynchronous_embed(pair, batch)
+                    loss, grad_embed = cfe_loss(batch, queue, config)
+                    grad_raw = l2_normalize_backward(batch.main_raw, grad_embed)
+                    grad = mlp_backward(pair.main, batch.main_cache, grad_raw)
+                    main = vector_to_params(pair.main.vector - lr * grad, pair.main)
+                    pair = momentum_update(EncoderPair(main=main, history=pair.history), config.momentum)
+                    queue.push(history_queue_vectors(pair, batch))
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
-            grad_raw = l2_normalize_backward(batch.main_raw, grad_embed)
-            grad = mlp_backward(pair.main, batch.main_cache, grad_raw)
-            main = vector_to_params(pair.main.vector - lr * grad, pair.main)
-            pair = momentum_update(EncoderPair(main=main, history=pair.history), config.momentum)
-            queue.push(history_queue_vectors(pair, batch))
             epoch_losses[step] = loss
         trace.append(float(epoch_losses.mean()))
     return pair, trace
@@ -294,7 +295,8 @@ def train_cfe(
 def encode(params: MlpParams | EncoderPair, features: np.ndarray) -> np.ndarray:
     """Embed a feature matrix with the (live) encoder onto the unit sphere."""
     mlp = params.main if isinstance(params, EncoderPair) else params
-    return l2_normalize(mlp_forward(mlp, np.asarray(features, dtype=np.float64)))
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite norm, refused by l2_normalize
+        return l2_normalize(mlp_forward(mlp, np.asarray(features, dtype=np.float64)))
 
 
 def checkpoint_writer(kind: int, network: MlpParams) -> ByteWriter:

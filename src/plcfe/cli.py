@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -389,7 +390,11 @@ STAGES = {
     "build-tasks": ("dataset.plds", "clusters_assignment.csv", "clusters_centers.csv"),
 }
 PIPELINE = tuple(STAGES)[:-1]
-MANIFEST_FORMAT = 2
+# the config keys an artifact's readers take from their own config, not
+# from the file, so a reader must run with its maker's values of them
+REDERIVED = {"dataset.plds": ("seed", *(f"dataset.{key}" for key in DatasetSection.__dataclass_fields__)),
+             "clusters_centers.csv": ("cluster.k",), "meta_model.plcf": ("method",)}
+MANIFEST_FORMAT = 3
 
 
 def _write_manifest(ws: _Workspace, manifest: dict) -> None:
@@ -400,29 +405,32 @@ def _write_manifest(ws: _Workspace, manifest: dict) -> None:
 
 def run_stage(name: str, config: PipelineConfig, ws: _Workspace, **options) -> dict:
     """Run stage `name` in ws, checked against manifest.json and then
-    recorded in it; returns the manifest. gen-data, from which every
-    artifact descends, starts a new manifest."""
+    recorded in it with the config it ran with; returns the manifest.
+    gen-data, from which every artifact descends, starts a new manifest."""
     inputs = STAGES[name] + ("meta_model.plcf",) * (name == "build-tasks" and config.episode_mode == "progressive")
     manifest = {"format": MANIFEST_FORMAT, "stages": {}, "artifacts": {}}
     if inputs:
-        try:
+        try:  # every manifest field run_stage reads, and each input's REDERIVED values from its maker's record
             manifest = json.loads(ws.path("manifest.json").read_bytes())
-        except (FileNotFoundError, ValueError):  # missing, not JSON or not UTF-8
-            manifest = None
-        if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+            shaped = manifest["format"] == MANIFEST_FORMAT and type(manifest["artifacts"]) is dict and all(
+                [type(r["inputs"]), type(r["outputs"]), type(r["config"])] == [list, list, dict]
+                and all(type(a) is str for a in r["inputs"] + r["outputs"]) for r in manifest["stages"].values())
+            made_by = {a: r["config"] for r in manifest["stages"].values() for a in r["outputs"]}
+            made = [(key, reduce(dict.__getitem__, key.split("."), made_by[artifact]))
+                    for artifact in inputs if artifact in manifest["artifacts"] for key in REDERIVED.get(artifact, ())]
+        except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):  # not JSON or UTF-8, or misshapen
+            shaped = False
+        if not shaped:
             raise FormatError(f"{ws.path('manifest.json')} is missing or not a format-{MANIFEST_FORMAT} "
                               "manifest; rerun from gen-data")
         for artifact in inputs:
             if artifact not in manifest["artifacts"] or not ws.path(artifact).exists():
                 raise ParameterError(f"stage {name!r} needs {ws.path(artifact)}, which is missing or "
                                      "was made stale by a rerun upstream")
-        echo = manifest["config"]
-        method = manifest["stages"]["meta-train"]["method"] if "meta_model.plcf" in inputs else config.method
-        for key, made, mine in [("seed", echo["seed"], config.seed), ("method", method, config.method),
-                                *((f"dataset.{k}", v, getattr(config.dataset, k)) for k, v in echo["dataset"].items())]:
-            if made != mine:
+        for key, value in made:
+            if value != (mine := reduce(getattr, key.split("."), config)):
                 raise ParameterError(f"stage {name!r} runs with {key} {json.dumps(mine)}, but its inputs "
-                                     f"in {ws.root} were made with {json.dumps(made)}")
+                                     f"in {ws.root} were made with {json.dumps(value)}")
     _refuse_sizes(name, config)
     stages = manifest["stages"]
     if name in stages:
@@ -434,11 +442,8 @@ def run_stage(name: str, config: PipelineConfig, ws: _Workspace, **options) -> d
         _write_manifest(ws, manifest)  # so a failing rerun leaves none of them listed
     # looked up when called, so a wrapper bound over stage_<name> runs too
     outputs = globals()["stage_" + name.replace("-", "_")](config, ws, **options)
-    stages[name] = {"inputs": list(inputs), "outputs": outputs}
-    if name == "meta-train":
-        stages[name]["method"] = config.method
+    stages[name] = {"inputs": list(inputs), "outputs": outputs, "config": asdict(config)}
     manifest["artifacts"].update({a: hashlib.sha256(ws.path(a).read_bytes()).hexdigest() for a in outputs})
-    manifest.update(config=asdict(config), seed=config.seed)
     _write_manifest(ws, manifest)
     return manifest
 

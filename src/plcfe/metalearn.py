@@ -122,8 +122,7 @@ def maml_inner_adapt(
     if support_x.shape[-2] == 0:
         raise ParameterError("support set is empty")
     for _ in range(steps):
-        loss, grad = model_loss_and_grad(model, support_x, support_y)
-        _require_finite(loss, "loss during adaptation")
+        _, grad = model_loss_and_grad(model, support_x, support_y)  # refuses a non-finite loss
         model = vector_to_params(model.vector - alpha * grad, model)
     return model
 
@@ -198,6 +197,7 @@ def prototype_scores(embeddings: np.ndarray, prototypes: np.ndarray) -> np.ndarr
     return -np.sum(diff, axis=-1)
 
 
+@np.errstate(all="ignore")  # as in model_loss_and_grad: an overflow leaves a non-finite loss, refused below
 def proto_loss_and_grad(
     model: MlpParams,
     support_x: np.ndarray,
@@ -214,6 +214,7 @@ def proto_loss_and_grad(
     e_s, e_q = hidden[..., :n_s, :], hidden[..., n_s:, :]
     prototypes = way_prototypes(e_s, support_y)
     loss, d_scores = cross_entropy(prototype_scores(e_q, prototypes), query_y)
+    _require_finite(loss, "cross-entropy loss")
     diff = e_q[..., :, None, :] - prototypes[..., None, :, :]  # (..., nq, ways, d)
     weighted = d_scores[..., None] * diff
     grad_q = -2.0 * np.sum(weighted, axis=-2)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StateError
+from .errors import NumericError, ParameterError, ShapeError, StateError
 
 # Rows whose Euclidean norm falls below this are treated as degenerate by
 # l2_normalize: passed through unchanged instead of divided by ~0.
@@ -208,10 +208,13 @@ def mlp_backward(params: MlpParams, cache: ForwardCache | None, grad_output: np.
 def l2_normalize(vectors: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm.
 
-    Rows with norm below DEGENERATE_NORM_EPS are returned unchanged.
+    Rows with norm below DEGENERATE_NORM_EPS are returned unchanged; a
+    non-finite norm (an entry past about 1e154) is a NumericError.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise NumericError("non-finite vector norm")
     return vectors / np.where(norms < DEGENERATE_NORM_EPS, 1.0, norms)
 
 

@@ -376,6 +376,28 @@ class TestTrainCfe:
         for (w1, _), (w2, _) in zip(pair.main.layers, initial.main.layers):
             assert np.array_equal(w1, w2)
 
+    @pytest.mark.parametrize("temperature", [1e-130, 1e-181])
+    def test_diverging_training_is_numeric_error_without_warnings(self, temperature):
+        # a step scales the weights by about 1 / temperature, so the next
+        # step's embeddings overflow: at 1e-181 in the forward pass, which
+        # printed numpy warnings, and at 1e-130 in their norms, which made
+        # every embedding zero and training went on
+        ds = gen_blobs(3, 12, 4, 6.0, make_rng(1))
+        config = small_config(temperature=temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^epoch 0 step \d+: non-finite vector norm"):
+                train_cfe(ds.features, config, SMALL_AUGMENT, make_rng(5))
+
+    def test_encoder_whose_norms_overflow_is_numeric_error_without_warnings(self):
+        # weights no training step keeps, as a checkpoint can hold them
+        pair = EncoderPair.initialize(4, small_config(), make_rng(2))
+        huge = MlpParams([(1e100 * w, b) for w, b in pair.main.layers], pair.main.activation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite vector norm"):
+                encode(huge, gen_blobs(3, 4, 4, 6.0, make_rng(1)).features)
+
     def test_identical_seed_bitwise_identical(self):
         ds = gen_blobs(3, 12, 4, 6.0, make_rng(1))
         config = small_config(epochs=2)

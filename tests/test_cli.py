@@ -1,14 +1,21 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
+import tempfile
+import warnings
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plcfe
 from plcfe import cfe, data, metalearn
@@ -26,6 +33,7 @@ from plcfe.cli import (
     _Workspace,
 )
 from plcfe.errors import ParameterError
+from plcfe.numcore import ACTIVATIONS
 
 TINY = {
     "seed": 11,
@@ -52,6 +60,15 @@ def write_tiny_config(tmp_path, **extra):
 def snapshot(out) -> dict:
     """Every file in a run directory, by name, with its bytes."""
     return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def manifest_edit(change):
+    """An edit of manifest.json's text that applies `change` to the parsed manifest."""
+    def edit(text):
+        manifest = json.loads(text)
+        change(manifest)
+        return json.dumps(manifest)
+    return edit
 
 
 def perfbench_workloads() -> dict:
@@ -114,12 +131,15 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("workload", ["default", "maml-progressive", "proto-scaled", "maml-eval"])
     def test_manifest_config_echo_builds_the_run_config(self, tmp_path, workload):
-        # the echo holds every field once, so it is itself a valid --config
+        # each stage record holds every field of the config it ran with
+        # once, so it is itself a valid --config
         raw = {} if workload == "default" else perfbench_workloads()[workload]
         config = build_config({**raw, "seed": 1, "out_dir": str(tmp_path)})
         run_pipeline(config, _Workspace(config.out_dir))
-        echo = json.loads((tmp_path / "manifest.json").read_text())["config"]
-        assert asdict(build_config(echo)) == asdict(config)
+        stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+        assert len(stages) == 7
+        for name, record in stages.items():
+            assert asdict(build_config(record["config"])) == asdict(config), name
 
     def test_split_is_deterministic_and_disjoint(self):
         train1, test1 = train_test_split(100, 0.2, seed=5)
@@ -290,7 +310,9 @@ class TestPipeline:
         ):
             assert name in manifest["artifacts"], name
             assert (out / name).exists()
-        assert manifest["seed"] == 11
+        assert set(manifest) == {"format", "stages", "artifacts"}
+        assert all(set(record) == {"inputs", "outputs", "config"} for record in manifest["stages"].values())
+        assert manifest["stages"]["gen-data"]["config"]["seed"] == 11
 
     @pytest.mark.parametrize("method", ["maml", "proto"])
     @pytest.mark.parametrize("episodes", ["standard", "progressive"])
@@ -801,6 +823,48 @@ class TestStageRunner:
         assert len(err.splitlines()) == 1, err
         assert snapshot(out) == before
 
+    def test_meta_train_refuses_clusters_of_another_k(self, tmp_path, capsys):
+        # meta-train sizes its tasks by its own cluster.k; it used to exit 0
+        # here, training on the k = 8 clusters on disk
+        path, out = self.run(tmp_path, cluster={"k": 6})
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"stage 'meta-train' runs with cluster.k 6, but its inputs in {out} were made with 8" in err
+        assert len(err.splitlines()) == 1, err
+        assert snapshot(out) == before
+
+    def test_embed_records_the_config_it_ran_with(self, tmp_path):
+        # embed re-derives no config key of its inputs' makers, so it runs;
+        # its record says what it ran with, train-cfe's what made the checkpoint
+        path, out = self.run(tmp_path, cfe={**TINY["cfe"], "embed_dim": 4})
+        assert main(["embed", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        stages = self.manifest(out)["stages"]
+        assert stages["embed"]["config"]["cfe"]["embed_dim"] == 4
+        assert stages["train-cfe"]["config"]["cfe"]["embed_dim"] == 8
+        assert data.read_embeddings(out / "embeddings.plem").shape == (100, 8)
+
+    def test_format_2_run_directory_exits_2(self, tmp_path, capsys):
+        # a format-2 directory can hold a proto meta_model.plcf with the
+        # untrained head of older code, which meta-eval would score through
+        path, out = self.run(tmp_path)
+        manifest = self.manifest(out)
+        stages = {name: {"inputs": record["inputs"], "outputs": record["outputs"]}
+                  for name, record in manifest["stages"].items()}
+        stages["meta-train"]["method"] = "maml"
+        (out / "manifest.json").write_text(json.dumps({
+            "format": 2, "seed": 11, "config": manifest["stages"]["meta-eval"]["config"],
+            "stages": stages, "artifacts": manifest["artifacts"],
+        }))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["meta-eval", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{out / 'manifest.json'} is missing or not a format-3 manifest; rerun from gen-data" in err
+        assert len(err.splitlines()) == 1, err
+        assert snapshot(out) == before
+
     def test_standard_build_tasks_reads_no_model(self, tmp_path):
         path, out = self.run(tmp_path)
         assert main(["build-tasks", "--config", str(path), "--out", str(out),
@@ -818,8 +882,26 @@ class TestStageRunner:
             # and the stages as a list
             lambda text: json.dumps({key: value for key, value in json.loads(text).items() if key != "format"}
                                     | {"stages": list(json.loads(text)["stages"])}),
+            # this format with a field the runner reads gone or of another type
+            lambda text: json.dumps({"format": json.loads(text)["format"]}),
+            manifest_edit(lambda manifest: manifest.pop("artifacts")),
+            manifest_edit(lambda manifest: manifest.pop("stages")),
+            manifest_edit(lambda manifest: manifest.update(stages=list(manifest["stages"].values()))),
+            manifest_edit(lambda manifest: manifest.update(artifacts=list(manifest["artifacts"]))),
+            manifest_edit(lambda manifest: manifest["stages"]["meta-train"].pop("outputs")),
+            manifest_edit(lambda manifest: manifest["stages"]["gen-data"].pop("config")),
+            manifest_edit(lambda manifest: manifest["stages"]["train-cfe"].pop("inputs")),
+            manifest_edit(lambda manifest: manifest["stages"]["train-cfe"].update(inputs="dataset.plds")),
+            manifest_edit(lambda manifest: manifest["stages"]["cluster"]["inputs"].append(["dataset.plds"])),
+            manifest_edit(lambda manifest: manifest["stages"]["meta-train"].update(config=[])),
+            manifest_edit(lambda manifest: manifest["stages"]["gen-data"]["config"].pop("dataset")),
+            # a listed input that no record names as an output
+            manifest_edit(lambda manifest: manifest["stages"].pop("meta-train")),
         ],
-        ids=["missing", "truncated", "not-json", "no-format", "older-format"],
+        ids=["missing", "truncated", "not-json", "no-format", "older-format", "format-only", "no-artifacts",
+             "no-stages", "stages-list", "artifacts-list", "record-without-outputs", "record-without-config",
+             "record-without-inputs", "inputs-string", "input-not-string", "config-list", "config-without-key",
+             "input-without-maker"],
     )
     def test_bad_manifest_exits_2(self, tmp_path, capsys, edit):
         path, out = self.run(tmp_path)
@@ -834,7 +916,7 @@ class TestStageRunner:
         assert main(["meta-eval", "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
-        assert f"{manifest} is missing or not a format-2 manifest; rerun from gen-data" in err
+        assert f"{manifest} is missing or not a format-3 manifest; rerun from gen-data" in err
         assert snapshot(out) == before
 
 
@@ -887,3 +969,73 @@ def test_pipeline_never_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []]
     assert (out / "clustering_quality.csv").exists()
+
+
+# the values a string config key takes; every other key is fuzzed by the type of its default
+STRING_CHOICES = {"method": ("maml", "proto"), "episode_mode": ("standard", "progressive"), "activation": ACTIVATIONS}
+
+
+def near(value):
+    """JSON values of `value`'s type, from 0 to about twice it."""
+    if isinstance(value, (list, tuple)):
+        return st.lists(near(value[0]), max_size=3)
+    if isinstance(value, float):
+        return st.floats(0.0, max(2 * value, 1.0))
+    return st.integers(0, 2 * value + 1)
+
+
+def key_strategies(default, tiny: dict, prefix: str = "") -> dict:
+    """A strategy for every config key but out_dir, by its dotted name, read
+    off PipelineConfig's own fields: values near its TINY value, or near its
+    default where TINY does not set it."""
+    keys = {}
+    for f in fields(default):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            keys.update(key_strategies(value, tiny.get(f.name, {}), f"{prefix}{f.name}."))
+        elif f.name in STRING_CHOICES:
+            keys[prefix + f.name] = st.sampled_from(STRING_CHOICES[f.name])
+        elif f.name != "out_dir":
+            values = near(tiny.get(f.name, value))
+            keys[prefix + f.name] = (values | st.none()) if value is None else values
+    return keys
+
+
+FUZZED_KEYS = key_strategies(PipelineConfig(), TINY)
+
+
+@st.composite
+def fuzzed_configs(draw) -> dict:
+    """TINY with one to four keys set to fuzzed values."""
+    raw = json.loads(json.dumps(TINY))
+    for name in draw(st.lists(st.sampled_from(sorted(FUZZED_KEYS)), min_size=1, max_size=4, unique=True)):
+        section, _, key = name.rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[key] = draw(FUZZED_KEYS[name])
+    return raw
+
+
+# a runtime failure that no check of the config could foresee: k-means left
+# too few large clusters, a trained encoder maps every row to one point, or
+# a loss, score or norm overflowed
+DATA_DEPENDENT = re.compile(r"only \d+ clusters have \d+\+ members, need \d+|data has no variance|non-finite")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(raw=fuzzed_configs())
+def test_fuzzed_config_runs_or_is_refused_in_one_line(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "run"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["pipeline", "--config", str(path), "--out", str(out)])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if code == EXIT_OK:
+        assert lines == []
+    elif code == EXIT_VALIDATION:
+        assert len(lines) == 1 and written == [], (lines, written)
+    else:
+        assert code == EXIT_RUNTIME and len(lines) == 1 and DATA_DEPENDENT.search(lines[0]), (code, lines)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,17 @@ class TestProtoTraining:
         for _ in range(20):
             m, loss = proto_meta_step(m, features, [task], lr=0.05)
         assert loss < loss0
+
+    def test_overflowing_loss_is_numeric_error_without_warnings(self):
+        # the squared distances overflow; the step used to print numpy
+        # warnings and return a NaN model, which meta-train then wrote
+        model = toy_model(seed=3, ways=None)
+        features = 1e200 * make_rng(4).normal(size=(20, 2))
+        task = make_task([[0, 1], [10, 11]], [[2, 3, 4], [12, 13, 14]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^task 0: non-finite cross-entropy loss"):
+                proto_meta_step(model, features, [task], lr=0.05)
 
     @pytest.mark.parametrize("method, head", [("maml", [(2, 5)]), ("proto", [])])
     def test_meta_trained_proto_model_is_its_encoder(self, tmp_path, method, head):

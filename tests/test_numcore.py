@@ -155,6 +155,13 @@ class TestL2Normalize:
         row = np.array([[1.0, 0.0, 0.0]])
         assert np.array_equal(l2_normalize(row), row)
 
+    @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+    def test_non_finite_norm_is_numeric_error(self, entry):
+        # the square of an entry past about 1e154 overflows; the row used to
+        # come back as zeros
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite vector norm"):
+            l2_normalize(np.array([[3.0, 4.0], [entry, 1.0]]))
+
     def test_zero_row_flagged(self):
         out = l2_normalize(np.array([[0.0, 0.0], [3.0, 4.0]]))
         flags = ~np.isclose(np.linalg.norm(out, axis=1), 1.0)
