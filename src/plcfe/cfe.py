@@ -5,7 +5,8 @@ routes one view per point through the live encoder and the rest through a
 momentum-averaged history encoder, keeps a FIFO queue of history
 embeddings as negatives, and minimizes the log of the inter- to intra-
 class similarity ratio, a cross-entropy over center similarities, so that
-same-point views contract and everything else repels.
+same-point views contract and everything else repels. A step passes plain
+arrays: the sampled views, their embeddings and the live pass's cache.
 """
 
 from __future__ import annotations
@@ -130,28 +131,12 @@ class NegativeQueue:
         return self._rows
 
 
-@dataclass
-class PositiveBatch:
-    """A sampled mini-batch: original point indices, their augmented views,
-    and (after encoding) one embedding per view.
-
-    View 0 of every point went through the live encoder and is the only
-    position gradients flow into; the cached forward pass for those rows is
-    kept for backprop.
-    """
-
-    original_indices: np.ndarray
-    augmented: np.ndarray  # (n_points, n_views, dim)
-    embeddings: np.ndarray | None = None
-    main_raw: np.ndarray | None = None
-    main_cache: ForwardCache | None = None
-
-
 def build_positive_batch(
     features: np.ndarray, config: CfeConfig, augmentation: AugmentConfig, rng: np.random.Generator
-) -> PositiveBatch:
+) -> np.ndarray:
     """Draw batch_positives distinct points uniformly and augment each one
-    augments_per_point times, all views in one augment call."""
+    augments_per_point times, all views in one augment call; returns the
+    (batch_positives, augments_per_point, dim) views."""
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if n < config.batch_positives:
@@ -160,35 +145,34 @@ def build_positive_batch(
         )
     chosen = rng.choice(n, size=config.batch_positives, replace=False)
     shape = (config.batch_positives, config.augments_per_point, features.shape[1])
-    views = augment(np.broadcast_to(features[chosen][:, None, :], shape), augmentation, rng)
-    return PositiveBatch(original_indices=chosen, augmented=views)
+    return augment(np.broadcast_to(features[chosen][:, None, :], shape), augmentation, rng)
 
 
-def asynchronous_embed(pair: EncoderPair, batch: PositiveBatch) -> PositiveBatch:
+def asynchronous_embed(pair: EncoderPair, views: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Encode view 0 with the live encoder and the remaining views with the
-    history encoder, onto the unit sphere, filling batch.embeddings in place."""
-    n_points, n_views, dim = batch.augmented.shape
+    history encoder, onto the unit sphere. Returns the (n_points, n_views, d)
+    embeddings and the live pass's cache, whose last entry is view 0's raw
+    output; view 0 is the only position gradients flow into."""
+    n_points, n_views, dim = views.shape
     if dim != pair.main.input_dim:
         raise StateError(
             f"batch dim {dim} does not match encoder input dim {pair.main.input_dim}"
         )
-    main_raw, cache = mlp_forward_cached(pair.main, batch.augmented[:, 0, :])
+    raw, cache = mlp_forward_cached(pair.main, views[:, 0, :])
     embeddings = np.empty((n_points, n_views, pair.main.output_dim))
-    embeddings[:, 0, :] = l2_normalize(main_raw)
+    embeddings[:, 0, :] = l2_normalize(raw)
     if n_views > 1:
-        rest = batch.augmented[:, 1:, :].reshape(n_points * (n_views - 1), dim)
+        rest = views[:, 1:, :].reshape(n_points * (n_views - 1), dim)
         hist = l2_normalize(mlp_forward(pair.history, rest))
         embeddings[:, 1:, :] = hist.reshape(n_points, n_views - 1, pair.main.output_dim)
-    batch.embeddings = embeddings
-    batch.main_raw = main_raw
-    batch.main_cache = cache
-    return batch
+    return embeddings, cache
 
 
 def cfe_loss(
-    batch: PositiveBatch, queue: NegativeQueue, config: CfeConfig
+    embeddings: np.ndarray, queue: NegativeQueue, config: CfeConfig
 ) -> tuple[float, np.ndarray]:
-    """Log similarity-ratio loss over the batch, as a cross-entropy.
+    """Log similarity-ratio loss over the (n_points, n_views, d) embeddings,
+    as a cross-entropy.
 
     Each point's views form one simulated class with center mu_i (mean of
     its view embeddings). Its term log((1 + repel_i / compact_i) / n_other)
@@ -199,16 +183,13 @@ def cfe_loss(
     scalar loss and its gradient with respect to the view-0 embeddings
     only; history views and queue entries are constants.
     """
-    if batch.embeddings is None:
-        raise StateError("batch must be encoded before cfe_loss")
-    z = batch.embeddings
-    n_points, n_views, _ = z.shape
+    n_points, n_views, _ = embeddings.shape
     n_other = n_points + len(queue) - 1
     if n_other < 1:
         raise ParameterError("need batch_positives + queue length - 1 >= 1")
     tau = config.temperature
 
-    centers = z.mean(axis=1)  # (n_points, d)
+    centers = embeddings.mean(axis=1)  # (n_points, d)
     others = np.concatenate([centers, queue.as_matrix().reshape(-1, centers.shape[1])])
     # an overflow here makes the loss non-finite, which is refused below
     with np.errstate(all="ignore"):
@@ -231,15 +212,13 @@ def momentum_update(pair: EncoderPair, momentum: float) -> EncoderPair:
     return EncoderPair(main=pair.main, history=vector_to_params(history, pair.history))
 
 
-def history_queue_vectors(pair: EncoderPair, batch: PositiveBatch) -> np.ndarray:
-    """One history embedding per point for the negative queue: view 1 when
-    several views exist, otherwise view 0 re-encoded by the history
-    encoder."""
-    if batch.embeddings is None:
-        raise StateError("batch must be encoded first")
-    if batch.augmented.shape[1] >= 2:
-        return batch.embeddings[:, 1, :].copy()
-    return l2_normalize(mlp_forward(pair.history, batch.augmented[:, 0, :]))
+def history_queue_vectors(pair: EncoderPair, views: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+    """One history embedding per point for the negative queue: view 1 of
+    the embeddings (a view, which NegativeQueue.push copies) when several
+    views exist, otherwise view 0 re-encoded by the history encoder."""
+    if views.shape[1] >= 2:
+        return embeddings[:, 1, :]
+    return l2_normalize(mlp_forward(pair.history, views[:, 0, :]))
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -275,16 +254,16 @@ def train_cfe(
         lr = cosine_lr(config.learning_rate, epoch, config.epochs)
         epoch_losses = np.empty(steps_per_epoch)
         for step in range(steps_per_epoch):
-            batch = build_positive_batch(features, config, augmentation, rng)
+            views = build_positive_batch(features, config, augmentation, rng)
             try:  # an overflow leaves a non-finite norm or loss, refused inside
                 with np.errstate(all="ignore"):
-                    asynchronous_embed(pair, batch)
-                    loss, grad_embed = cfe_loss(batch, queue, config)
-                    grad_raw = l2_normalize_backward(batch.main_raw, grad_embed)
-                    grad = mlp_backward(pair.main, batch.main_cache, grad_raw)
+                    embeddings, cache = asynchronous_embed(pair, views)
+                    loss, grad_embed = cfe_loss(embeddings, queue, config)
+                    grad_raw = l2_normalize_backward(cache.post_activations[-1], grad_embed)
+                    grad = mlp_backward(pair.main, cache, grad_raw)
                     main = vector_to_params(pair.main.vector - lr * grad, pair.main)
                     pair = momentum_update(EncoderPair(main=main, history=pair.history), config.momentum)
-                    queue.push(history_queue_vectors(pair, batch))
+                    queue.push(history_queue_vectors(pair, views, embeddings))
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} step {step}: {exc}") from exc
             epoch_losses[step] = loss

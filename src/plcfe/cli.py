@@ -166,6 +166,12 @@ def train_test_split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarra
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
+def clustered_k(k: int | None, classes: int) -> int:
+    """The k a config with these cluster.k and dataset.classes clusters
+    with: cluster.k, or 4 x dataset.classes when it is null."""
+    return 4 * classes if k is None else k
+
+
 def _refuse_sizes(name: str, config: PipelineConfig) -> None:
     """Refuse a size that stage `name`'s split cannot supply, read from the
     config, which the dataset check holds dataset.plds to: a meta-train
@@ -177,7 +183,7 @@ def _refuse_sizes(name: str, config: PipelineConfig) -> None:
     n = config.dataset.classes * config.dataset.per_class
     train_idx, test_idx = train_test_split(n, config.dataset.test_fraction, config.seed)
     training = (train_idx.size, f"the {train_idx.size} training rows")
-    k = config.cluster.k or 4 * config.dataset.classes  # as stage_cluster picks it
+    k = clustered_k(config.cluster.k, config.dataset.classes)
     ways, queries = config.episodes.ways, config.episodes.queries
     held_out = np.bincount(data_mod.blob_labels(config.dataset.classes, config.dataset.per_class)[test_idx])
     eligible = [(s, int(np.sum(held_out >= s + queries))) for s in config.eval.shots]
@@ -282,7 +288,7 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
 def stage_cluster(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds, train_idx, _ = _split_dataset(config, ws)
     embeddings = data_mod.read_embeddings(ws.path("embeddings.plem"))
-    k = config.cluster.k if config.cluster.k is not None else 4 * ds.classes
+    k = clustered_k(config.cluster.k, config.dataset.classes)
     model = cluster_mod.kmeans(
         embeddings[train_idx],
         k,
@@ -397,6 +403,14 @@ REDERIVED = {"dataset.plds": ("seed", *(f"dataset.{key}" for key in DatasetSecti
 MANIFEST_FORMAT = 3
 
 
+def _rederived(key: str, echo: dict):
+    """Config key `key` of a config's dict form, as a stage uses it: a null
+    cluster.k is the k it clusters with."""
+    if key == "cluster.k":
+        return clustered_k(echo["cluster"]["k"], echo["dataset"]["classes"])
+    return reduce(dict.__getitem__, key.split("."), echo)
+
+
 def _write_manifest(ws: _Workspace, manifest: dict) -> None:
     with artifact_file(ws.path("manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -409,6 +423,7 @@ def run_stage(name: str, config: PipelineConfig, ws: _Workspace, **options) -> d
     gen-data, from which every artifact descends, starts a new manifest."""
     inputs = STAGES[name] + ("meta_model.plcf",) * (name == "build-tasks" and config.episode_mode == "progressive")
     manifest = {"format": MANIFEST_FORMAT, "stages": {}, "artifacts": {}}
+    echo = asdict(config)
     if inputs:
         try:  # every manifest field run_stage reads, and each input's REDERIVED values from its maker's record
             manifest = json.loads(ws.path("manifest.json").read_bytes())
@@ -416,7 +431,7 @@ def run_stage(name: str, config: PipelineConfig, ws: _Workspace, **options) -> d
                 [type(r["inputs"]), type(r["outputs"]), type(r["config"])] == [list, list, dict]
                 and all(type(a) is str for a in r["inputs"] + r["outputs"]) for r in manifest["stages"].values())
             made_by = {a: r["config"] for r in manifest["stages"].values() for a in r["outputs"]}
-            made = [(key, reduce(dict.__getitem__, key.split("."), made_by[artifact]))
+            made = [(key, _rederived(key, made_by[artifact]))
                     for artifact in inputs if artifact in manifest["artifacts"] for key in REDERIVED.get(artifact, ())]
         except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):  # not JSON or UTF-8, or misshapen
             shaped = False
@@ -428,7 +443,7 @@ def run_stage(name: str, config: PipelineConfig, ws: _Workspace, **options) -> d
                 raise ParameterError(f"stage {name!r} needs {ws.path(artifact)}, which is missing or "
                                      "was made stale by a rerun upstream")
         for key, value in made:
-            if value != (mine := reduce(getattr, key.split("."), config)):
+            if value != (mine := _rederived(key, echo)):
                 raise ParameterError(f"stage {name!r} runs with {key} {json.dumps(mine)}, but its inputs "
                                      f"in {ws.root} were made with {json.dumps(value)}")
     _refuse_sizes(name, config)
@@ -442,7 +457,7 @@ def run_stage(name: str, config: PipelineConfig, ws: _Workspace, **options) -> d
         _write_manifest(ws, manifest)  # so a failing rerun leaves none of them listed
     # looked up when called, so a wrapper bound over stage_<name> runs too
     outputs = globals()["stage_" + name.replace("-", "_")](config, ws, **options)
-    stages[name] = {"inputs": list(inputs), "outputs": outputs, "config": asdict(config)}
+    stages[name] = {"inputs": list(inputs), "outputs": outputs, "config": echo}
     manifest["artifacts"].update({a: hashlib.sha256(ws.path(a).read_bytes()).hexdigest() for a in outputs})
     _write_manifest(ws, manifest)
     return manifest

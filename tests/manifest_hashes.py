@@ -4,8 +4,10 @@
     python tests/manifest_hashes.py --compare PARENT.json CHANGE.json
 
 SRC is the root of a plcfe source checkout. For seeds 1 and 2, the script
-runs `plcfe pipeline` and then `plcfe build-tasks` from SRC/src on seven
-configs: default, proto, progressive, proto progressive, and the workload
+runs `plcfe pipeline` and then `plcfe build-tasks` from SRC/src on nine
+configs: default, proto, progressive, proto progressive, the default with
+cfe.augments_per_point 1 and with 3 (the CFE step's one-view and
+three-view history paths; every other config uses 2), and the workload
 configs of SRC/perfbench/run.py. Each run gets a fresh directory and one
 BLAS thread. OUT.json maps each run name to {artifact: sha256} over every
 file the run leaves, except manifest.json, whose format may change between
@@ -19,7 +21,7 @@ many runs its sha256 differs (an artifact or run missing on one side
 differs) and the names of those runs. It exits 1 if any run differs and 0
 if none does.
 
-pytest does not collect this file; it runs 14 pipelines and takes minutes.
+pytest does not collect this file; it runs 18 pipelines and takes minutes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ BASE_CONFIGS = {
     "proto": {"method": "proto"},
     "progressive": {"episode_mode": "progressive"},
     "proto-progressive": {"method": "proto", "episode_mode": "progressive"},
+    "one-view": {"cfe": {"augments_per_point": 1}},
+    "three-views": {"cfe": {"augments_per_point": 3}},
 }
 
 

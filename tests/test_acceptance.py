@@ -17,7 +17,6 @@ from plcfe.cfe import (
     CfeConfig,
     EncoderPair,
     NegativeQueue,
-    PositiveBatch,
     cfe_loss,
     encode,
     momentum_update,
@@ -88,8 +87,7 @@ def test_criterion_1_gradient_fidelity():
         def fn(vec):
             full = z.copy()
             full[:, 0, :] = vec.reshape(n_pos, 8)
-            batch = PositiveBatch(np.arange(n_pos), np.zeros_like(full), embeddings=full)
-            loss, grad = cfe_loss(batch, queue, config)
+            loss, grad = cfe_loss(full, queue, config)
             return loss, grad.reshape(-1)
 
         err = finite_diff_check(fn, z[:, 0, :].reshape(-1).copy(), eps=1e-6)
@@ -101,14 +99,8 @@ def test_criterion_1_gradient_fidelity():
 
 def test_criterion_2_loss_closed_forms():
     config = CfeConfig(batch_positives=2, augments_per_point=1, queue_capacity=4)
-    orthogonal = PositiveBatch(
-        np.arange(2), np.zeros((2, 1, 2)),
-        embeddings=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]),
-    )
-    identical = PositiveBatch(
-        np.arange(2), np.zeros((2, 1, 2)),
-        embeddings=np.array([[[1.0, 0.0]], [[1.0, 0.0]]]),
-    )
+    orthogonal = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+    identical = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
     loss_orth, _ = cfe_loss(orthogonal, NegativeQueue(4), config)
     loss_same, _ = cfe_loss(identical, NegativeQueue(4), config)
     err_orth = abs(loss_orth - math.log(1 + math.exp(-5)))

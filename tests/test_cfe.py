@@ -11,7 +11,6 @@ from plcfe.cfe import (
     CfeConfig,
     EncoderPair,
     NegativeQueue,
-    PositiveBatch,
     asynchronous_embed,
     build_positive_batch,
     cfe_loss,
@@ -57,15 +56,6 @@ SMALL_AUGMENT = AugmentConfig(noise_std=0.2)
 DESK_AUGMENT = AugmentConfig(noise_std=1.25, scale_range=(0.9, 1.1))
 
 
-def batch_from_embeddings(z):
-    z = np.asarray(z, dtype=float)
-    return PositiveBatch(
-        original_indices=np.arange(z.shape[0]),
-        augmented=np.zeros_like(z),
-        embeddings=z,
-    )
-
-
 class TestConfig:
     def test_rejects_bad_momentum(self):
         with pytest.raises(ParameterError):
@@ -84,24 +74,33 @@ class TestBuildPositiveBatch:
     def test_counts(self):
         rng = make_rng(0)
         config = small_config(batch_positives=2, augments_per_point=2)
-        batch = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
-        assert len(set(batch.original_indices.tolist())) == 2
-        assert batch.augmented.shape == (2, 2, 3)
+        views = build_positive_batch(rng.normal(size=(10, 3)), config, AugmentConfig(), rng)
+        assert views.shape == (2, 2, 3)
+        # without augmentation every view of a point is its feature row,
+        # and the points are distinct rows
+        assert np.array_equal(views[:, 0, :], views[:, 1, :])
+        assert len({tuple(row) for row in views[:, 0, :]}) == 2
 
     def test_zero_strength_augment_returns_originals(self):
         rng = make_rng(1)
         features = rng.normal(size=(10, 3))
         config = small_config(augments_per_point=1)
-        batch = build_positive_batch(features, config, AugmentConfig(), rng)
-        assert np.array_equal(batch.augmented[:, 0, :], features[batch.original_indices])
+        views = build_positive_batch(features, config, AugmentConfig(), rng)
+        rows = [np.flatnonzero((features == view).all(axis=1)) for view in views[:, 0, :]]
+        assert all(len(match) == 1 for match in rows)
+        assert len({int(match[0]) for match in rows}) == config.batch_positives
 
     def test_fixed_seed_reproduces_selection(self):
         features = make_rng(2).normal(size=(20, 3))
         config = small_config()
-        b1 = build_positive_batch(features, config, SMALL_AUGMENT, make_rng(3))
-        b2 = build_positive_batch(features, config, SMALL_AUGMENT, make_rng(3))
-        assert np.array_equal(b1.original_indices, b2.original_indices)
-        assert np.array_equal(b1.augmented, b2.augmented)
+        v1 = build_positive_batch(features, config, SMALL_AUGMENT, make_rng(3))
+        v2 = build_positive_batch(features, config, SMALL_AUGMENT, make_rng(3))
+        assert np.array_equal(v1, v2)
+        # the points a seed picks, read unaugmented; another seed picks others
+        picked = [build_positive_batch(features, config, AugmentConfig(), make_rng(seed))[:, 0, :]
+                  for seed in (3, 3, 4)]
+        assert np.array_equal(picked[0], picked[1])
+        assert not np.array_equal(picked[0], picked[2])
 
     def test_dataset_too_small(self):
         with pytest.raises(ParameterError):
@@ -125,11 +124,19 @@ class TestAsynchronousEmbed:
         rng = make_rng(0)
         config = small_config()
         pair = EncoderPair.initialize(3, config, rng)
-        batch = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
-        asynchronous_embed(pair, batch)
-        flat = batch.augmented.reshape(-1, 3)
-        single = l2_normalize(mlp_forward(pair.main, flat)).reshape(batch.embeddings.shape)
-        assert np.allclose(batch.embeddings, single, atol=1e-15)
+        views = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
+        embeddings, _ = asynchronous_embed(pair, views)
+        single = l2_normalize(mlp_forward(pair.main, views.reshape(-1, 3))).reshape(embeddings.shape)
+        assert np.allclose(embeddings, single, atol=1e-15)
+
+    def test_view_0_is_the_cached_raw_output_normalized(self):
+        rng = make_rng(4)
+        config = small_config(augments_per_point=3)
+        pair = EncoderPair.initialize(3, config, rng)
+        views = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
+        embeddings, cache = asynchronous_embed(pair, views)
+        assert np.array_equal(cache.inputs, views[:, 0, :])
+        assert np.array_equal(embeddings[:, 0], l2_normalize(cache.post_activations[-1]))
 
     def test_single_view_uses_main_encoder_only(self):
         rng = make_rng(1)
@@ -137,10 +144,10 @@ class TestAsynchronousEmbed:
         pair = EncoderPair.initialize(3, config, rng)
         # desynchronize encoders: history becomes garbage
         pair.history.layers[0][0][...] = 99.0
-        batch = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
-        asynchronous_embed(pair, batch)
-        expected = l2_normalize(mlp_forward(pair.main, batch.augmented[:, 0, :]))
-        assert np.array_equal(batch.embeddings[:, 0, :], expected)
+        views = build_positive_batch(rng.normal(size=(10, 3)), config, SMALL_AUGMENT, rng)
+        embeddings, _ = asynchronous_embed(pair, views)
+        expected = l2_normalize(mlp_forward(pair.main, views[:, 0, :]))
+        assert np.array_equal(embeddings[:, 0, :], expected)
 
     def test_history_views_match_separate_forward(self):
         rng = make_rng(2)
@@ -148,37 +155,29 @@ class TestAsynchronousEmbed:
         pair = EncoderPair.initialize(1, small_config(hidden_dims=(2,), embed_dim=2), rng)
         other = EncoderPair.initialize(1, small_config(hidden_dims=(2,), embed_dim=2), rng)
         pair = EncoderPair(main=pair.main, history=other.main)  # distinct weights
-        batch = PositiveBatch(
-            original_indices=np.arange(2),
-            augmented=rng.normal(size=(2, 3, 1)),
-        )
-        asynchronous_embed(pair, batch)
+        views = rng.normal(size=(2, 3, 1))
+        embeddings, _ = asynchronous_embed(pair, views)
         for i in range(2):
             for j in (1, 2):
-                separate = l2_normalize(
-                    mlp_forward(pair.history, batch.augmented[i, j][None, :])
-                )[0]
-                assert np.array_equal(batch.embeddings[i, j], separate)
+                separate = l2_normalize(mlp_forward(pair.history, views[i, j][None, :]))[0]
+                assert np.array_equal(embeddings[i, j], separate)
 
     def test_architecture_mismatch(self):
         rng = make_rng(3)
         pair = EncoderPair.initialize(3, small_config(), rng)
-        batch = PositiveBatch(np.arange(2), rng.normal(size=(2, 2, 5)))
         with pytest.raises(StateError):
-            asynchronous_embed(pair, batch)
+            asynchronous_embed(pair, rng.normal(size=(2, 2, 5)))
 
 
 class TestCfeLoss:
     def test_orthogonal_pair_closed_form(self):
         config = small_config(batch_positives=2, augments_per_point=1)
-        batch = batch_from_embeddings([[[1.0, 0.0]], [[0.0, 1.0]]])
-        loss, _ = cfe_loss(batch, NegativeQueue(4), config)
+        loss, _ = cfe_loss(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), NegativeQueue(4), config)
         assert abs(loss - math.log(1 + math.exp(-5))) < 1e-9
 
     def test_identical_pair_closed_form(self):
         config = small_config(batch_positives=2, augments_per_point=1)
-        batch = batch_from_embeddings([[[1.0, 0.0]], [[1.0, 0.0]]])
-        loss, _ = cfe_loss(batch, NegativeQueue(4), config)
+        loss, _ = cfe_loss(np.array([[[1.0, 0.0]], [[1.0, 0.0]]]), NegativeQueue(4), config)
         assert abs(loss - math.log(2)) < 1e-9
 
     def test_matches_nested_loop_oracle(self):
@@ -187,7 +186,7 @@ class TestCfeLoss:
         z = l2_normalize(rng.normal(size=(3, 2, 6)))
         queue = NegativeQueue(8)
         queue.push(l2_normalize(rng.normal(size=(4, 6))))
-        loss, _ = cfe_loss(batch_from_embeddings(z), queue, config)
+        loss, _ = cfe_loss(z, queue, config)
 
         tau = config.temperature
         neg = queue.as_matrix()
@@ -213,7 +212,7 @@ class TestCfeLoss:
         def fn(vec):
             full = z.copy()
             full[:, 0, :] = vec.reshape(3, 6)
-            loss, grad = cfe_loss(batch_from_embeddings(full), queue, config)
+            loss, grad = cfe_loss(full, queue, config)
             return loss, grad.reshape(-1)
 
         assert finite_diff_check(fn, z[:, 0, :].reshape(-1).copy(), eps=1e-6) < 1e-4
@@ -222,7 +221,7 @@ class TestCfeLoss:
         rng = make_rng(2)
         config = small_config(batch_positives=3, augments_per_point=2)
         z = l2_normalize(rng.normal(size=(3, 2, 6)))
-        _, grad = cfe_loss(batch_from_embeddings(z), NegativeQueue(4), config)
+        _, grad = cfe_loss(z, NegativeQueue(4), config)
         assert grad.shape == (3, 6)
 
     def test_loss_lower_bound(self):
@@ -232,7 +231,7 @@ class TestCfeLoss:
             z = l2_normalize(rng.normal(size=(4, 2, 5)))
             queue = NegativeQueue(8)
             queue.push(l2_normalize(rng.normal(size=(3, 5))))
-            loss, _ = cfe_loss(batch_from_embeddings(z), queue, config)
+            loss, _ = cfe_loss(z, queue, config)
             assert loss >= math.log(1.0 / (4 + 3 - 1))
             assert np.isfinite(loss)
 
@@ -244,7 +243,7 @@ class TestCfeLoss:
         queue.push(l2_normalize(rng.normal(size=(4, 6))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return cfe_loss(batch_from_embeddings(z), queue, config)
+            return cfe_loss(z, queue, config)
 
     def test_tiny_temperature_is_finite_without_warnings(self):
         # the similarities exp(mu . o / tau) overflow at tau = 1e-6; their
@@ -259,15 +258,8 @@ class TestCfeLoss:
 
     def test_empty_negatives_with_single_positive_is_error(self):
         config = small_config(batch_positives=2, augments_per_point=1)
-        batch = batch_from_embeddings([[[1.0, 0.0]]])
         with pytest.raises(ParameterError):
-            cfe_loss(batch, NegativeQueue(4), config)
-
-    def test_unencoded_batch_is_state_error(self):
-        config = small_config()
-        batch = PositiveBatch(np.arange(2), np.zeros((2, 2, 3)))
-        with pytest.raises(StateError):
-            cfe_loss(batch, NegativeQueue(4), config)
+            cfe_loss(np.array([[[1.0, 0.0]]]), NegativeQueue(4), config)
 
 
 class TestMomentumUpdate:
@@ -444,10 +436,10 @@ class TestTrainCfe:
         rng = make_rng(7)
         config = small_config(augments_per_point=1)
         pair = EncoderPair.initialize(3, config, rng)
-        batch = build_positive_batch(rng.normal(size=(8, 3)), config, SMALL_AUGMENT, rng)
-        asynchronous_embed(pair, batch)
-        vecs = history_queue_vectors(pair, batch)
-        expected = l2_normalize(mlp_forward(pair.history, batch.augmented[:, 0, :]))
+        views = build_positive_batch(rng.normal(size=(8, 3)), config, SMALL_AUGMENT, rng)
+        embeddings, _ = asynchronous_embed(pair, views)
+        vecs = history_queue_vectors(pair, views, embeddings)
+        expected = l2_normalize(mlp_forward(pair.history, views[:, 0, :]))
         assert np.array_equal(vecs, expected)
 
     def test_cosine_schedule_endpoints(self):

@@ -835,6 +835,29 @@ class TestStageRunner:
         assert len(err.splitlines()) == 1, err
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("made_with, runs_with", [(None, 16), (16, None)], ids=["null-then-16", "16-then-null"])
+    def test_null_k_is_the_k_it_clusters_with(self, tmp_path, made_with, runs_with):
+        # TINY has 4 classes, so a null cluster.k clusters with 16
+        out = tmp_path / "run"
+        made = write_tiny_config(tmp_path, cluster={"k": made_with})
+        assert main(["pipeline", "--config", str(made), "--out", str(out)]) == EXIT_OK
+        runs = write_tiny_config(tmp_path, cluster={"k": runs_with})
+        assert main(["meta-train", "--config", str(runs), "--out", str(out)]) == EXIT_OK
+        assert self.manifest(out)["stages"]["meta-train"]["config"]["cluster"]["k"] == runs_with
+
+    def test_null_k_refuses_another_k(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        made = write_tiny_config(tmp_path, cluster={"k": None})
+        assert main(["pipeline", "--config", str(made), "--out", str(out)]) == EXIT_OK
+        runs = write_tiny_config(tmp_path, cluster={"k": 12})
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["meta-train", "--config", str(runs), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"stage 'meta-train' runs with cluster.k 12, but its inputs in {out} were made with 16" in err
+        assert len(err.splitlines()) == 1, err
+        assert snapshot(out) == before
+
     def test_embed_records_the_config_it_ran_with(self, tmp_path):
         # embed re-derives no config key of its inputs' makers, so it runs;
         # its record says what it ran with, train-cfe's what made the checkpoint

@@ -258,18 +258,16 @@ class TestFiniteDiffCheck:
         config = cfe.CfeConfig(batch_positives=3, augments_per_point=2, queue_capacity=8)
         pair = cfe.EncoderPair.initialize(4, config, rng)
         augmentation = AugmentConfig(noise_std=1.25, scale_range=(0.9, 1.1))
-        batch = cfe.build_positive_batch(rng.normal(size=(10, 4)), config, augmentation, rng)
+        views = cfe.build_positive_batch(rng.normal(size=(10, 4)), config, augmentation, rng)
         queue = cfe.NegativeQueue(8)
         queue.push(l2_normalize(rng.normal(size=(4, config.embed_dim))))
 
         def fn(vec):
             p = vector_to_params(vec, pair.main)
-            test_pair = cfe.EncoderPair(main=p, history=pair.history)
-            b = cfe.PositiveBatch(batch.original_indices, batch.augmented)
-            cfe.asynchronous_embed(test_pair, b)
-            loss, grad_embed = cfe.cfe_loss(b, queue, config)
-            grad_raw = l2_normalize_backward(b.main_raw, grad_embed)
-            return loss, mlp_backward(p, b.main_cache, grad_raw)
+            embeddings, cache = cfe.asynchronous_embed(cfe.EncoderPair(main=p, history=pair.history), views)
+            loss, grad_embed = cfe.cfe_loss(embeddings, queue, config)
+            grad_raw = l2_normalize_backward(cache.post_activations[-1], grad_embed)
+            return loss, mlp_backward(p, cache, grad_raw)
 
         assert finite_diff_check(fn, params_to_vector(pair.main), eps=1e-6) < 1e-4
 
