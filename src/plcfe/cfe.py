@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import ByteReader, ByteWriter, read_container, write_csv
+from ._binio import write_csv
 from .data import AugmentConfig, augment
-from .errors import FormatError, NumericError, ParameterError, ShapeError, StateError
+from .errors import NumericError, ParameterError, ShapeError, StateError
 from .numcore import (
     ACTIVATIONS,
     ForwardCache,
@@ -32,13 +32,6 @@ from .numcore import (
     mlp_forward_cached,
     vector_to_params,
 )
-
-CHECKPOINT_MAGIC = b"PLCF"
-CHECKPOINT_VERSION = 2
-KIND_ENCODER_PAIR = 0
-KIND_FEWSHOT_MODEL = 1
-_ACTIVATION_CODES = {"relu": 0, "tanh": 1}
-_ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 
 
 @dataclass
@@ -271,78 +264,10 @@ def train_cfe(
     return pair, trace
 
 
-def encode(params: MlpParams | EncoderPair, features: np.ndarray) -> np.ndarray:
-    """Embed a feature matrix with the (live) encoder onto the unit sphere."""
-    mlp = params.main if isinstance(params, EncoderPair) else params
+def encode(encoder: MlpParams, features: np.ndarray) -> np.ndarray:
+    """Embed a feature matrix with a (live) encoder onto the unit sphere."""
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite norm, refused by l2_normalize
-        return l2_normalize(mlp_forward(mlp, np.asarray(features, dtype=np.float64)))
-
-
-def checkpoint_writer(kind: int, network: MlpParams) -> ByteWriter:
-    """A checkpoint container of this kind, opened with the network's
-    activation and layer shapes, a maml model's head last."""
-    writer = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, kind)
-    writer.write_u16(_ACTIVATION_CODES[network.activation])
-    writer.write_u16(len(network.shapes))
-    for rows, cols in network.shapes:
-        writer.write_u32(rows)
-        writer.write_u32(cols)
-    return writer
-
-
-def read_checkpoint(path, kind: int, what: str) -> tuple[ByteReader, str, list[tuple[int, int, int]]]:
-    """Inverse of checkpoint_writer: the reader past the header, the
-    activation, and each layer's (rows, cols, offset of the pair). Another
-    kind is a FormatError saying it is not `what`; so is another version,
-    such as version 1, whose networks activated their last layer."""
-    reader, found = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    if found != kind:
-        raise FormatError(f"checkpoint kind {found} is not {what}", offset=reader.offset - 2)
-    at = reader.offset
-    code = reader.read_u16("activation code")
-    if code not in _ACTIVATION_NAMES:
-        raise FormatError(f"unknown activation code {code}", offset=at)
-    at = reader.offset
-    n_layers = reader.read_u16("layer count")
-    if n_layers < 1:
-        raise FormatError("checkpoint encoder has no layers", offset=at)
-    shapes = []
-    for i in range(n_layers):
-        at = reader.offset
-        shapes.append((reader.read_u32(f"layer {i} rows"), reader.read_u32(f"layer {i} cols"), at))
-    return reader, _ACTIVATION_NAMES[code], shapes
-
-
-def read_mlp(reader: ByteReader, activation: str, shapes: list[tuple[int, int, int]]) -> MlpParams:
-    """One network's vector, as written after checkpoint_writer's header,
-    for layer shapes from read_checkpoint. A layer whose inputs are not its
-    predecessor's outputs is a FormatError at the offset of its shape."""
-    for i in range(1, len(shapes)):
-        (outputs, _, _), (_, cols, at) = shapes[i - 1], shapes[i]
-        if cols != outputs:
-            raise FormatError(f"layer {i} expects {cols} inputs but layer {i - 1} outputs {outputs}", offset=at)
-    layers = []
-    for i, (rows, cols, _) in enumerate(shapes):
-        w = reader.read_f64_array(rows * cols, f"layer {i} weights").reshape(rows, cols)
-        b = reader.read_f64_array(rows, f"layer {i} bias")
-        layers.append((w, b))
-    return MlpParams(layers, activation)
-
-
-def save_checkpoint(pair: EncoderPair, path) -> None:
-    """Versioned binary checkpoint of both encoders."""
-    writer = checkpoint_writer(KIND_ENCODER_PAIR, pair.main)
-    writer.write_f64_array(pair.main.vector)
-    writer.write_f64_array(pair.history.vector)
-    writer.save(path)
-
-
-def load_checkpoint(path) -> EncoderPair:
-    reader, activation, shapes = read_checkpoint(path, KIND_ENCODER_PAIR, "an encoder pair")
-    main = read_mlp(reader, activation, shapes)
-    history = read_mlp(reader, activation, shapes)
-    reader.expect_end()
-    return EncoderPair(main=main, history=history)
+        return l2_normalize(mlp_forward(encoder, np.asarray(features, dtype=np.float64)))
 
 
 def write_loss_trace(trace: list[float], path) -> None:

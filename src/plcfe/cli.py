@@ -28,7 +28,7 @@ from . import metalearn as meta_mod
 from . import metrics as metrics_mod
 from ._binio import artifact_file, write_csv
 from .errors import FormatError, ParameterError, PlcfeError
-from .numcore import derive_rng
+from .numcore import KIND_ENCODER, KIND_FEWSHOT_MODEL, derive_rng, read_network, write_network
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -241,7 +241,7 @@ def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
     initial = cfe_mod.EncoderPair.initialize(
         ds.dim, config.cfe, derive_rng(config.seed, KEY_CFE_INIT)
     )
-    cfe_mod.save_checkpoint(initial, ws.path("cfe_initial.plcf"))
+    write_network(initial.main, KIND_ENCODER, ws.path("cfe_initial.plcf"))
     pair, trace = cfe_mod.train_cfe(
         ds.features[train_idx],
         config.cfe,
@@ -249,15 +249,15 @@ def stage_train_cfe(config: PipelineConfig, ws: _Workspace) -> list[str]:
         derive_rng(config.seed, KEY_CFE_TRAIN),
         initial=initial,
     )
-    cfe_mod.save_checkpoint(pair, ws.path("cfe_trained.plcf"))
+    write_network(pair.main, KIND_ENCODER, ws.path("cfe_trained.plcf"))
     cfe_mod.write_loss_trace(trace, ws.path("cfe_loss_trace.csv"))
     return ["cfe_initial.plcf", "cfe_trained.plcf", "cfe_loss_trace.csv"]
 
 
 def stage_embed(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds = data_mod.read_dataset(ws.path("dataset.plds"))
-    pair = cfe_mod.load_checkpoint(ws.path("cfe_trained.plcf"))
-    embeddings = cfe_mod.encode(pair, ds.features)
+    encoder = read_network(ws.path("cfe_trained.plcf"), KIND_ENCODER, "an encoder")
+    embeddings = cfe_mod.encode(encoder, ds.features)
     data_mod.write_embeddings(embeddings, ws.path("embeddings.plem"))
     return ["embeddings.plem"]
 
@@ -272,8 +272,7 @@ def stage_metrics(config: PipelineConfig, ws: _Workspace) -> list[str]:
     labels = ds.eval_labels[train_idx]
     out = []
     for tag, ckpt in (("initial", "cfe_initial.plcf"), ("trained", "cfe_trained.plcf")):
-        pair = cfe_mod.load_checkpoint(ws.path(ckpt))
-        emb = cfe_mod.encode(pair, features)
+        emb = cfe_mod.encode(read_network(ws.path(ckpt), KIND_ENCODER, "an encoder"), features)
         report = metrics_mod.similarity_ratio(
             cluster_mod.PseudoLabeledDataset(emb, labels, ds.classes),
             config.cfe.temperature,
@@ -335,7 +334,7 @@ def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
         episode_mode=config.episode_mode,
         rng=derive_rng(config.seed, KEY_META),
     )
-    meta_mod.save_model(fs_model, ws.path("meta_model.plcf"))
+    write_network(fs_model, KIND_FEWSHOT_MODEL, ws.path("meta_model.plcf"))
     per_epoch = zip(history["epoch_query_loss"], history["epoch_progressive_fraction"])
     write_csv(
         ws.path("meta_history.csv"),
@@ -349,7 +348,7 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds, _, test_idx = _split_dataset(config, ws)
     if ds.eval_labels is None:
         raise ParameterError("meta-eval needs a labeled dataset")
-    fs_model = meta_mod.load_model(ws.path("meta_model.plcf"))
+    fs_model = read_network(ws.path("meta_model.plcf"), KIND_FEWSHOT_MODEL, "a few-shot model")
     scorer = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
     # evaluation-only: the held-out split grouped by its true labels
     pld = cluster_mod.PseudoLabeledDataset(ds.features[test_idx], ds.eval_labels[test_idx], ds.classes)
@@ -373,7 +372,7 @@ def stage_build_tasks(config: PipelineConfig, ws: _Workspace, count: int = 100) 
     rng = derive_rng(config.seed, KEY_TASKS)
     eval_model = None
     if config.episode_mode == "progressive":
-        fs_model = meta_mod.load_model(ws.path("meta_model.plcf"))
+        fs_model = read_network(ws.path("meta_model.plcf"), KIND_FEWSHOT_MODEL, "a few-shot model")
         eval_model = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
     tasks = [
         task

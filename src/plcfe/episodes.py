@@ -229,6 +229,11 @@ def progressive_task(
     in provenance). Support samples are never reused as queries; query
     samples are unique within a task except in the last-resort fallback,
     where a way may share queries with another way's.
+
+    Precondition, as draw_episodes draws them: the bases are distinct
+    clusters of at least shots + queries members each, and each way's
+    support lies in its base. So a base holds no other way's support, and
+    its non-support members, the last-resort pool, number at least queries.
     """
     is_support = np.zeros(pld.features.shape[0], dtype=bool)
     is_support[support.ravel()] = True
@@ -247,10 +252,6 @@ def progressive_task(
                 # other ways drained the base cluster; permit query reuse
                 # across ways rather than fail (supports stay excluded)
                 pool = members[~is_support[members]]
-            if pool.size < config.queries:
-                raise ConstructionError(
-                    f"base cluster {base} cannot supply {config.queries} queries"
-                )
         picks = rng.choice(pool, size=config.queries, replace=False)
         query[way] = picks
         used[picks] = True
@@ -292,8 +293,6 @@ def sample_progressive_batch(
     """
     if eval_model is None:
         raise ParameterError("progressive sampling requires an evaluation model")
-    if cluster_model.k <= config.candidate_neighbors:
-        raise ParameterError("need more clusters than candidate_neighbors")
     bases, picks = draw_episodes(pld, config.ways, config.shots + config.queries, rng, count)
     support = picks[..., : config.shots]
     support_flat, support_ways = way_pairs(support)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import episodes as episodes_mod
 from ._binio import write_csv
-from .cfe import KIND_FEWSHOT_MODEL, checkpoint_writer, read_checkpoint, read_mlp
 from .cluster import ClusterModel, PseudoLabeledDataset
 from .errors import NumericError, ParameterError, StateError
 from .numcore import (
@@ -34,7 +33,6 @@ from .numcore import (
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
-    params_to_vector,
     vector_to_params,
 )
 
@@ -399,21 +397,6 @@ def meta_train(
             eval_model = snapshot_eval_model(model, method, config)
     history = {"epoch_query_loss": epoch_losses, "epoch_progressive_fraction": epoch_fractions}
     return model, history
-
-
-def save_model(model: MlpParams, path) -> None:
-    """Few-shot model in the shared versioned checkpoint container: its
-    architecture, every layer, a maml model's head last, then its vector."""
-    writer = checkpoint_writer(KIND_FEWSHOT_MODEL, model)
-    writer.write_f64_array(params_to_vector(model))
-    writer.save(path)
-
-
-def load_model(path) -> MlpParams:
-    reader, activation, shapes = read_checkpoint(path, KIND_FEWSHOT_MODEL, "a few-shot model")
-    model = read_mlp(reader, activation, shapes)
-    reader.expect_end()
-    return model
 
 
 def write_eval_csv(result: EvalResult, ways: int, shots: int, path) -> None:

@@ -1,5 +1,6 @@
 """Dense numerical core: a small MLP encoder with exact reverse-mode
-gradients, row normalization, seeded RNG streams, and the one
+gradients, its one checkpoint file format (write_network and
+read_network), row normalization, seeded RNG streams, and the one
 log-softmax and cross-entropy behind every loss in the package.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). The MLP also runs
@@ -20,13 +21,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, StateError
+from ._binio import ByteWriter, read_container
+from .errors import FormatError, NumericError, ParameterError, ShapeError, StateError
 
 # Rows whose Euclidean norm falls below this are treated as degenerate by
 # l2_normalize: passed through unchanged instead of divided by ~0.
 DEGENERATE_NORM_EPS = 1e-12
 
-ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")  # a checkpoint's activation code is the index here
+
+CHECKPOINT_MAGIC = b"PLCF"
+CHECKPOINT_VERSION = 3
+KIND_ENCODER = 0  # a CFE encoder: the live one, before or after training
+KIND_FEWSHOT_MODEL = 1
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -100,6 +107,49 @@ class MlpParams:
 
     def clone(self) -> "MlpParams":
         return vector_to_params(self.vector.copy(), self)
+
+
+def write_network(network: MlpParams, kind: int, path) -> None:
+    """One network as a PLCF checkpoint of this kind: the header, then the
+    activation code, the layer count and each layer's (rows, cols), a maml
+    model's head last, then the network's one parameter vector."""
+    writer = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, kind)
+    writer.write_u16(ACTIVATIONS.index(network.activation))
+    writer.write_u16(len(network.shapes))
+    for rows, cols in network.shapes:
+        writer.write_u32(rows)
+        writer.write_u32(cols)
+    writer.write_f64_array(params_to_vector(network))
+    writer.save(path)
+
+
+def read_network(path, kind: int, what: str) -> MlpParams:
+    """Inverse of write_network. Another kind is a FormatError saying it is
+    not `what`, and so is another version: version 1 activated every
+    network's last layer, and a version-2 encoder file also held the
+    momentum encoder. A layer whose inputs are not its predecessor's
+    outputs is a FormatError at the offset of its shape."""
+    reader, found = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    if found != kind:
+        raise FormatError(f"checkpoint kind {found} is not {what}", offset=reader.offset - 2)
+    at = reader.offset
+    code = reader.read_u16("activation code")
+    if code >= len(ACTIVATIONS):
+        raise FormatError(f"unknown activation code {code}", offset=at)
+    at = reader.offset
+    n_layers = reader.read_u16("layer count")
+    if n_layers < 1:
+        raise FormatError("checkpoint encoder has no layers", offset=at)
+    shapes = []
+    for i in range(n_layers):
+        at = reader.offset
+        rows, cols = reader.read_u32(f"layer {i} rows"), reader.read_u32(f"layer {i} cols")
+        if shapes and cols != shapes[-1][0]:
+            raise FormatError(f"layer {i} expects {cols} inputs but layer {i - 1} outputs {shapes[-1][0]}", offset=at)
+        shapes.append((rows, cols))
+    vector = reader.read_f64_array(sum(rows * cols + rows for rows, cols in shapes), "parameters")
+    reader.expect_end()
+    return MlpParams(layer_views(vector, shapes), ACTIVATIONS[code])
 
 
 def init_mlp(layer_dims: Sequence[int], activation: str, rng: np.random.Generator) -> MlpParams:

@@ -124,15 +124,15 @@ def test_criterion_3_clustering_friendliness(blob_run):
     start = time.monotonic()
     ds, config, initial, trained, _ = blob_run
     before = similarity_ratio(
-        PseudoLabeledDataset(encode(initial, ds.features), ds.eval_labels, 8),
+        PseudoLabeledDataset(encode(initial.main, ds.features), ds.eval_labels, 8),
         config.temperature,
     )
     after = similarity_ratio(
-        PseudoLabeledDataset(encode(trained, ds.features), ds.eval_labels, 8),
+        PseudoLabeledDataset(encode(trained.main, ds.features), ds.eval_labels, 8),
         config.temperature,
     )
     drop = 1.0 - after.ratio / before.ratio
-    model = kmeans(encode(trained, ds.features), 8, rng=make_rng(3))
+    model = kmeans(encode(trained.main, ds.features), 8, rng=make_rng(3))
     acc = clustering_accuracy(model.assignment, ds.eval_labels)
     elapsed = time.monotonic() - start
     ok = drop >= 0.5 and acc >= 0.90 and elapsed < 300
@@ -150,7 +150,7 @@ def test_criterion_4_end_to_end_fewshot(blob_run):
     perm = make_rng(7).permutation(ds.n)
     test_idx, train_idx = np.sort(perm[:160]), np.sort(perm[160:])
 
-    embeddings = encode(trained, ds.features[train_idx])
+    embeddings = encode(trained.main, ds.features[train_idx])
     model = kmeans(embeddings, 32, rng=make_rng(8))
     pld = assign_pseudo_labels(model, ds.features[train_idx])
     episode_config = EpisodeConfig(ways=5, shots=1, queries=5)

@@ -7,10 +7,10 @@ import pytest
 
 import plcfe
 from plcfe._binio import artifact_file, write_csv
-from plcfe.cfe import CfeConfig, EncoderPair, load_checkpoint, save_checkpoint
+from plcfe.cfe import CfeConfig, EncoderPair
 from plcfe.errors import FormatError
-from plcfe.metalearn import MamlConfig, init_fewshot_model, load_model, save_model
-from plcfe.numcore import MlpParams
+from plcfe.metalearn import MamlConfig, init_fewshot_model
+from plcfe.numcore import KIND_ENCODER, KIND_FEWSHOT_MODEL, MlpParams, read_network, write_network
 
 from helpers import make_rng
 
@@ -48,18 +48,18 @@ class TestArtifactFile:
 
 def test_checkpoint_header_checks_version_and_kind(tmp_path):
     pair_path, model_path = tmp_path / "pair.plcf", tmp_path / "model.plcf"
-    save_checkpoint(EncoderPair.initialize(3, CfeConfig(), make_rng(1)), pair_path)
-    save_model(init_fewshot_model(3, 2, MamlConfig(), make_rng(2)), model_path)
+    write_network(EncoderPair.initialize(3, CfeConfig(), make_rng(1)).main, KIND_ENCODER, pair_path)
+    write_network(init_fewshot_model(3, 2, MamlConfig(), make_rng(2)), KIND_FEWSHOT_MODEL, model_path)
     with pytest.raises(FormatError, match="kind 0 is not a few-shot model") as excinfo:
-        load_model(pair_path)
+        read_network(pair_path, KIND_FEWSHOT_MODEL, "a few-shot model")
     assert excinfo.value.offset == 6
-    with pytest.raises(FormatError, match="kind 1 is not an encoder pair"):
-        load_checkpoint(model_path)
+    with pytest.raises(FormatError, match="kind 1 is not an encoder"):
+        read_network(model_path, KIND_ENCODER, "an encoder")
     raw = bytearray(pair_path.read_bytes())
     raw[4] = 9  # low byte of the u16 version
     pair_path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="unsupported format version 9") as excinfo:
-        load_checkpoint(pair_path)
+        read_network(pair_path, KIND_ENCODER, "an encoder")
     assert excinfo.value.offset == 4
 
 
@@ -81,6 +81,17 @@ def test_only_binio_opens_files_for_writing():
                     assert isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+"), where
 
 
+def test_only_data_and_numcore_lay_out_binary_containers():
+    # audit: each binary format's layout is written and read in one module,
+    # the PLDS/PLEM files in data and the PLCF checkpoints in numcore
+    for source in sorted(Path(plcfe.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("ByteWriter", "read_container"):
+                    assert source.name in ("data.py", "numcore.py"), f"{source.name}:{node.lineno}"
+
+
 def test_no_module_calls_add_at():
     # audit: group sums are one flat np.bincount over (group, column) ids,
     # which adds in the same row order as np.add.at and runs several times faster
@@ -90,33 +101,38 @@ def test_no_module_calls_add_at():
                 assert getattr(node.value, "attr", None) != "add", f"{source.name}:{node.lineno}"
 
 
-def test_fewshot_checkpoint_bytes_are_the_documented_layout(tmp_path):
-    # header, the activation code and every layer's shape, the head's
-    # (ways, input dim) last, then every layer's weight and bias, head last
+@pytest.mark.parametrize(
+    "kind, what", [(KIND_ENCODER, "an encoder"), (KIND_FEWSHOT_MODEL, "a few-shot model")],
+    ids=["encoder", "fewshot-model"],
+)
+def test_fewshot_checkpoint_bytes_are_the_documented_layout(tmp_path, kind, what):
+    # header, the activation code and every layer's shape, a maml model's
+    # head (ways, input dim) last, then every layer's weight and bias, head
+    # last; an encoder file holds the live encoder alone, no momentum twin
     w1, b1 = np.arange(6.0).reshape(3, 2) / 7, np.array([0.5, -0.25, 1.0])
     w2, b2 = -np.arange(6.0).reshape(2, 3) / 3, np.array([2.0, -1.0])
-    path = tmp_path / "model.plcf"
-    save_model(MlpParams([(w1, b1), (w2, b2)], "tanh"), path)
+    path = tmp_path / "network.plcf"
+    write_network(MlpParams([(w1, b1), (w2, b2)], "tanh"), kind, path)
     floats = [*w1.ravel(), *b1, *w2.ravel(), *b2]
     expected = (
         b"PLCF"
-        + struct.pack("<HHHH", 2, 1, 1, 2)  # version, kind, tanh, two layers
+        + struct.pack("<HHHH", 3, kind, 1, 2)  # version, kind, tanh, two layers
         + struct.pack("<II", 3, 2)
-        + struct.pack("<II", 2, 3)  # the head: ways, input dim
+        + struct.pack("<II", 2, 3)  # the last layer: outputs, input dim
         + struct.pack(f"<{len(floats)}d", *floats)
     )
     assert path.read_bytes() == expected
-    back = load_model(path)
+    back = read_network(path, kind, what)
     assert back.activation == "tanh" and back.shapes == ((3, 2), (2, 3))
     assert np.array_equal(back.vector, floats)
 
 
 def test_checkpoint_without_layers_is_format_error(tmp_path):
     path = tmp_path / "pair.plcf"
-    save_checkpoint(EncoderPair.initialize(3, CfeConfig(), make_rng(1)), path)
+    write_network(EncoderPair.initialize(3, CfeConfig(), make_rng(1)).main, KIND_ENCODER, path)
     raw = bytearray(path.read_bytes())
     raw[10:12] = struct.pack("<H", 0)  # the layer count
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="checkpoint encoder has no layers") as excinfo:
-        load_checkpoint(path)
+        read_network(path, KIND_ENCODER, "an encoder")
     assert excinfo.value.offset == 10

@@ -17,9 +17,7 @@ from plcfe.cfe import (
     cosine_lr,
     encode,
     history_queue_vectors,
-    load_checkpoint,
     momentum_update,
-    save_checkpoint,
     train_cfe,
     write_loss_trace,
 )
@@ -28,9 +26,12 @@ from plcfe.data import AugmentConfig, augment, gen_blobs
 from plcfe.errors import FormatError, NumericError, ParameterError, ShapeError, StateError
 from plcfe.metrics import similarity_ratio
 from plcfe.numcore import (
+    KIND_ENCODER,
     MlpParams,
     l2_normalize,
     mlp_forward,
+    read_network,
+    write_network,
 )
 
 from helpers import finite_diff_check, make_rng
@@ -424,11 +425,11 @@ class TestTrainCfe:
         )
         initial = EncoderPair.initialize(8, config, make_rng(5))
         before = similarity_ratio(
-            PseudoLabeledDataset(encode(initial, ds.features), ds.eval_labels, 4), 0.2
+            PseudoLabeledDataset(encode(initial.main, ds.features), ds.eval_labels, 4), 0.2
         )
         pair, _ = train_cfe(ds.features, config, DESK_AUGMENT, make_rng(6), initial=initial)
         after = similarity_ratio(
-            PseudoLabeledDataset(encode(pair, ds.features), ds.eval_labels, 4), 0.2
+            PseudoLabeledDataset(encode(pair.main, ds.features), ds.eval_labels, 4), 0.2
         )
         assert after.ratio < before.ratio
 
@@ -454,11 +455,9 @@ class TestCheckpoint:
         config = small_config()
         pair, _ = train_cfe(gen_blobs(3, 10, 4, 6.0, rng).features, config, SMALL_AUGMENT, make_rng(1))
         path = tmp_path / "pair.plcf"
-        save_checkpoint(pair, path)
-        back = load_checkpoint(path)
-        for (w1, b1), (w2, b2) in zip(pair.main.layers, back.main.layers):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
-        for (w1, b1), (w2, b2) in zip(pair.history.layers, back.history.layers):
+        write_network(pair.main, KIND_ENCODER, path)
+        back = read_network(path, KIND_ENCODER, "an encoder")
+        for (w1, b1), (w2, b2) in zip(pair.main.layers, back.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert path.read_bytes()[:4] == b"PLCF"
 
@@ -466,10 +465,10 @@ class TestCheckpoint:
         rng = make_rng(1)
         pair = EncoderPair.initialize(3, small_config(), rng)
         path = tmp_path / "pair.plcf"
-        save_checkpoint(pair, path)
+        write_network(pair.main, KIND_ENCODER, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError) as excinfo:
-            load_checkpoint(path)
+            read_network(path, KIND_ENCODER, "an encoder")
         assert excinfo.value.offset is not None
 
     def test_loss_trace_csv(self, tmp_path):

@@ -556,16 +556,20 @@ class TestPipeline:
             assert 0.0 < float(rows["ratio"]) < float("inf"), (tag, rows["ratio"])
 
     @pytest.mark.parametrize(
-        "name, stage, outputs, head_field",
-        [("cfe_trained.plcf", "embed", "embeddings.plem", False),
-         ("meta_model.plcf", "meta-eval", "eval_*.csv", True)],
-        ids=["encoder-pair", "fewshot-model"],
+        "name, stage, outputs, version, head_field",
+        [("cfe_trained.plcf", "embed", "embeddings.plem", 1, False),
+         ("meta_model.plcf", "meta-eval", "eval_*.csv", 1, True),
+         ("cfe_trained.plcf", "embed", "embeddings.plem", 2, False),
+         ("meta_model.plcf", "meta-eval", "eval_*.csv", 2, False)],
+        ids=["encoder-pair", "fewshot-model", "encoder-pair-v2", "fewshot-model-v2"],
     )
-    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys, name, stage, outputs, head_field):
+    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys, name, stage, outputs, version, head_field):
         # version 1 activated every encoder's last layer, so its networks
         # must not be read as this version's, which end linearly; a
         # version-1 few-shot model listed only its encoder's layers, and
-        # its head's shape after them
+        # its head's shape after them. Versions 1 and 2 stored the momentum
+        # encoder after the live one, so a reader of this version would
+        # see it only as trailing bytes
         path = write_tiny_config(tmp_path)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_OK
@@ -573,14 +577,16 @@ class TestPipeline:
             produced.unlink()
         raw = bytearray((out / name).read_bytes())
         layers = struct.unpack_from("<H", raw, 10)[0]
-        struct.pack_into("<HH", raw, 4, 1, *struct.unpack_from("<H", raw, 6))
+        struct.pack_into("<H", raw, 4, version)
         struct.pack_into("<H", raw, 10, layers - head_field)
+        if name == "cfe_trained.plcf":
+            raw += raw[12 + 8 * layers :]  # the momentum encoder's vector
         (out / name).write_bytes(bytes(raw))
         capsys.readouterr()
         assert main([stage, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
-        assert "unsupported format version 1, expected 2" in err and "Traceback" not in err
+        assert f"unsupported format version {version}, expected 3" in err and "Traceback" not in err
         assert not list(out.glob(outputs))
 
     def test_standard_episodes_ignore_candidate_neighbors(self, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from plcfe import metalearn
-from plcfe.cfe import KIND_FEWSHOT_MODEL, read_checkpoint
 from plcfe.cluster import assign_pseudo_labels, kmeans
 from plcfe.episodes import EpisodeConfig, FewShotTask, WayProvenance, way_pairs
 from plcfe.errors import NumericError, ParameterError, StateError
@@ -13,22 +12,23 @@ from plcfe.metalearn import (
     MamlConfig,
     evaluate_fewshot,
     init_fewshot_model,
-    load_model,
     maml_inner_adapt,
     maml_meta_gradient,
     maml_meta_step,
     model_loss_and_grad,
     proto_loss_and_grad,
     proto_meta_step,
-    save_model,
     snapshot_eval_model,
     way_prototypes,
 )
 from plcfe.numcore import (
+    KIND_FEWSHOT_MODEL,
     MlpParams,
     mlp_forward,
     params_to_vector,
+    read_network,
     vector_to_params,
+    write_network,
 )
 
 from helpers import finite_diff_check, make_rng, proto_classify
@@ -426,9 +426,9 @@ class TestProtoTraining:
         if method == "proto":
             assert len(model.shapes) == len(config.encoder_hidden) + 1
             assert model.output_dim == config.encoder_dim
-        save_model(model, tmp_path / "meta_model.plcf")
-        _, _, shapes = read_checkpoint(tmp_path / "meta_model.plcf", KIND_FEWSHOT_MODEL, "a few-shot model")
-        assert [(rows, cols) for rows, cols, _ in shapes] == encoder + head
+        write_network(model, KIND_FEWSHOT_MODEL, tmp_path / "meta_model.plcf")
+        back = read_network(tmp_path / "meta_model.plcf", KIND_FEWSHOT_MODEL, "a few-shot model")
+        assert back.shapes == tuple(encoder + head)
 
 
 class TestEvaluate:
@@ -606,8 +606,8 @@ class TestSnapshots:
         model = toy_model(seed=16)
         snap = snapshot_eval_model(model, "maml", MamlConfig(inner_lr=0.05))
         p1, p2 = tmp_path / "a.plcf", tmp_path / "b.plcf"
-        save_model(snap.model, p1)
-        back = load_model(p1)
-        save_model(back, p2)
+        write_network(snap.model, KIND_FEWSHOT_MODEL, p1)
+        back = read_network(p1, KIND_FEWSHOT_MODEL, "a few-shot model")
+        write_network(back, KIND_FEWSHOT_MODEL, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(back.vector, snap.model.vector)
