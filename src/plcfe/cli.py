@@ -344,12 +344,20 @@ def stage_meta_train(config: PipelineConfig, ws: _Workspace) -> list[str]:
     return ["meta_model.plcf", "meta_history.csv"]
 
 
+def _eval_model(config: PipelineConfig, ws: _Workspace) -> meta_mod.SnapshotEvaluationModel:
+    """meta_model.plcf as a scorer of episodes.ways-way tasks; a maml head
+    of another width is refused before any task is drawn."""
+    fs_model = read_network(ws.path("meta_model.plcf"), KIND_FEWSHOT_MODEL, "a few-shot model")
+    if config.method == "maml" and fs_model.output_dim != config.episodes.ways:
+        raise ParameterError(f"the maml head has {fs_model.output_dim} ways, the episodes {config.episodes.ways}")
+    return meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
+
+
 def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
     ds, _, test_idx = _split_dataset(config, ws)
     if ds.eval_labels is None:
         raise ParameterError("meta-eval needs a labeled dataset")
-    fs_model = read_network(ws.path("meta_model.plcf"), KIND_FEWSHOT_MODEL, "a few-shot model")
-    scorer = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
+    scorer = _eval_model(config, ws)
     # evaluation-only: the held-out split grouped by its true labels
     pld = cluster_mod.PseudoLabeledDataset(ds.features[test_idx], ds.eval_labels[test_idx], ds.classes)
     out = []
@@ -370,10 +378,7 @@ def stage_meta_eval(config: PipelineConfig, ws: _Workspace) -> list[str]:
 def stage_build_tasks(config: PipelineConfig, ws: _Workspace, count: int = 100) -> list[str]:
     model, pld = _pseudo_labeled_train_split(config, ws)
     rng = derive_rng(config.seed, KEY_TASKS)
-    eval_model = None
-    if config.episode_mode == "progressive":
-        fs_model = read_network(ws.path("meta_model.plcf"), KIND_FEWSHOT_MODEL, "a few-shot model")
-        eval_model = meta_mod.snapshot_eval_model(fs_model, config.method, config.maml)
+    eval_model = _eval_model(config, ws) if config.episode_mode == "progressive" else None
     tasks = [
         task
         for _ in range(count)

@@ -10,13 +10,14 @@ progressive one for the small fraction of task batches that pass a random
 gate. The progressive sampler builds its batch support-first: it takes the
 bases and supports of all T tasks from one kernel draw, finetunes the
 evaluation model on the T supports as one stack, and scores every row of
-the split for every task in one forward pass, (T, N, ways). The argmax
-labels fill one predicted-label count table per task, from which one call
-gives every cluster's entropy. One table of every (task, way)'s nearest
-neighbor clusters and one argmax over their entropies pick each way's final
-cluster, its query source, for the whole batch, and only the final
-clusters' rows get numcore.log_softmax, the package's one softmax, which
-ranks members for the noise filter.
+the split for every task in one forward pass, (T, N, ways). One
+cluster_entropy call reads every task's cluster entropies off the argmax
+labels of those scores; an empty cluster's entropy is NaN. One table of
+every (task, way)'s nearest neighbor clusters and one argmax over their
+entropies pick each way's final cluster, its query source, for the whole
+batch; an empty candidate is refused there, the one place an empty cluster
+is. Only the final clusters' rows get numcore.log_softmax, the package's
+one softmax, which ranks members for the noise filter.
 Then, task after task and way after way, each final cluster's noisiest
 members are dropped and the way's queries drawn, so the generator is called
 in the same order as by one task at a time.
@@ -137,75 +138,45 @@ def sample_standard_task(
     return FewShotTask(picks[:, : config.shots], picks[:, config.shots :], provenance)
 
 
-def predicted_label_counts(scores: np.ndarray, pld: PseudoLabeledDataset) -> np.ndarray:
-    """(k, ways) table: how many members of each cluster take each way as
-    the argmax label of their (n, ways) score row. (T, n, ways) scores give
-    one table per task, (T, k, ways), from one bincount whose bins carry a
-    task offset."""
-    *lead, n, ways = scores.shape
-    tasks = int(np.prod(lead))
-    ids = np.arange(tasks)[:, None] * pld.num_clusters + pld.pseudo_labels
-    flat = ids * ways + np.argmax(scores, axis=-1).reshape(tasks, n)
-    counts = np.bincount(flat.ravel(), minlength=tasks * pld.num_clusters * ways)
-    return counts.reshape(*lead, pld.num_clusters, ways)
-
-
-def cluster_entropy(label_counts: np.ndarray) -> np.ndarray:
-    """Entropy of each row of a (c, ways) predicted-label count table.
+def cluster_entropy(scores: np.ndarray, pld: PseudoLabeledDataset) -> np.ndarray:
+    """(T, k) entropies of each cluster's predicted labels, the argmax
+    ways of its members' rows in (T, N, ways) scores, one row per task.
 
     The entropy of a cluster's label frequencies (natural log, 0 log 0 = 0)
     says how much of the cluster the model has not already pinned down.
+    Every task's label counts come from one bincount whose bins carry a
+    task offset. An empty cluster's entropy is NaN.
     """
-    counts = np.asarray(label_counts, dtype=np.float64)
-    sizes = counts.sum(axis=1, keepdims=True)
-    if np.any(sizes == 0):
-        raise ParameterError("every cluster needs at least one member")
-    probs = counts / sizes
+    tasks, _, ways = scores.shape
+    ids = np.arange(tasks)[:, None] * pld.num_clusters + pld.pseudo_labels
+    flat = ids * ways + np.argmax(scores, axis=-1)
+    counts = np.bincount(flat.ravel(), minlength=tasks * pld.num_clusters * ways)
+    counts = counts.reshape(tasks, pld.num_clusters, ways).astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        probs = counts / counts.sum(axis=-1, keepdims=True)
     logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0)
-    return -np.sum(probs * logs, axis=1)
+    return -np.sum(probs * logs, axis=-1)
 
 
-def select_final_cluster(candidate_ids, entropy: np.ndarray):
-    """Candidate with the highest entropy, read from a per-cluster entropy
-    vector; ties go to the earlier (nearer) candidate. An empty cluster's
-    entropy is NaN, and choosing among it is a ParameterError.
-
-    A (c,) candidate row gives one cluster id. A (T, ways, c) table with
-    (T, k) entropies, one row per task, gives the (T, ways) choices from
-    one argmax, as would a call per (task, way).
+def select_final_cluster(candidate_ids: np.ndarray, entropy: np.ndarray) -> np.ndarray:
+    """(T, ways) final clusters: for each row of a (T, ways, c) candidate
+    table, the candidate with the highest entropy in its task's row of the
+    (T, k) entropies; ties go to the earlier (nearer) candidate. Choosing
+    among an empty cluster, whose entropy is NaN, is a ParameterError.
     """
-    candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-    if candidate_ids.size == 0:
-        raise ParameterError("need at least one candidate cluster")
-    rows = np.atleast_2d(entropy)
-    values = np.take_along_axis(rows, candidate_ids.reshape(rows.shape[0], -1), axis=1)
+    values = np.take_along_axis(entropy[:, None], candidate_ids, axis=-1)
     if np.isnan(values).any():
         raise ParameterError("every cluster needs at least one member")
-    best = np.argmax(values.reshape(candidate_ids.shape), axis=-1)
-    finals = np.take_along_axis(candidate_ids, best[..., None], axis=-1)[..., 0]
-    return int(finals) if finals.ndim == 0 else finals
+    best = np.argmax(values, axis=-1)
+    return np.take_along_axis(candidate_ids, best[..., None], axis=-1)[..., 0]
 
 
-def filter_noisy(
-    log_probs: np.ndarray,
-    member_indices: np.ndarray,
-    way_index: int,
-    keep_rate: float,
-) -> np.ndarray:
-    """Keep the floor(keep_rate * n) members most confidently scored as
-    way_index.
-
-    log_probs holds log-softmax rows over the ways, indexed by
-    member_indices; members are sorted by descending log-probability of
-    way_index with ties resolved by their position in member_indices.
-    """
-    if not (0 < keep_rate < 1):
-        raise ParameterError("keep_rate must be in (0, 1)")
-    member_indices = np.asarray(member_indices, dtype=np.int64)
-    if member_indices.size == 0:
-        raise ParameterError("cluster has no members")
-    order = np.argsort(-log_probs[member_indices, way_index], kind="stable")
-    return member_indices[order][: int(np.floor(keep_rate * member_indices.size))]
+def filter_noisy(log_probs: np.ndarray, keep_rate: float) -> np.ndarray:
+    """Positions of the floor(keep_rate * n) members most confidently
+    scored as their way, by descending (n,) log-probability of it; ties go
+    to the earlier position."""
+    order = np.argsort(-log_probs, kind="stable")
+    return order[: int(np.floor(keep_rate * log_probs.size))]
 
 
 def progressive_task(
@@ -242,7 +213,7 @@ def progressive_task(
     provenance = []
     for way, (base, final) in enumerate(zip(bases, finals)):
         members = pld.members[final]
-        kept = members[filter_noisy(log_probs[way], np.arange(members.size), way, config.keep_rate)]
+        kept = members[filter_noisy(log_probs[way][:, way], config.keep_rate)]
         pool = kept[~used[kept]]
         fallback = pool.size < config.queries
         if fallback:
@@ -289,25 +260,17 @@ def sample_progressive_batch(
     eval_model is a SnapshotEvaluationModel or a test double with its two
     methods: finetuned(support_x, support_y) on (count, n, d) support rows
     and (count, n) way labels returns an adapted copy, whose predict_scores
-    maps (count, N, d) rows to (count, N, ways) scores.
+    maps (count, N, d) rows to (count, N, ways) scores. A maml head of
+    another width is refused by its reader, before any draw.
     """
-    if eval_model is None:
-        raise ParameterError("progressive sampling requires an evaluation model")
     bases, picks = draw_episodes(pld, config.ways, config.shots + config.queries, rng, count)
     support = picks[..., : config.shots]
     support_flat, support_ways = way_pairs(support)
     adapted = eval_model.finetuned(pld.features[support_flat], support_ways)
     every_row = np.broadcast_to(pld.features, (count, *pld.features.shape))
-    scores = np.asarray(adapted.predict_scores(every_row))
-    if scores.shape != (count, pld.features.shape[0], config.ways):
-        raise ParameterError(f"evaluation model must emit {config.ways} scores per sample")
-    counts = predicted_label_counts(scores, pld)
-    # an empty cluster has no entropy; NaN marks it for select_final_cluster
-    entropy = np.full((count, pld.num_clusters), np.nan)
-    filled = pld.sizes > 0
-    entropy[:, filled] = cluster_entropy(counts[:, filled].reshape(-1, config.ways)).reshape(count, -1)
+    scores = adapted.predict_scores(every_row)
     finals = select_final_cluster(
-        nearest_clusters(cluster_model, bases, config.candidate_neighbors), entropy
+        nearest_clusters(cluster_model, bases, config.candidate_neighbors), cluster_entropy(scores, pld)
     )
     # the final clusters' score rows, task after task and way after way
     sizes = pld.sizes[finals]

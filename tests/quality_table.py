@@ -5,17 +5,18 @@
 
 SRC is the root of a plcfe source checkout. For seeds 1 to 5, the script
 runs SRC/perfbench/child.py --trace, one pipeline in a fresh interpreter
-with one BLAS thread, on five configs: default, proto, and the workload
-configs of SRC/perfbench/run.py. So every metric keeps the benchmark's own
-definition: eval_acc, ratio_drop and pseudo_purity as the child reads them
-from the artifacts, and episodes.fallback_rate and episodes.query_noise
-from its meta-train episode audit. OUT.json maps each config to
+with one BLAS thread, on six configs: default, proto, proto progressive
+at gate 0.5 (the proto twin of the maml-progressive workload), and the
+workload configs of SRC/perfbench/run.py. So every metric keeps the
+benchmark's own definition: eval_acc, ratio_drop and pseudo_purity as the
+child reads them from the artifacts, and episodes.fallback_rate and
+episodes.query_noise from its meta-train episode audit. OUT.json maps each config to
 {seed: {metric: value}}.
 
 --compare reads two such files and prints, for each config and metric,
 the mean of each side and the seeds on which the second file reads higher.
 
-pytest does not collect this file; it runs 25 traced pipelines and takes
+pytest does not collect this file; it runs 30 traced pipelines and takes
 minutes.
 """
 
@@ -32,7 +33,11 @@ from statistics import mean
 from manifest_hashes import workload_configs
 
 SEEDS = (1, 2, 3, 4, 5)
-BASE_CONFIGS = {"default": {}, "proto": {"method": "proto"}}
+BASE_CONFIGS = {
+    "default": {},
+    "proto": {"method": "proto"},
+    "proto-progressive": {"method": "proto", "episode_mode": "progressive", "episodes": {"gate_threshold": 0.5}},
+}
 METRICS = ("eval_acc", "ratio_drop", "pseudo_purity", "episodes.fallback_rate", "episodes.query_noise")
 
 

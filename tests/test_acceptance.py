@@ -28,7 +28,6 @@ from plcfe.episodes import (
     EpisodeConfig,
     filter_noisy,
     cluster_entropy,
-    predicted_label_counts,
     sample_progressive_batch,
     sample_standard_task,
     sample_task_batch,
@@ -202,7 +201,7 @@ def test_criterion_5_entropy_oracle():
                 features = np.zeros((size, 2))
                 features[:, 0] = np.arange(size)
                 scores = StubScorer(labels, ways).predict_scores(features)
-                value = cluster_entropy(predicted_label_counts(scores, index_pld([size])))[0]
+                value = cluster_entropy(scores[None], index_pld([size]))[0, 0]
                 oracle = -sum(
                     (c / size) * math.log(c / size) for c in counts if c > 0
                 )
@@ -218,7 +217,7 @@ def test_criterion_6_progressive_mechanics():
     for size in range(2, 41):
         pld = index_pld([size])
         scorer = StubScorer(np.zeros(size, dtype=int), 2)
-        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features))[:, 0], 0.75)
         keep_exact = keep_exact and kept.size == math.floor(0.75 * size)
 
     # argmax selection vs brute force on 100 random candidate sets
@@ -229,14 +228,10 @@ def test_criterion_6_progressive_mechanics():
     select_ok = True
     for _ in range(100):
         candidates = rng.choice(12, size=5, replace=False).tolist()
-        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        chosen = select_final_cluster(candidates, cluster_entropy(counts))
+        entropy = cluster_entropy(scorer.predict_scores(pld.features)[None], pld)
+        chosen = select_final_cluster(np.array(candidates)[None, None], entropy)[0, 0]
         entropies = [
-            cluster_entropy(
-                predicted_label_counts(
-                    scorer.predict_scores(pld.features[pld.members[c]]), index_pld([6])
-                )
-            )[0]
+            cluster_entropy(scorer.predict_scores(pld.features[pld.members[c]])[None], index_pld([6]))[0, 0]
             for c in candidates
         ]
         select_ok = select_ok and chosen == candidates[int(np.argmax(entropies))]

@@ -653,6 +653,20 @@ class TestPipeline:
             assert f"maml head has 3 ways, the episodes {ways}" in err
             assert "Traceback" not in err
 
+    def test_progressive_build_tasks_refuses_maml_head_of_other_ways(self, tmp_path, capsys):
+        # at gate 1 no task is progressive: the head is refused before the
+        # gate or any task is drawn, as meta-eval refuses it
+        path = write_tiny_config(tmp_path, episodes={**TINY["episodes"], "gate_threshold": 1.0})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out),
+                     "--episodes", "progressive"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["build-tasks", "--config", str(path), "--out", str(out),
+                     "--episodes", "progressive", "--ways", "2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "maml head has 3 ways, the episodes 2" in err and len(err.splitlines()) == 1, err
+        assert not (out / "tasks.csv").exists()
+
     def test_meta_eval_proto_accepts_other_ways(self, tmp_path):
         path = write_tiny_config(tmp_path)
         out = tmp_path / "run"

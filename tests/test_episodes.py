@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from plcfe.episodes import (
     cluster_entropy,
     draw_episodes,
     filter_noisy,
-    predicted_label_counts,
     sample_progressive_batch,
     sample_standard_task,
     sample_task_batch,
@@ -204,28 +204,37 @@ class TestDrawEpisodes:
         assert np.array_equal(task.query, picks[:, 2:])
 
 
+def entropies(scores, pld):
+    """One task's (k,) cluster entropies under its (N, ways) scores."""
+    return cluster_entropy(scores[None], pld)[0]
+
+
+def one_way_table(candidates):
+    """A (1, 1, c) candidate table: one task of one way."""
+    return np.array(candidates)[None, None]
+
+
 class TestClusterEntropy:
     def test_single_label_zero(self):
         scorer = TableScorer(np.zeros(4, dtype=int), 3)
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
-        counts = predicted_label_counts(scorer.predict_scores(features), make_pld([4]))
-        assert cluster_entropy(counts)[0] == 0.0
+        assert entropies(scorer.predict_scores(features), make_pld([4]))[0] == 0.0
 
     def test_even_split_ln2(self):
         scorer = TableScorer(np.array([0, 0, 1, 1]), 2)
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
-        counts = predicted_label_counts(scorer.predict_scores(features), make_pld([4]))
-        assert cluster_entropy(counts)[0] == pytest.approx(math.log(2), abs=1e-12)
+        h = entropies(scorer.predict_scores(features), make_pld([4]))[0]
+        assert h == pytest.approx(math.log(2), abs=1e-12)
 
     def test_three_one_split(self):
         scorer = TableScorer(np.array([0, 0, 0, 1]), 2)
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
-        counts = predicted_label_counts(scorer.predict_scores(features), make_pld([4]))
-        assert cluster_entropy(counts)[0] == pytest.approx(expected, abs=1e-12)
+        h = entropies(scorer.predict_scores(features), make_pld([4]))[0]
+        assert h == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.562335, abs=1e-6)
 
     def test_bounded_by_ln_ways(self):
@@ -236,19 +245,34 @@ class TestClusterEntropy:
             features = np.zeros((n, 2))
             features[:, 0] = np.arange(n)
             scores = TableScorer(labels, ways).predict_scores(features)
-            h = cluster_entropy(predicted_label_counts(scores, make_pld([n])))[0]
+            h = entropies(scores, make_pld([n]))[0]
             assert 0.0 <= h <= math.log(ways) + 1e-12
 
     def test_maximal_iff_uniform(self):
         features = np.zeros((4, 2))
         features[:, 0] = np.arange(4)
         scores = TableScorer(np.array([0, 1, 2, 3]), 4).predict_scores(features)
-        h = cluster_entropy(predicted_label_counts(scores, make_pld([4])))[0]
+        h = entropies(scores, make_pld([4]))[0]
         assert h == pytest.approx(math.log(4), abs=1e-12)
 
-    def test_empty_cluster_is_error(self):
-        with pytest.raises(ParameterError):
-            cluster_entropy(predicted_label_counts(np.zeros((2, 2)), make_pld([0, 2])))
+    def test_empty_cluster_is_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = entropies(np.zeros((2, 2)), make_pld([0, 2]))
+        assert np.isnan(h[0]) and h[1] == 0.0
+
+    def test_stack_equals_one_call_per_task(self):
+        # clusters 1 and 4 are empty; each task scores with its own labels
+        pld = make_pld([5, 0, 3, 7, 0, 1])
+        rng = make_rng(4)
+        scores = rng.normal(size=(6, pld.features.shape[0], 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = cluster_entropy(scores, pld)
+            alone = np.stack([entropies(task_scores, pld) for task_scores in scores])
+        assert stacked.shape == (6, 6)
+        assert np.array_equal(stacked, alone, equal_nan=True)
+        assert np.isnan(stacked[:, [1, 4]]).all() and not np.isnan(stacked[:, [0, 2, 3, 5]]).any()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -262,22 +286,28 @@ class TestClusterEntropy:
         st.integers(0, 7),
     )
     def test_rows_match_frequency_formula(self, rows, zero_row):
-        table = np.array(rows)
+        # cluster i holds rows[i][w] members predicted as way w
         oracle = [
             -sum((c / sum(row)) * math.log(c / sum(row)) for c in row if c > 0) for row in rows
         ]
-        assert np.allclose(cluster_entropy(table), oracle, rtol=0, atol=1e-12)
-        table[zero_row % len(rows)] = 0
-        with pytest.raises(ParameterError):
-            cluster_entropy(table)
+
+        def one_hot_entropies(rows):
+            labels = np.concatenate([np.repeat(np.arange(len(row)), row) for row in rows])
+            return entropies(np.eye(len(rows[0]))[labels], make_pld([sum(row) for row in rows]))
+
+        assert np.allclose(one_hot_entropies(rows), oracle, rtol=0, atol=1e-12)
+        emptied = zero_row % len(rows)
+        h = one_hot_entropies([[0] * len(row) if i == emptied else row for i, row in enumerate(rows)])
+        assert np.isnan(h[emptied])
+        assert np.allclose(np.delete(h, emptied), np.delete(oracle, emptied), rtol=0, atol=1e-12)
 
 
 class TestSelectFinalCluster:
     def test_single_candidate(self):
         pld = make_pld([3, 3])
         scorer = TableScorer(np.zeros(6, dtype=int), 2)
-        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        assert select_final_cluster([1], cluster_entropy(counts)) == 1
+        entropy = cluster_entropy(scorer.predict_scores(pld.features)[None], pld)
+        assert select_final_cluster(one_way_table([1]), entropy)[0, 0] == 1
 
     def test_argmax_entropy(self):
         # cluster 0: all one label (H=0); cluster 1: even split (H=ln2);
@@ -285,14 +315,14 @@ class TestSelectFinalCluster:
         pld = make_pld([4, 4, 4])
         labels = np.array([0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1])
         scorer = TableScorer(labels, 2)
-        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        assert select_final_cluster([0, 1, 2], cluster_entropy(counts)) == 1
+        entropy = cluster_entropy(scorer.predict_scores(pld.features)[None], pld)
+        assert select_final_cluster(one_way_table([0, 1, 2]), entropy)[0, 0] == 1
 
     def test_tie_breaks_by_candidate_order(self):
         pld = make_pld([3, 3, 3])
         scorer = TableScorer(np.zeros(9, dtype=int), 2)  # all entropies zero
-        counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-        assert select_final_cluster([2, 0, 1], cluster_entropy(counts)) == 2
+        entropy = cluster_entropy(scorer.predict_scores(pld.features)[None], pld)
+        assert select_final_cluster(one_way_table([2, 0, 1]), entropy)[0, 0] == 2
 
     def test_batch_equals_loop_over_tasks_and_ways(self):
         # entropies from {0, 1, 2} tie often; a NaN outside every
@@ -310,7 +340,7 @@ class TestSelectFinalCluster:
                 for way in range(ways):
                     values = entropy[t, table[t, way]]
                     ties += int(np.sum(values == values.max()) > 1)
-                    assert got[t, way] == select_final_cluster(table[t, way], entropy[t])
+                    assert got[t, way] == table[t, way][np.argmax(values)]
         assert ties > 0
 
     def test_batch_refuses_nan_candidate_like_the_loop(self):
@@ -320,8 +350,6 @@ class TestSelectFinalCluster:
         entropy[1, table[1, 2, 1]] = np.nan
         with pytest.raises(ParameterError, match="at least one member"):
             select_final_cluster(table, entropy)
-        with pytest.raises(ParameterError, match="at least one member"):
-            select_final_cluster(table[1, 2], entropy[1])
 
     def test_matches_bruteforce_oracle(self):
         rng = make_rng(1)
@@ -330,46 +358,34 @@ class TestSelectFinalCluster:
         scorer = TableScorer(labels, 3)
         for _ in range(20):
             candidates = rng.choice(6, size=4, replace=False).tolist()
-            counts = predicted_label_counts(scorer.predict_scores(pld.features), pld)
-            chosen = select_final_cluster(candidates, cluster_entropy(counts))
-            entropies = [
-                cluster_entropy(
-                    predicted_label_counts(
-                        scorer.predict_scores(pld.features[pld.members[c]]), make_pld([5])
-                    )
-                )[0]
+            entropy = cluster_entropy(scorer.predict_scores(pld.features)[None], pld)
+            chosen = select_final_cluster(one_way_table(candidates), entropy)[0, 0]
+            oracle = [
+                entropies(scorer.predict_scores(pld.features[pld.members[c]]), make_pld([5]))[0]
                 for c in candidates
             ]
-            assert chosen == candidates[int(np.argmax(entropies))]
+            assert chosen == candidates[int(np.argmax(oracle))]
 
 
 class TestFilterNoisy:
     def test_keep_count_floor(self):
-        pld = make_pld([10])
-        scorer = RowScorer(np.linspace(0, 1, 10)[:, None] * np.array([1.0, 0.0]))
-        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        scores = np.linspace(0, 1, 10)[:, None] * np.array([1.0, 0.0])
+        kept = filter_noisy(log_softmax(scores)[:, 0], 0.75)
         assert kept.size == 7  # floor(0.75 * 10)
 
     def test_equal_scores_keep_lowest_original_indices(self):
-        pld = make_pld([8])
-        scorer = RowScorer(np.tile([0.5, 0.5], (8, 1)))
-        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        kept = filter_noisy(log_softmax(np.tile([0.5, 0.5], (8, 1)))[:, 0], 0.75)
         assert kept.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_hand_sorted_example(self):
         # way-0 logits whose softmax ordering is 0.9 > 0.7 > 0.5 > 0.1
-        pld = make_pld([4])
         rows = np.array([[0.9, 0.0], [0.1, 0.0], [0.5, 0.0], [0.7, 0.0]])
-        scorer = RowScorer(rows)
-        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 0, 0.75)
+        kept = filter_noisy(log_softmax(rows)[:, 0], 0.75)
         assert kept.tolist() == [0, 3, 2]
 
     def test_scores_non_increasing_and_subset(self):
-        rng = make_rng(2)
-        pld = make_pld([12])
-        rows = rng.normal(size=(12, 3))
-        scorer = RowScorer(rows)
-        kept = filter_noisy(log_softmax(scorer.predict_scores(pld.features)), pld.members[0], 1, 0.5)
+        rows = make_rng(2).normal(size=(12, 3))
+        kept = filter_noisy(log_softmax(rows)[:, 1], 0.5)
         assert set(kept.tolist()) <= set(range(12))
         probs = np.exp(rows[kept]) / np.exp(rows[kept]).sum(axis=1, keepdims=True)
         way1 = probs[:, 1]
@@ -445,12 +461,9 @@ class TestProgressiveTask:
                 if prov.fallback:
                     pool = pld.members[prov.base_cluster]
                 else:
-                    pool = filter_noisy(
-                        log_softmax(scorer.predict_scores(pld.features)),
-                        pld.members[prov.query_cluster],
-                        way,
-                        0.75,
-                    )
+                    members = pld.members[prov.query_cluster]
+                    way_scores = log_softmax(scorer.predict_scores(pld.features[members]))[:, way]
+                    pool = members[filter_noisy(way_scores, 0.75)]
                 assert set(task.query[way].tolist()) <= set(pool.tolist())
 
     def test_filter_ranks_saturated_probabilities_by_log_probability(self):
@@ -490,23 +503,10 @@ class TestProgressiveTask:
                 assert prov.query_cluster == prov.base_cluster
         validate_structure(task, pld.features.shape[0])
 
-    def test_progressive_requires_eval_model(self):
-        pld, model, _ = self.make_setup()
-        config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
-        with pytest.raises(ParameterError):
-            sample_progressive_batch(pld, model, None, config, make_rng(0), 1)
-
     def test_needs_more_clusters_than_candidates(self):
         pld, model, scorer = self.make_setup(sizes=(10, 10))
         config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
         with pytest.raises(ParameterError):
-            sample_progressive_batch(pld, model, scorer, config, make_rng(0), 1)
-
-    def test_wrong_score_width_is_error(self):
-        pld, model, _ = self.make_setup()
-        config = EpisodeConfig(ways=2, shots=1, queries=2, candidate_neighbors=2)
-        scorer = RowScorer(make_rng(0).normal(size=(pld.features.shape[0], 3)))
-        with pytest.raises(ParameterError, match="2 scores per sample"):
             sample_progressive_batch(pld, model, scorer, config, make_rng(0), 1)
 
     def test_empty_cluster_only_refused_as_candidate(self):
